@@ -1268,8 +1268,7 @@ struct PruneMeasurement {
     pruned_runs_per_sec: f64,
     trace_runs: u64,
     dormant_skips: u64,
-    collapse_hits: u64,
-    collapse_logged: u64,
+    short_circuits: u64,
     fork_hits: u64,
     instrs_skipped: u64,
 }
@@ -1303,8 +1302,8 @@ impl PruneMeasurement {
 /// Measure the §6 class campaign for one program with trace-guided
 /// pruning off and on. Both sides run the full prior stack — block
 /// interpreter plus prefix-fork cache — so the delta is purely the
-/// def-use trace evidence: provable-dormancy skips and
-/// outcome-equivalence collapse hits.
+/// def-use trace evidence: dormancy proofs, never-arrives verdicts read
+/// from the traced run's trigger totals, and measured fork depths.
 fn measure_trace_prune(name: &'static str, n_inputs: usize, seed: u64) -> PruneMeasurement {
     let p = program(name).unwrap();
     let compiled = compile(p.source_correct).unwrap();
@@ -1326,9 +1325,9 @@ fn measure_trace_prune(name: &'static str, n_inputs: usize, seed: u64) -> PruneM
     pruned.set_prefix_cache(Some(pruned_cache));
     pruned.set_prune(true, 0);
 
-    // Warm-up pass per side: snapshot captures, the traced clean runs,
-    // and the first collapse-class recordings all happen off the clock —
-    // the measured chunks are the steady state of a long campaign.
+    // Warm-up pass per side: snapshot captures and the traced clean runs
+    // happen off the clock — the measured chunks are the steady state of
+    // a long campaign.
     let _ = time_schedule(&faults, &inputs, seed, |input, spec, s| {
         unpruned.run(input, Some(spec), s);
     });
@@ -1350,8 +1349,7 @@ fn measure_trace_prune(name: &'static str, n_inputs: usize, seed: u64) -> PruneM
         pruned_runs_per_sec: pruned_best,
         trace_runs: stats.prune_trace_runs,
         dormant_skips: stats.prune_dormant_skips,
-        collapse_hits: stats.prune_collapse_hits,
-        collapse_logged: stats.prune_collapse_logged,
+        short_circuits: stats.prefix_dormant_short_circuits,
         fork_hits: stats.prefix_fork_hits,
         instrs_skipped: stats.prefix_instrs_skipped,
     }
@@ -1384,12 +1382,11 @@ fn bench_trace_prune(_c: &mut Criterion) {
                 .unwrap_or_else(|| "?".into())
         );
         println!(
-            "{:<42} {} trace runs, {} dormant skips, {} collapse hits ({} classes logged), {} fork hits",
+            "{:<42} {} trace runs, {} dormant skips, {} dormant short-circuits, {} fork hits",
             format!("prune/evidence_{}", m.program),
             m.trace_runs,
             m.dormant_skips,
-            m.collapse_hits,
-            m.collapse_logged,
+            m.short_circuits,
             m.fork_hits
         );
         if !rows.is_empty() {
@@ -1411,8 +1408,8 @@ fn bench_trace_prune(_c: &mut Criterion) {
             "    {{\"program\": \"{}\", \"runs\": {}, \
              \"unpruned_runs_per_sec\": {:.1}, \"pruned_runs_per_sec\": {:.1}, \
              \"runs_speedup\": {:.2}, {pr7}, {pr2}, \
-             \"trace_runs\": {}, \"dormant_skips\": {}, \"collapse_hits\": {}, \
-             \"collapse_classes_logged\": {}, \"fork_hits\": {}, \"instrs_skipped\": {}}}",
+             \"trace_runs\": {}, \"dormant_skips\": {}, \"dormant_short_circuits\": {}, \
+             \"fork_hits\": {}, \"instrs_skipped\": {}}}",
             m.program,
             m.runs,
             m.unpruned_runs_per_sec,
@@ -1420,8 +1417,7 @@ fn bench_trace_prune(_c: &mut Criterion) {
             m.speedup(),
             m.trace_runs,
             m.dormant_skips,
-            m.collapse_hits,
-            m.collapse_logged,
+            m.short_circuits,
             m.fork_hits,
             m.instrs_skipped
         ));
@@ -1431,9 +1427,9 @@ fn bench_trace_prune(_c: &mut Criterion) {
          generated faults x shared inputs (6 for JB, 2 for Camelot)\",\n  \"unpruned\": \"warm \
          RunSession, block interpreter + prefix-fork cache, pruning disabled (--no-prune; the \
          PR 7-era engine stack)\",\n  \"pruned\": \"same stack plus trace-guided pruning: one \
-         def-use traced clean run per input proves dormancy for overwritten-before-use \
-         corruption, and identical corruption logs collapse into their recorded \
-         representative\",\n  \"pr7_baseline\": \"blocks_runs_per_sec from PR 7's committed \
+         def-use traced clean run per input proves dormancy for overwritten-before-use or \
+         value-identical corruption and counts trigger arrivals for the never-arrives \
+         verdict\",\n  \"pr7_baseline\": \"blocks_runs_per_sec from PR 7's committed \
          BENCH_block_translation.json, same schedule\",\n  \"pr2_baseline\": \
          \"cached_runs_per_sec from PR 2's committed BENCH_translation_cache.json, same \
          schedule\",\n  \"metric\": \"runs/s: pruned runs skip whole executions by proof, \
@@ -1459,12 +1455,18 @@ fn bench_intern_lookup(_c: &mut Criterion) {
     use std::collections::HashMap;
     let p = program("JB.team11").unwrap();
     let inputs = p.family.test_case(32, 0xB007);
+    let snapshot = {
+        let compiled = compile(p.source_correct).unwrap();
+        let mut m = Machine::new(swifi_campaign::runner::campaign_config(p.family));
+        m.load(&compiled.image);
+        std::sync::Arc::new(m.fork_snapshot())
+    };
     let cache = swifi_campaign::PrefixCache::new();
-    let mut full_key: HashMap<(TestInput, u32, u64), bool> = HashMap::new();
+    let mut full_key = HashMap::new();
     for (i, input) in inputs.iter().enumerate() {
         for pc in 0..8u32 {
-            cache.record_shallow(input, 0x100 + 4 * pc, i as u64);
-            full_key.insert((input.clone(), 0x100 + 4 * pc, i as u64), true);
+            cache.insert_snapshot(input, 0x100 + 4 * pc, i as u64, snapshot.clone());
+            full_key.insert((input.clone(), 0x100 + 4 * pc, i as u64), snapshot.clone());
         }
     }
 
@@ -1495,17 +1497,12 @@ fn bench_intern_lookup(_c: &mut Criterion) {
     };
 
     let interned = probe(
-        "shallow_probe_interned",
-        Box::new(|input, pc, occ| cache.is_shallow(input, pc, occ)),
+        "snapshot_probe_interned",
+        Box::new(|input, pc, occ| cache.snapshot(input, pc, occ).is_some()),
     );
     let cloned = probe(
-        "shallow_probe_full_testinput_key",
-        Box::new(|input, pc, occ| {
-            full_key
-                .get(&(input.clone(), pc, occ))
-                .copied()
-                .unwrap_or(false)
-        }),
+        "snapshot_probe_full_testinput_key",
+        Box::new(|input, pc, occ| full_key.get(&(input.clone(), pc, occ)).cloned().is_some()),
     );
     println!(
         "intern/{:<34} {:>8.2}x interned vs full-key",

@@ -373,17 +373,16 @@ pub struct CampaignOptions {
     /// a final resume pass over the merged checkpoint reproduces the
     /// single-process report exactly (the shard-equality oracle).
     pub shard: Option<crate::shard::Shard>,
-    /// Disable trace-guided pruning (provable-dormancy skips,
-    /// outcome-equivalence collapse, the adaptive fork planner). Pruning
-    /// is a pure execution strategy — every pruned answer is provably
-    /// identical to the full run it replaces — so reports are equal
-    /// either way; the flag exists for A/B measurement and as an escape
-    /// hatch.
+    /// Disable trace-guided pruning (def-use dormancy proofs and
+    /// fork-depth verdicts). Pruning is a pure execution strategy —
+    /// every pruned answer is provably identical to the full run it
+    /// replaces — so reports are equal either way; the flag exists for
+    /// A/B measurement and as an escape hatch.
     pub no_prune: bool,
-    /// Percentage (0–100) of pruned/collapsed answers the sampling
-    /// oracle re-validates by running them in full and comparing the
-    /// predicted outcome (`prune:` report line shows checks and
-    /// mispredictions, the latter asserted zero in CI).
+    /// Percentage (0–100) of replayed answers the sampling oracle
+    /// re-validates by running them in full and comparing the predicted
+    /// outcome (`prune:` report line shows checks and mispredictions,
+    /// the latter asserted zero in CI).
     pub prune_sample: u32,
 }
 

@@ -21,17 +21,15 @@
 //!   complete fault-free run; its outcome and retired-instruction count
 //!   are recorded per input, so later clean runs (and dormant
 //!   classifications) are answered without executing;
-//! - **trigger totals** — the same finished capture proves how many
-//!   times the trigger PC executes in the golden run, so any fault
-//!   needing a later occurrence is classified dormant outright;
+//! - **trigger totals** — the same finished capture (or a def-use
+//!   traced run) proves how many times the trigger PC executes in the
+//!   golden run, so any fault needing a later occurrence is classified
+//!   dormant outright (the planner's never-arrives verdict);
 //! - **def-use traces** — one dedicated clean run per input records a
 //!   [`DefUseTrace`] over the campaign's candidate trigger PCs
 //!   ([`PrefixCache::set_watch_pcs`]), the evidence base for provable
-//!   dormancy and the adaptive run planner (`plan.rs`);
-//! - **collapse classes** — a fired run whose complete corruption log
-//!   ([`FireLog`]) is on record becomes the representative for every
-//!   later fault that provably applies the identical corruptions at the
-//!   same trigger occurrence ([`PrefixCache::collapse_match`]).
+//!   dormancy and the run planner (`plan.rs`), memoized per
+//!   (input, fault) as the planner's trace verdict.
 //!
 //! The cache is owned by the campaign driver and shared across the
 //! worker pool behind an [`Arc`]: all sessions of one phase run the
@@ -42,22 +40,21 @@
 //! compiled target and never share it across programs.
 //!
 //! Inputs are interned to a small integer id on first write and every
-//! key embeds the id, so the hot lookups (`is_shallow`, `snapshot`,
-//! `golden`, …) hash a few machine words instead of cloning a full
-//! [`TestInput`] per probe.
+//! key embeds the id, so the hot lookups (`snapshot`, `golden`,
+//! `total_occurrences`, …) hash a few machine words instead of cloning
+//! a full [`TestInput`] per probe.
 //!
 //! Snapshot storage is bounded ([`PrefixCache::with_capacity`]) with
 //! FIFO eviction: once full, the oldest retained snapshot is dropped to
 //! admit the new one, so a pathological campaign cannot exhaust memory.
-//! Evicting a snapshot never touches the shallow-veto memo (and vice
-//! versa): the verdict memos are a few words per key and unbounded.
+//! The golden, total, trace and plan memos are a few words per key and
+//! unbounded.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use crate::plan::RunPlan;
-use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
-use swifi_core::injector::FireLog;
+use swifi_core::fault::{FaultSpec, Trigger};
 use swifi_programs::input::TestInput;
 use swifi_vm::defuse::DefUseTrace;
 use swifi_vm::machine::RunOutcome;
@@ -72,37 +69,11 @@ pub struct GoldenRun {
     pub retired: u64,
 }
 
-/// A memoized representative injected run: the complete corruption log
-/// it applied plus how it ended. A later fault whose error operation
-/// provably reproduces `log` event-for-event shares this record instead
-/// of executing (outcome-equivalence collapse).
-#[derive(Debug, Clone)]
-pub struct CollapseClass {
-    /// Every corruption the representative applied, in firing order.
-    /// Always complete (truncated logs are refused at record time).
-    pub log: Arc<FireLog>,
-    /// How the representative run ended.
-    pub outcome: RunOutcome,
-    /// Whether the representative's fault fired.
-    pub fired: bool,
-    /// Guest instructions the representative retired.
-    pub retired: u64,
-}
-
 /// Default bound on retained fork snapshots.
 const DEFAULT_MAX_SNAPSHOTS: usize = 1024;
 
-/// Bound on distinct collapse classes memoized per
-/// `(input, pc, occurrence, target, firing)` key; campaigns generate only
-/// a handful of error ops per location, so overflow means the key is
-/// pathological and further representatives are simply not retained.
-const MAX_COLLAPSE_PER_KEY: usize = 8;
-
 /// (interned input, trigger pc, firing occurrence).
 type SnapKey = (u32, u32, u64);
-
-/// (interned input, trigger pc, firing occurrence, target, firing).
-type CollapseKey = (u32, u32, u64, Target, Firing);
 
 #[derive(Default)]
 struct Inner {
@@ -117,29 +88,19 @@ struct Inner {
     /// input id → memoized fault-free run.
     golden: HashMap<u32, GoldenRun>,
     /// (input id, trigger pc) → exact trigger-arrival count in the
-    /// golden run (recorded only when a capture run finishes without
-    /// hitting, which observes the full count).
+    /// golden run (recorded by a def-use traced run for every watched
+    /// pc, or by a capture run that finishes without hitting).
     totals: HashMap<(u32, u32), u64>,
     /// input id → host-oracle expected output, shared across sessions.
     expected: HashMap<u32, Arc<Vec<u8>>>,
-    /// Keys whose capture run found the prefix too shallow to be worth
-    /// forking — later runs with these keys take the plain path without
-    /// even attempting a capture. Unbounded like the other memos (a few
-    /// words per fault).
-    shallow: HashSet<SnapKey>,
     /// input id → def-use trace of the dedicated clean run. `Some(None)`
     /// memoizes a failed attempt (e.g. the clean run hit the watchdog)
     /// so it is not retried per fault.
     traces: HashMap<u32, Option<Arc<DefUseTrace>>>,
-    /// Representative injected runs for outcome-equivalence collapse.
-    collapse: HashMap<CollapseKey, Vec<CollapseClass>>,
-    /// Memoized successful collapse probes: the exact probe key → the
-    /// class that matched. Classes are append-only, so a hit never goes
-    /// stale; misses are not cached (a later representative may match).
-    collapse_memo: HashMap<(CollapseKey, ErrorOp), CollapseClass>,
-    /// (input id, fault spec) → the adaptive planner's verdict. The plan
-    /// is a pure function of the first-writer-wins def-use trace, so one
-    /// occurrence walk serves every later run of the same pair.
+    /// (input id, fault spec) → the def-use trace's plan verdict
+    /// ([`crate::plan::trace_plan`]). The plan is a pure function of the
+    /// first-writer-wins def-use trace, so one occurrence walk serves
+    /// every later run of the same pair.
     plans: HashMap<(u32, FaultSpec), RunPlan>,
     /// Candidate trigger PCs the campaign will inject at — the def-use
     /// recorder watches exactly these during the traced clean run.
@@ -194,9 +155,8 @@ impl PrefixCache {
     }
 
     /// A cache retaining at most `max_snapshots` fork snapshots (FIFO
-    /// eviction beyond that). Golden, trigger-total, shallow, trace and
-    /// collapse memos are not bounded the same way (they are a few words
-    /// per key).
+    /// eviction beyond that). Golden, trigger-total, trace and plan memos
+    /// are not bounded the same way (they are a few words per key).
     pub fn with_capacity(max_snapshots: usize) -> PrefixCache {
         PrefixCache {
             inner: Mutex::new(Inner::default()),
@@ -268,7 +228,7 @@ impl PrefixCache {
     }
 
     /// The exact number of golden-run arrivals at trigger `pc` on
-    /// `input`, if a finished capture run has observed it.
+    /// `input`, if a traced run or a finished capture run observed it.
     pub fn total_occurrences(&self, input: &TestInput, pc: u32) -> Option<u64> {
         let inner = self.inner.lock().expect("prefix cache poisoned");
         let id = inner.id(input)?;
@@ -280,26 +240,6 @@ impl PrefixCache {
         let mut inner = self.inner.lock().expect("prefix cache poisoned");
         let id = inner.intern(input);
         inner.totals.entry((id, pc)).or_insert(total);
-    }
-
-    /// Whether `(input, pc, occ)` was memoized as a shallow trigger —
-    /// forking it costs more than it saves, so runs with this key take
-    /// the plain fork-free path.
-    pub fn is_shallow(&self, input: &TestInput, pc: u32, occ: u64) -> bool {
-        let inner = self.inner.lock().expect("prefix cache poisoned");
-        match inner.id(input) {
-            Some(id) => inner.shallow.contains(&(id, pc, occ)),
-            None => false,
-        }
-    }
-
-    /// Memoize `(input, pc, occ)` as a shallow trigger. The verdict is
-    /// deterministic (it compares the paused prefix depth against the
-    /// memoized golden run), so racing workers record the same answer.
-    pub fn record_shallow(&self, input: &TestInput, pc: u32, occ: u64) {
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.intern(input);
-        inner.shallow.insert((id, pc, occ));
     }
 
     /// The def-use trace of `input`'s clean run: `None` if no traced run
@@ -321,53 +261,15 @@ impl PrefixCache {
         inner.traces.entry(id).or_insert(trace);
     }
 
-    /// A memoized representative run whose complete corruption log is
-    /// exactly what `op` would apply: every logged event satisfies
-    /// `op.apply(input) == output`. Sound by induction — identical
-    /// corruptions applied to the identical pre-states reproduce the
-    /// representative's entire trajectory. Non-deterministic ops
-    /// ([`ErrorOp::ReplaceRandom`]) never match.
-    pub fn collapse_match(
-        &self,
-        input: &TestInput,
-        pc: u32,
-        occ: u64,
-        target: Target,
-        when: Firing,
-        op: &ErrorOp,
-    ) -> Option<CollapseClass> {
-        if matches!(op, ErrorOp::ReplaceRandom) {
-            return None;
-        }
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.id(input)?;
-        let key = (id, pc, occ, target, when);
-        if let Some(class) = inner.collapse_memo.get(&(key, *op)) {
-            return Some(class.clone());
-        }
-        let classes = inner.collapse.get(&key)?;
-        let class = classes
-            .iter()
-            .find(|c| {
-                c.log
-                    .events
-                    .iter()
-                    .all(|ev| op.apply(ev.input, 0) == ev.output)
-            })
-            .cloned()?;
-        inner.collapse_memo.insert((key, *op), class.clone());
-        Some(class)
-    }
-
-    /// The adaptive planner's memoized verdict for `(input, spec)`, if
-    /// one was recorded ([`PrefixCache::record_plan`]).
+    /// The memoized trace verdict for `(input, spec)`, if one was
+    /// recorded ([`PrefixCache::record_plan`]).
     pub fn plan_memo(&self, input: &TestInput, spec: &FaultSpec) -> Option<RunPlan> {
         let inner = self.inner.lock().expect("prefix cache poisoned");
         let id = inner.id(input)?;
-        inner.plans.get(&(id, *spec)).copied()
+        inner.plans.get(&(id, *spec)).cloned()
     }
 
-    /// Memoize the planner's verdict for `(input, spec)`. The verdict
+    /// Memoize the trace verdict for `(input, spec)`. The verdict
     /// derives from the input's def-use trace, which is first-writer-wins
     /// and immutable once recorded — so one occurrence walk serves every
     /// later run of the pair, across all workers.
@@ -375,38 +277,6 @@ impl PrefixCache {
         let mut inner = self.inner.lock().expect("prefix cache poisoned");
         let id = inner.intern(input);
         inner.plans.insert((id, *spec), plan);
-    }
-
-    /// Retain a fired run as the collapse representative for its key.
-    /// Truncated logs are refused (they cannot prove equivalence); per
-    /// key at most [`MAX_COLLAPSE_PER_KEY`] distinct classes are kept.
-    /// Returns whether the class was stored (duplicates and overflow are
-    /// dropped).
-    pub fn record_collapse(
-        &self,
-        input: &TestInput,
-        pc: u32,
-        occ: u64,
-        target: Target,
-        when: Firing,
-        class: CollapseClass,
-    ) -> bool {
-        if !class.log.complete() {
-            return false;
-        }
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.intern(input);
-        let classes = inner
-            .collapse
-            .entry((id, pc, occ, target, when))
-            .or_default();
-        if classes.len() >= MAX_COLLAPSE_PER_KEY
-            || classes.iter().any(|c| c.log.events == class.log.events)
-        {
-            return false;
-        }
-        classes.push(class);
-        true
     }
 
     /// Declare the campaign's candidate trigger PCs. The traced clean
@@ -473,7 +343,6 @@ pub fn watch_pcs_of<'a>(specs: impl IntoIterator<Item = &'a FaultSpec>) -> Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swifi_core::injector::FireEvent;
     use swifi_lang::compile;
     use swifi_programs::program;
     use swifi_vm::inspect::Noop;
@@ -521,55 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn evicting_a_snapshot_keeps_its_shallow_verdict() {
-        let target = program("JB.team11").unwrap();
-        let inputs = target.family.test_case(3, 1);
-        let cache = PrefixCache::with_capacity(1);
-        let snap = Arc::new(tiny_fork("li r3, 0\nhalt"));
-        cache.record_shallow(&inputs[0], 0x100, 7);
-        assert!(cache.insert_snapshot(&inputs[0], 0x100, 1, snap.clone()));
-        // Evict inputs[0]'s snapshot by inserting under another key.
-        assert!(cache.insert_snapshot(&inputs[1], 0x100, 1, snap));
-        assert!(cache.snapshot(&inputs[0], 0x100, 1).is_none());
-        assert!(
-            cache.is_shallow(&inputs[0], 0x100, 7),
-            "shallow verdict must survive snapshot eviction"
-        );
-    }
-
-    #[test]
-    fn shallow_verdicts_never_evict_snapshots() {
-        let target = program("JB.team11").unwrap();
-        let inputs = target.family.test_case(2, 1);
-        let cache = PrefixCache::with_capacity(1);
-        let snap = Arc::new(tiny_fork("li r3, 0\nhalt"));
-        assert!(cache.insert_snapshot(&inputs[0], 0x100, 1, snap));
-        // Flood the shallow memo well past the snapshot capacity.
-        for occ in 1..64 {
-            cache.record_shallow(&inputs[1], 0x104, occ);
-        }
-        assert!(
-            cache.snapshot(&inputs[0], 0x100, 1).is_some(),
-            "shallow recording must not disturb retained snapshots"
-        );
-        assert_eq!(cache.snapshot_count(), 1);
-    }
-
-    #[test]
-    fn shallow_memo_is_keyed_per_occurrence() {
-        let target = program("JB.team11").unwrap();
-        let input = &target.family.test_case(1, 3)[0];
-        let cache = PrefixCache::new();
-        assert!(!cache.is_shallow(input, 0x100, 1));
-        cache.record_shallow(input, 0x100, 1);
-        assert!(cache.is_shallow(input, 0x100, 1));
-        // A later occurrence of the same trigger is a deeper prefix and
-        // keeps its own verdict.
-        assert!(!cache.is_shallow(input, 0x100, 2));
-        assert!(!cache.is_shallow(input, 0x104, 1));
-    }
-
-    #[test]
     fn golden_and_totals_memoize_first_writer() {
         let target = program("JB.team11").unwrap();
         let input = &target.family.test_case(1, 2)[0];
@@ -591,79 +411,19 @@ mod tests {
         let cache = PrefixCache::new();
         assert_eq!(cache.interned_inputs(), 0);
         cache.record_total(&inputs[0], 0x100, 3);
-        cache.record_shallow(&inputs[0], 0x100, 1);
+        cache.record_golden(
+            &inputs[0],
+            GoldenRun {
+                outcome: RunOutcome::Hang { output: Vec::new() },
+                retired: 1,
+            },
+        );
         cache.record_total(&inputs[1], 0x100, 5);
         assert_eq!(cache.interned_inputs(), 2, "repeat writes reuse the id");
         assert_eq!(cache.total_occurrences(&inputs[0], 0x100), Some(3));
         assert_eq!(cache.total_occurrences(&inputs[1], 0x100), Some(5));
-        assert!(cache.is_shallow(&inputs[0], 0x100, 1));
-        assert!(!cache.is_shallow(&inputs[1], 0x100, 1));
-    }
-
-    #[test]
-    fn collapse_matches_exact_corruption_logs_only() {
-        let target = program("JB.team11").unwrap();
-        let input = &target.family.test_case(1, 2)[0];
-        let cache = PrefixCache::new();
-        let key = (0x10C_u32, 1_u64, Target::DataBusStore, Firing::EveryTime);
-        let class = CollapseClass {
-            log: Arc::new(FireLog {
-                events: vec![FireEvent {
-                    input: 41,
-                    output: 42,
-                }],
-                overflowed: false,
-            }),
-            outcome: RunOutcome::Completed {
-                exit_code: 0,
-                output: b"42".to_vec(),
-            },
-            fired: true,
-            retired: 10,
-        };
-        cache.record_collapse(input, key.0, key.1, key.2, key.3, class);
-        let hit = |op: &ErrorOp| cache.collapse_match(input, key.0, key.1, key.2, key.3, op);
-        // Add(1) on 41 → 42 and Replace(42) on anything → 42: both
-        // provably reproduce the representative's only corruption.
-        assert!(hit(&ErrorOp::Add(1)).is_some());
-        assert!(hit(&ErrorOp::Replace(42)).is_some());
-        assert!(hit(&ErrorOp::Or(3)).is_none(), "41|3 = 43, not 42");
-        assert!(hit(&ErrorOp::Add(2)).is_none());
-        assert!(
-            hit(&ErrorOp::ReplaceRandom).is_none(),
-            "non-deterministic ops never collapse"
-        );
-        // Different occurrence / target / firing: separate keys.
-        assert!(cache
-            .collapse_match(input, key.0, 2, key.2, key.3, &ErrorOp::Add(1))
-            .is_none());
-        assert!(cache
-            .collapse_match(
-                input,
-                key.0,
-                key.1,
-                Target::DataBusLoad,
-                key.3,
-                &ErrorOp::Add(1)
-            )
-            .is_none());
-        let retired = hit(&ErrorOp::Add(1)).unwrap().retired;
-        assert_eq!(retired, 10);
-
-        // Truncated logs are refused at record time.
-        let truncated = CollapseClass {
-            log: Arc::new(FireLog {
-                events: Vec::new(),
-                overflowed: true,
-            }),
-            outcome: RunOutcome::Hang { output: Vec::new() },
-            fired: true,
-            retired: 1,
-        };
-        cache.record_collapse(input, 0x200, 1, key.2, key.3, truncated);
-        assert!(cache
-            .collapse_match(input, 0x200, 1, key.2, key.3, &ErrorOp::Add(1))
-            .is_none());
+        assert!(cache.golden(&inputs[0]).is_some());
+        assert!(cache.golden(&inputs[1]).is_none());
     }
 
     #[test]

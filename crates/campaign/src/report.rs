@@ -112,7 +112,7 @@ pub fn decode_cache_line(tp: &Throughput) -> String {
 
 /// One-line summary of the prefix-fork cache, e.g.
 /// `prefix-fork: 40 snapshots, 3960 fork hits, 120 dormant short-circuits,
-/// 6 golden hits, 14 shallow skips, 12.3M instrs skipped (57.4% of total)`.
+/// 6 golden hits, 12.3M instrs skipped (57.4% of total)`.
 pub fn prefix_fork_line(tp: &Throughput) -> String {
     let total = tp.retired_instrs + tp.prefix_instrs_skipped;
     let skipped_pct = if total > 0 {
@@ -121,27 +121,23 @@ pub fn prefix_fork_line(tp: &Throughput) -> String {
         0.0
     };
     format!(
-        "prefix-fork: {} snapshots, {} fork hits, {} dormant short-circuits, {} golden hits, {} shallow skips, {:.1}M instrs skipped ({:.1}% of total)",
+        "prefix-fork: {} snapshots, {} fork hits, {} dormant short-circuits, {} golden hits, {:.1}M instrs skipped ({:.1}% of total)",
         tp.prefix_snapshots_built,
         tp.prefix_fork_hits,
         tp.prefix_dormant_short_circuits,
         tp.prefix_golden_hits,
-        tp.prefix_shallow_skips,
         tp.prefix_instrs_skipped as f64 / 1e6,
         skipped_pct,
     )
 }
 
 /// One-line summary of the trace-guided pruning layer, e.g.
-/// `prune: 3 trace runs, 41 dormant skips, 102 collapse hits (96 classes
-/// logged), 7 sampled (0 mispredicted)`.
+/// `prune: 3 trace runs, 41 dormant skips, 7 sampled (0 mispredicted)`.
 pub fn prune_line(tp: &Throughput) -> String {
     format!(
-        "prune: {} trace runs, {} dormant skips, {} collapse hits ({} classes logged), {} sampled ({} mispredicted)",
+        "prune: {} trace runs, {} dormant skips, {} sampled ({} mispredicted)",
         tp.prune_trace_runs,
         tp.prune_dormant_skips,
-        tp.prune_collapse_hits,
-        tp.prune_collapse_logged,
         tp.prune_sample_checks,
         tp.prune_sample_mispredicts,
     )

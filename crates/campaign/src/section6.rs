@@ -198,7 +198,7 @@ pub fn class_campaign_with(
     let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
     // Declare both phases' candidate trigger PCs before the pool starts:
     // the traced clean run (one per input) watches exactly these, giving
-    // the planner its provable-dormancy and collapse evidence.
+    // the planner its dormancy-proof and fork-depth evidence.
     if let Some(cache) = &prefix {
         cache.set_watch_pcs(watch_pcs_of(
             assign_faults.iter().chain(&check_faults).map(|f| &f.spec),

@@ -40,8 +40,8 @@ use swifi_vm::inspect::Inspector;
 use swifi_vm::machine::{FetchStop, Machine, MachineSnapshot, RunOutcome};
 use swifi_vm::Noop;
 
-use crate::plan::{RunPlan, RunPlanner};
-use crate::prefix::{CollapseClass, GoldenRun, PrefixCache};
+use crate::plan::{self, Replay, RunPlan};
+use crate::prefix::{GoldenRun, PrefixCache};
 use crate::runner::{campaign_config, classify_outcome, FailureMode};
 
 /// Per-session run counters, folded into a campaign-level [`Throughput`].
@@ -74,18 +74,16 @@ pub struct SessionStats {
     /// Injected runs resumed from a cached prefix snapshot.
     pub prefix_fork_hits: u64,
     /// Guest instructions *not* executed thanks to the prefix cache
-    /// (forked-over prefixes, memoized golden runs, dormant
-    /// short-circuits). Disjoint from `retired_instrs`, which counts only
+    /// (forked-over prefixes, memoized golden runs, replayed injected
+    /// runs). Disjoint from `retired_instrs`, which counts only
     /// instructions actually executed.
     pub prefix_instrs_skipped: u64,
-    /// Injected runs classified dormant from the golden trigger-arrival
-    /// count, without executing anything.
+    /// Injected runs answered by the planner's never-arrives verdict (the
+    /// golden run reaches the trigger fewer times than the fault's firing
+    /// occurrence), without executing anything.
     pub prefix_dormant_short_circuits: u64,
     /// Clean runs answered from the memoized golden run.
     pub prefix_golden_hits: u64,
-    /// Injected runs that bypassed the fork machinery because the trigger
-    /// memo proved the prefix too shallow to pay for a snapshot restore.
-    pub prefix_shallow_skips: u64,
     /// Basic blocks translated by this session's machine.
     pub blocks_built: u64,
     /// Dispatches answered by executing a whole translated block.
@@ -101,16 +99,16 @@ pub struct SessionStats {
     /// Dedicated def-use-traced clean runs executed (one per input when
     /// pruning is enabled and trigger PCs are declared).
     pub prune_trace_runs: u64,
-    /// Injected runs answered by a provable-dormancy proof from the
-    /// def-use trace, without executing.
+    /// Injected runs answered by a dormancy proof from the def-use trace
+    /// (dead destination or value-identical corruption), without
+    /// executing.
     pub prune_dormant_skips: u64,
-    /// Injected runs answered by an outcome-equivalence collapse class,
-    /// without executing.
+    /// Always 0. Outcome-equivalence collapse, which answered a run from
+    /// an earlier run's corruption log, was removed: it answered no run
+    /// in any measured campaign except repeats of the same (fault, input,
+    /// seed). The field stays for readers that sum pruned runs.
     pub prune_collapse_hits: u64,
-    /// Executed fired runs whose complete corruption log was retained as
-    /// a collapse representative.
-    pub prune_collapse_logged: u64,
-    /// Pruned/collapsed answers re-validated by a full sampled run.
+    /// Replayed answers re-validated by a full sampled run.
     pub prune_sample_checks: u64,
     /// Sampled validations whose full run disagreed with the prediction
     /// (must stay zero; a nonzero count is a soundness bug).
@@ -134,7 +132,6 @@ impl SessionStats {
         self.prefix_instrs_skipped += other.prefix_instrs_skipped;
         self.prefix_dormant_short_circuits += other.prefix_dormant_short_circuits;
         self.prefix_golden_hits += other.prefix_golden_hits;
-        self.prefix_shallow_skips += other.prefix_shallow_skips;
         self.blocks_built += other.blocks_built;
         self.block_hits += other.block_hits;
         self.block_instrs += other.block_instrs;
@@ -142,8 +139,6 @@ impl SessionStats {
         self.block_invalidations += other.block_invalidations;
         self.prune_trace_runs += other.prune_trace_runs;
         self.prune_dormant_skips += other.prune_dormant_skips;
-        self.prune_collapse_hits += other.prune_collapse_hits;
-        self.prune_collapse_logged += other.prune_collapse_logged;
         self.prune_sample_checks += other.prune_sample_checks;
         self.prune_sample_mispredicts += other.prune_sample_mispredicts;
     }
@@ -185,12 +180,10 @@ pub struct Throughput {
     /// Guest instructions skipped by the prefix cache (not part of
     /// `retired_instrs`).
     pub prefix_instrs_skipped: u64,
-    /// Injected runs classified dormant without execution.
+    /// Injected runs answered by the never-arrives verdict.
     pub prefix_dormant_short_circuits: u64,
     /// Clean runs answered from the memoized golden run.
     pub prefix_golden_hits: u64,
-    /// Injected runs that bypassed forking via the shallow-trigger memo.
-    pub prefix_shallow_skips: u64,
     /// Basic blocks translated across all sessions.
     pub blocks_built: u64,
     /// Dispatches answered by executing a whole translated block.
@@ -203,13 +196,9 @@ pub struct Throughput {
     pub block_invalidations: u64,
     /// Def-use-traced clean runs executed across all sessions.
     pub prune_trace_runs: u64,
-    /// Injected runs answered by a provable-dormancy proof.
+    /// Injected runs answered by a def-use dormancy proof.
     pub prune_dormant_skips: u64,
-    /// Injected runs answered by an outcome-equivalence collapse class.
-    pub prune_collapse_hits: u64,
-    /// Fired runs retained as collapse representatives.
-    pub prune_collapse_logged: u64,
-    /// Pruned answers re-validated by a full sampled run.
+    /// Replayed answers re-validated by a full sampled run.
     pub prune_sample_checks: u64,
     /// Sampled validations that disagreed with the prediction.
     pub prune_sample_mispredicts: u64,
@@ -258,7 +247,6 @@ impl Throughput {
             prefix_instrs_skipped: stats.prefix_instrs_skipped,
             prefix_dormant_short_circuits: stats.prefix_dormant_short_circuits,
             prefix_golden_hits: stats.prefix_golden_hits,
-            prefix_shallow_skips: stats.prefix_shallow_skips,
             blocks_built: stats.blocks_built,
             block_hits: stats.block_hits,
             block_instrs: stats.block_instrs,
@@ -266,8 +254,6 @@ impl Throughput {
             block_invalidations: stats.block_invalidations,
             prune_trace_runs: stats.prune_trace_runs,
             prune_dormant_skips: stats.prune_dormant_skips,
-            prune_collapse_hits: stats.prune_collapse_hits,
-            prune_collapse_logged: stats.prune_collapse_logged,
             prune_sample_checks: stats.prune_sample_checks,
             prune_sample_mispredicts: stats.prune_sample_mispredicts,
         }
@@ -308,7 +294,6 @@ impl Throughput {
         self.prefix_instrs_skipped += other.prefix_instrs_skipped;
         self.prefix_dormant_short_circuits += other.prefix_dormant_short_circuits;
         self.prefix_golden_hits += other.prefix_golden_hits;
-        self.prefix_shallow_skips += other.prefix_shallow_skips;
         self.blocks_built += other.blocks_built;
         self.block_hits += other.block_hits;
         self.block_instrs += other.block_instrs;
@@ -316,19 +301,10 @@ impl Throughput {
         self.block_invalidations += other.block_invalidations;
         self.prune_trace_runs += other.prune_trace_runs;
         self.prune_dormant_skips += other.prune_dormant_skips;
-        self.prune_collapse_hits += other.prune_collapse_hits;
-        self.prune_collapse_logged += other.prune_collapse_logged;
         self.prune_sample_checks += other.prune_sample_checks;
         self.prune_sample_mispredicts += other.prune_sample_mispredicts;
     }
 }
-
-/// A fork snapshot is captured only when the paused prefix covers at
-/// least `1 / FORK_SHALLOW_DENOM` of the memoized golden run — see
-/// [`RunSession::fork_worthwhile`]. A quarter splits the measured field
-/// cleanly: JB.team11's regressing triggers sit at ~4% depth, the
-/// profitable JB.team6 / C.team10 prefixes at ~28% / ~49%.
-const FORK_SHALLOW_DENOM: u64 = 4;
 
 /// Cached injector, keyed by the fault set it was compiled from.
 struct CachedInjector {
@@ -337,7 +313,30 @@ struct CachedInjector {
     injector: Injector,
 }
 
-/// Salt folded into the run seed when deciding whether a pruned answer is
+/// What one injected run reports, executed or replayed: the input of
+/// [`RunSession::account`].
+struct Ran {
+    outcome: RunOutcome,
+    fired: bool,
+    /// Retired instructions a full run would report.
+    retired: u64,
+    /// Instructions this session actually executed for the run.
+    executed: u64,
+    /// How a [`RunPlan::Capture`] run ended: `golden` (the trigger never
+    /// arrived), `captured` (this run stored a snapshot) or `vetoed` (it
+    /// stored none). Empty for other plans.
+    capture: &'static str,
+}
+
+/// The fork point of a single-fault set that was planned to fork or
+/// capture.
+fn fork_point(specs: &[FaultSpec]) -> (u32, u64) {
+    specs[0]
+        .fork_point()
+        .expect("fork and capture plans come from a fork point")
+}
+
+/// Salt folded into the run seed when deciding whether a replayed answer is
 /// re-validated by a full sampled run, so the sampling stream is
 /// independent of the injector's random-value stream.
 const SAMPLE_SALT: u64 = 0x5057_4946_5052_4E45;
@@ -435,14 +434,12 @@ pub struct RunSession {
     /// static decode of watched sites.
     code: Arc<Vec<u32>>,
     /// Trace-guided pruning: when enabled (and the prefix cache declares
-    /// watch PCs), injected runs consult the [`RunPlanner`] and the
-    /// collapse store before executing.
+    /// watch PCs), the planner consults the def-use trace before each
+    /// injected run.
     prune: bool,
-    /// Percentage (0–100) of pruned/collapsed answers re-validated by a
-    /// full run (the sampling oracle). 0 disables validation.
+    /// Percentage (0–100) of replayed answers re-validated by a full run
+    /// (the sampling oracle). 0 disables validation.
     prune_sample_pct: u32,
-    /// The adaptive planner consulted when `prune` is on.
-    planner: RunPlanner,
 }
 
 impl std::fmt::Debug for RunSession {
@@ -476,7 +473,6 @@ impl RunSession {
             code: Arc::new(program.image.code.clone()),
             prune: false,
             prune_sample_pct: 0,
-            planner: RunPlanner::default(),
         }
     }
 
@@ -488,11 +484,10 @@ impl RunSession {
         self.prefix = cache;
     }
 
-    /// Enable trace-guided pruning: provable-dormancy skips,
-    /// outcome-equivalence collapse, and the adaptive fork planner.
-    /// Inert without a prefix cache whose
-    /// [`PrefixCache::set_watch_pcs`] declares the campaign's trigger
-    /// PCs. `sample_pct` (clamped to 0–100) of pruned answers are
+    /// Enable trace-guided pruning: dormancy proofs and fork-depth
+    /// verdicts from each input's def-use trace. Inert without a prefix
+    /// cache whose [`PrefixCache::set_watch_pcs`] declares the campaign's
+    /// trigger PCs. `sample_pct` (clamped to 0–100) of replayed answers are
     /// re-validated by running the skipped run in full and comparing
     /// outcome, fired flag and retired count — the sampling oracle.
     pub fn set_prune(&mut self, enabled: bool, sample_pct: u32) {
@@ -624,7 +619,6 @@ impl RunSession {
         self.machine.set_input(input.to_tape());
         self.machine
             .set_deadline(self.watchdog.map(|d| Instant::now() + d));
-        self.stats.runs += 1;
     }
 
     /// One fault-free run, answered from the shared golden memo when the
@@ -645,6 +639,7 @@ impl RunSession {
         self.begin(input);
         let outcome = Self::machine_run(&mut self.machine, &mut self.telemetry, &mut Noop);
         let retired = self.machine.retired();
+        self.stats.runs += 1;
         self.stats.retired_instrs += retired;
         self.last_retired = retired;
         if let Some(cache) = &self.prefix {
@@ -673,6 +668,7 @@ impl RunSession {
     pub fn run_with<I: Inspector>(&mut self, input: &TestInput, inspector: &mut I) -> RunOutcome {
         self.begin(input);
         let outcome = self.machine.run(inspector);
+        self.stats.runs += 1;
         self.stats.retired_instrs += self.machine.retired();
         self.last_retired = self.machine.retired();
         outcome
@@ -699,18 +695,20 @@ impl RunSession {
         mode: TriggerMode,
         seed: u64,
     ) -> (RunOutcome, bool) {
-        if let Some((pc, occ)) = self.fork_plan(specs) {
-            return self.run_forked(input, specs, mode, seed, pc, occ);
-        }
-        self.run_cold(input, specs, mode, seed)
+        let plan = self.plan(input, specs);
+        let ran = self
+            .execute(&plan, input, specs, mode, seed)
+            .expect("campaign fault sets fit their trigger mode and mapped memory");
+        self.account(&plan, &ran, input, specs, mode, seed);
+        (ran.outcome, ran.fired)
     }
 
     /// Fallible variant of [`RunSession::run_injected`] for fault sets
     /// that did not come from the campaign generators (checkpoint replay,
     /// server requests): surfaces [`SessionError`] where the infallible
-    /// path would panic. Always executes the plain fork-free path; a
-    /// failed attempt leaves the session's counters untouched and the
-    /// session fully usable.
+    /// path would panic. Always executes [`RunPlan::Full`]; a failed
+    /// attempt leaves the session's counters untouched and the session
+    /// fully usable.
     ///
     /// # Errors
     ///
@@ -724,60 +722,239 @@ impl RunSession {
         mode: TriggerMode,
         seed: u64,
     ) -> Result<(RunOutcome, bool), SessionError> {
-        self.try_ensure_injector(specs, mode, seed)?;
-        self.machine.restore(&self.snapshot);
-        self.machine.set_input(input.to_tape());
-        self.machine
-            .set_deadline(self.watchdog.map(|d| Instant::now() + d));
-        let cached = self.cached.as_mut().expect("cache populated above");
-        cached.injector.reset(seed);
-        cached
-            .injector
-            .prepare(&mut self.machine)
-            .map_err(|e| SessionError::Prepare(format!("{e:?}")))?;
-        self.stats.runs += 1;
-        let outcome =
-            Self::machine_run(&mut self.machine, &mut self.telemetry, &mut cached.injector);
-        let fired = cached.injector.any_fired();
-        self.account_injected(self.machine.retired(), fired);
-        Ok((outcome, fired))
+        let ran = self.execute(&RunPlan::Full, input, specs, mode, seed)?;
+        self.account(&RunPlan::Full, &ran, input, specs, mode, seed);
+        Ok((ran.outcome, ran.fired))
     }
 
-    /// The fork-free injected run: warm-reboot, arm the injector, and
-    /// execute the whole run. Shared by [`RunSession::run_injected`]
-    /// (no fork plan) and the shallow-trigger bypass in
-    /// [`RunSession::run_forked`].
-    fn run_cold(
+    /// Decide up front how to execute one injected run. Anything but
+    /// [`RunPlan::Full`] needs a prefix cache, a single-core machine (a
+    /// fetch breakpoint cannot pause a multi-core scheduler) and a single
+    /// fault with a [`FaultSpec::fork_point`].
+    fn plan(&mut self, input: &TestInput, specs: &[FaultSpec]) -> RunPlan {
+        let single_core = self.machine.num_cores() == 1;
+        let (Some(cache), [spec], true) = (self.prefix.clone(), specs, single_core) else {
+            return RunPlan::Full;
+        };
+        let Some((pc, occ)) = spec.fork_point() else {
+            return RunPlan::Full;
+        };
+        // The trace's verdict, memoized per (input, fault). The traced
+        // clean run also records the trigger totals read just below.
+        let traced = self.prune.then(|| {
+            cache.plan_memo(input, spec).or_else(|| {
+                let trace = self.ensure_trace(&cache, input)?;
+                let verdict = plan::trace_plan(spec, &trace);
+                cache.record_plan(input, spec, verdict.clone());
+                Some(verdict)
+            })
+        });
+        if let Some(replay) = plan::never_arrives(occ, cache.total_occurrences(input, pc)) {
+            return replay;
+        }
+        match traced.flatten() {
+            Some(RunPlan::Capture) | None => cache
+                .snapshot(input, pc, occ)
+                .map_or(RunPlan::Capture, RunPlan::Fork),
+            Some(verdict) => verdict,
+        }
+    }
+
+    /// Execute one injected run as `plan` says. Touches no run counters
+    /// ([`RunSession::account`] does), so the sampling oracle also uses
+    /// it for its reference run.
+    fn execute(
         &mut self,
+        plan: &RunPlan,
         input: &TestInput,
         specs: &[FaultSpec],
         mode: TriggerMode,
         seed: u64,
-    ) -> (RunOutcome, bool) {
-        self.begin(input);
-        self.ensure_injector(specs, mode, seed);
+    ) -> Result<Ran, SessionError> {
+        let (outcome, fired, skipped, capture) = match plan {
+            RunPlan::Replay { fired, .. } => {
+                let golden = self.prefix.as_ref().and_then(|cache| cache.golden(input));
+                let golden = golden.expect("replay evidence is recorded with the golden run");
+                return Ok(Ran {
+                    outcome: golden.outcome,
+                    fired: *fired,
+                    retired: golden.retired,
+                    executed: 0,
+                    capture: "",
+                });
+            }
+            RunPlan::Full => {
+                self.begin(input);
+                let (outcome, fired) = self.run_armed(specs, mode, seed, 0)?;
+                (outcome, fired, 0, "")
+            }
+            RunPlan::Fork(fork) => {
+                self.machine.restore_fork(&self.snapshot, fork);
+                self.machine
+                    .set_deadline(self.watchdog.map(|d| Instant::now() + d));
+                let seen = fork_point(specs).1 - 1;
+                let (outcome, fired) = self.run_armed(specs, mode, seed, seen)?;
+                (outcome, fired, fork.retired(), "")
+            }
+            RunPlan::Capture => {
+                let cache = self.prefix.clone().expect("capture plans need a cache");
+                let (pc, occ) = fork_point(specs);
+                self.begin(input);
+                let (stop, seen) =
+                    Self::machine_run_to_fetch(&mut self.machine, &mut self.telemetry, pc, occ);
+                let retired = self.machine.retired();
+                match stop {
+                    // The trigger never arrived: this *is* the golden run.
+                    FetchStop::Finished(outcome) => {
+                        if self.golden_memoizable(&outcome) {
+                            let outcome = outcome.clone();
+                            cache.record_golden(input, GoldenRun { outcome, retired });
+                            cache.record_total(input, pc, seen);
+                        }
+                        (outcome, false, 0, "golden")
+                    }
+                    // Paused exactly at the trigger, `retired` deep:
+                    // snapshot the prefix if it is deep enough, then
+                    // continue in place as this run.
+                    FetchStop::Hit => {
+                        let snapshot = || Arc::new(self.machine.fork_snapshot());
+                        let golden = cache.golden(input).map(|golden| golden.retired);
+                        let stored = plan::worth_forking(retired, golden)
+                            && cache.insert_snapshot(input, pc, occ, snapshot());
+                        let (outcome, fired) = self.run_armed(specs, mode, seed, occ - 1)?;
+                        let capture = if stored { "captured" } else { "vetoed" };
+                        (outcome, fired, 0, capture)
+                    }
+                }
+            }
+        };
+        let retired = self.machine.retired();
+        let executed = retired - skipped;
+        Ok(Ran {
+            outcome,
+            fired,
+            retired,
+            executed,
+            capture,
+        })
+    }
+
+    /// Arm the cached injector for `specs` as if it had already seen
+    /// `seen` trigger arrivals in a forked-over prefix
+    /// ([`Injector::resume_occurrences`]), and run the machine from its
+    /// current state.
+    fn run_armed(
+        &mut self,
+        specs: &[FaultSpec],
+        mode: TriggerMode,
+        seed: u64,
+        seen: u64,
+    ) -> Result<(RunOutcome, bool), SessionError> {
+        self.ensure_injector(specs, mode, seed)?;
         let cached = self.cached.as_mut().expect("cache populated above");
         cached.injector.reset(seed);
+        if seen > 0 {
+            cached.injector.resume_occurrences(0, seen);
+        }
         cached
             .injector
             .prepare(&mut self.machine)
-            .expect("fault addresses lie in mapped memory");
+            .map_err(|e| SessionError::Prepare(format!("{e:?}")))?;
         let outcome =
             Self::machine_run(&mut self.machine, &mut self.telemetry, &mut cached.injector);
-        let fired = cached.injector.any_fired();
-        self.account_injected(self.machine.retired(), fired);
-        (outcome, fired)
+        Ok((outcome, cached.injector.any_fired()))
+    }
+
+    /// The one place an injected run is counted: run and activation
+    /// counters, executed and skipped instructions, the plan's own
+    /// counter and telemetry instant, and the sampling oracle for
+    /// replayed answers.
+    fn account(
+        &mut self,
+        plan: &RunPlan,
+        ran: &Ran,
+        input: &TestInput,
+        specs: &[FaultSpec],
+        mode: TriggerMode,
+        seed: u64,
+    ) {
+        if matches!(plan, RunPlan::Replay { .. }) {
+            self.sample_check(ran, input, specs, mode, seed);
+        }
+        let s = &mut self.stats;
+        s.runs += 1;
+        s.injected_runs += 1;
+        s.fired_runs += u64::from(ran.fired);
+        s.dormant_runs += u64::from(!ran.fired);
+        s.retired_instrs += ran.executed;
+        s.prefix_instrs_skipped += ran.retired - ran.executed;
+        self.last_retired = ran.retired;
+        let (event, extra) = match plan {
+            RunPlan::Full => return,
+            RunPlan::Replay { why, .. } if *why == Replay::NeverArrives => {
+                s.prefix_dormant_short_circuits += 1;
+                ("dormant_short_circuit", None)
+            }
+            RunPlan::Replay { .. } => {
+                s.prune_dormant_skips += 1;
+                ("prune_dormant", None)
+            }
+            RunPlan::Fork(_) => {
+                s.prefix_fork_hits += 1;
+                let skipped = ran.retired - ran.executed;
+                ("fork_hit", Some(arg_u64("skipped", skipped)))
+            }
+            RunPlan::Capture => {
+                s.prefix_snapshots_built += u64::from(ran.capture == "captured");
+                ("fork_miss", Some(arg_str("result", ran.capture)))
+            }
+        };
+        if let Some(t) = self.telemetry.as_mut() {
+            let (pc, occ) = fork_point(specs);
+            let mut args = vec![arg_u64("pc", pc as u64), arg_u64("occ", occ)];
+            args.extend(extra);
+            t.instant(event, args);
+        }
+    }
+
+    /// The sampling oracle: re-run a deterministic, seed-keyed share of
+    /// replayed answers in full and compare outcome, fired flag and
+    /// retired count against the prediction. The campaign-visible result
+    /// is always the prediction; a disagreement only increments
+    /// `prune_sample_mispredicts` (asserted zero by the perf-smoke
+    /// equivalence gate). Skipped under a wall-clock watchdog, whose
+    /// hangs are not reproducible.
+    fn sample_check(
+        &mut self,
+        predicted: &Ran,
+        input: &TestInput,
+        specs: &[FaultSpec],
+        mode: TriggerMode,
+        seed: u64,
+    ) {
+        if !self.prune || self.prune_sample_pct == 0 || self.watchdog.is_some() {
+            return;
+        }
+        if splitmix64(seed ^ SAMPLE_SALT) % 100 >= u64::from(self.prune_sample_pct) {
+            return;
+        }
+        self.stats.prune_sample_checks += 1;
+        let got = self
+            .execute(&RunPlan::Full, input, specs, mode, seed)
+            .expect("a replayed fault set executes");
+        if got.outcome != predicted.outcome
+            || got.fired != predicted.fired
+            || got.retired != predicted.retired
+        {
+            self.stats.prune_sample_mispredicts += 1;
+            if let Some(t) = self.telemetry.as_mut() {
+                t.instant("prune_mispredict", vec![arg_u64("seed", seed)]);
+            }
+        }
     }
 
     /// (Re)compile the cached injector if the fault set changed.
-    fn ensure_injector(&mut self, specs: &[FaultSpec], mode: TriggerMode, seed: u64) {
-        self.try_ensure_injector(specs, mode, seed)
-            .expect("campaign fault sets fit their trigger mode");
-    }
-
-    /// Fallible twin of [`RunSession::ensure_injector`], for callers
-    /// whose fault sets come from outside the campaign generators.
-    fn try_ensure_injector(
+    fn ensure_injector(
         &mut self,
         specs: &[FaultSpec],
         mode: TriggerMode,
@@ -800,315 +977,7 @@ impl RunSession {
                 t.instant("fault_arm", vec![arg_u64("faults", specs.len() as u64)]);
             }
         }
-        if let Some(c) = self.cached.as_mut() {
-            // Corruption logging feeds the collapse store; keep it off
-            // (and free) when pruning is disabled.
-            c.injector.set_fire_log(self.prune);
-        }
         Ok(())
-    }
-
-    /// Per-injected-run accounting shared by the cold and forked paths.
-    /// `retired` is what a full run would report; the caller has already
-    /// added the actually-executed share to `retired_instrs`.
-    fn account_injected_memoized(&mut self, retired: u64, fired: bool) {
-        self.last_retired = retired;
-        self.stats.injected_runs += 1;
-        if fired {
-            self.stats.fired_runs += 1;
-        } else {
-            self.stats.dormant_runs += 1;
-        }
-    }
-
-    /// Accounting for an injected run that executed on the machine.
-    fn account_injected(&mut self, retired: u64, fired: bool) {
-        self.stats.retired_instrs += retired;
-        self.account_injected_memoized(retired, fired);
-    }
-
-    /// Whether this fault set resumes from a cached golden prefix: a
-    /// prefix cache is attached, the machine is single-core (a fetch
-    /// breakpoint cannot capture a multi-core scheduler position), the
-    /// set is a single fault, and that fault has a
-    /// [`FaultSpec::fork_point`]. Anything else takes the full path.
-    fn fork_plan(&self, specs: &[FaultSpec]) -> Option<(u32, u64)> {
-        self.prefix.as_ref()?;
-        if self.machine.num_cores() != 1 {
-            return None;
-        }
-        let [spec] = specs else { return None };
-        spec.fork_point()
-    }
-
-    /// Whether the prefix the machine is currently paused at (inside a
-    /// capture run, stopped exactly at the trigger) is deep enough to be
-    /// worth snapshotting.
-    ///
-    /// Forking a run saves the prefix's instructions but pays a
-    /// [`swifi_vm::Machine::restore_fork`] (dirty-page copies) on every
-    /// hit — a shallow trigger saves almost nothing and still pays full
-    /// price. BENCH_prefix_fork.json recorded the cost: JB.team11's
-    /// triggers sit at ~4% depth and forking them ran at 0.80× the
-    /// plain cached engine. The gate consults the golden-run memo for
-    /// this input: capture only when the paused prefix covers at least
-    /// `1/`[`FORK_SHALLOW_DENOM`] of the golden run. Without a golden
-    /// memo the depth is unknowable and capture proceeds optimistically
-    /// (the first faults of a campaign, before any clean or finished
-    /// capture run has recorded one).
-    fn fork_worthwhile(&self, cache: &PrefixCache, input: &TestInput) -> bool {
-        match cache.golden(input) {
-            Some(golden) => {
-                let prefix = self.machine.retired();
-                prefix.saturating_mul(FORK_SHALLOW_DENOM) >= golden.retired
-            }
-            None => true,
-        }
-    }
-
-    /// The prefix-fork run path. Four cases, cheapest first:
-    ///
-    /// 1. the golden run is known to reach the trigger fewer than `occ`
-    ///    times → the fault is **dormant**; replay the memoized golden
-    ///    outcome without executing anything;
-    /// 2. the key is memoized as shallow-trigger
-    ///    ([`RunSession::fork_worthwhile`] said no on its capture run) →
-    ///    run the plain fork-free path;
-    /// 3. a snapshot for `(input, pc, occ)` is cached → restore it and
-    ///    execute only the divergent suffix, with the injector's
-    ///    occurrence counter pre-loaded to `occ - 1`
-    ///    ([`Injector::resume_occurrences`]);
-    /// 4. miss → run the *uninjected* prefix with a fetch breakpoint at
-    ///    `(pc, occ)`. A hit snapshots the paused state for future runs
-    ///    and continues in place as this injected run (the machine is
-    ///    already exactly at the fork point). A finished run never
-    ///    reached the trigger: it *is* the golden run (memoized, along
-    ///    with the trigger's exact arrival count) and this fault is
-    ///    dormant.
-    fn run_forked(
-        &mut self,
-        input: &TestInput,
-        specs: &[FaultSpec],
-        mode: TriggerMode,
-        seed: u64,
-        pc: u32,
-        occ: u64,
-    ) -> (RunOutcome, bool) {
-        let cache = self.prefix.clone().expect("fork plan requires a cache");
-
-        if let Some(total) = cache.total_occurrences(input, pc) {
-            if total < occ {
-                let golden = cache
-                    .golden(input)
-                    .expect("trigger totals are recorded together with the golden run");
-                self.maybe_sample_check(
-                    input,
-                    specs,
-                    mode,
-                    seed,
-                    &golden.outcome,
-                    false,
-                    golden.retired,
-                );
-                self.stats.runs += 1;
-                self.stats.prefix_dormant_short_circuits += 1;
-                self.stats.prefix_instrs_skipped += golden.retired;
-                self.account_injected_memoized(golden.retired, false);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.instant(
-                        "dormant_short_circuit",
-                        vec![arg_u64("pc", pc as u64), arg_u64("occ", occ)],
-                    );
-                }
-                return (golden.outcome, false);
-            }
-        }
-
-        let plan = if self.prune {
-            self.plan_injected(&cache, input, &specs[0])
-        } else {
-            None
-        };
-
-        if let Some(RunPlan::DormantSkip { fired }) = plan {
-            if let Some(golden) = cache.golden(input) {
-                self.maybe_sample_check(
-                    input,
-                    specs,
-                    mode,
-                    seed,
-                    &golden.outcome,
-                    fired,
-                    golden.retired,
-                );
-                self.stats.runs += 1;
-                self.stats.prune_dormant_skips += 1;
-                self.stats.prefix_instrs_skipped += golden.retired;
-                self.account_injected_memoized(golden.retired, fired);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.instant(
-                        "prune_dormant",
-                        vec![arg_u64("pc", pc as u64), arg_u64("occ", occ)],
-                    );
-                }
-                return (golden.outcome, fired);
-            }
-        }
-
-        if self.prune {
-            let spec = &specs[0];
-            if let Some(class) =
-                cache.collapse_match(input, pc, occ, spec.target, spec.when, &spec.what)
-            {
-                self.maybe_sample_check(
-                    input,
-                    specs,
-                    mode,
-                    seed,
-                    &class.outcome,
-                    class.fired,
-                    class.retired,
-                );
-                self.stats.runs += 1;
-                self.stats.prune_collapse_hits += 1;
-                self.stats.prefix_instrs_skipped += class.retired;
-                self.account_injected_memoized(class.retired, class.fired);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.instant(
-                        "collapse_hit",
-                        vec![arg_u64("pc", pc as u64), arg_u64("occ", occ)],
-                    );
-                }
-                return (class.outcome, class.fired);
-            }
-        }
-
-        // The planner's Full verdict is a measured shallow/no-site call:
-        // take the plain path without probing for a capture. Its Fork
-        // verdict overrides the legacy shallow-veto memo (the exact
-        // measured depth beats the capture-run estimate).
-        let planned_fork = matches!(plan, Some(RunPlan::Fork));
-        if matches!(plan, Some(RunPlan::Full)) {
-            let result = self.run_cold(input, specs, mode, seed);
-            self.maybe_record_collapse(&cache, input, &specs[0], pc, occ, &result.0, result.1);
-            return result;
-        }
-
-        if !planned_fork && cache.is_shallow(input, pc, occ) {
-            self.stats.prefix_shallow_skips += 1;
-            if let Some(t) = self.telemetry.as_mut() {
-                t.instant(
-                    "fork_veto",
-                    vec![arg_u64("pc", pc as u64), arg_u64("occ", occ)],
-                );
-            }
-            let result = self.run_cold(input, specs, mode, seed);
-            self.maybe_record_collapse(&cache, input, &specs[0], pc, occ, &result.0, result.1);
-            return result;
-        }
-
-        if let Some(fork) = cache.snapshot(input, pc, occ) {
-            self.machine.restore_fork(&self.snapshot, &fork);
-            self.machine
-                .set_deadline(self.watchdog.map(|d| Instant::now() + d));
-            self.stats.runs += 1;
-            self.stats.prefix_fork_hits += 1;
-            self.stats.prefix_instrs_skipped += fork.retired();
-            if let Some(t) = self.telemetry.as_mut() {
-                t.instant(
-                    "fork_hit",
-                    vec![
-                        arg_u64("pc", pc as u64),
-                        arg_u64("occ", occ),
-                        arg_u64("skipped", fork.retired()),
-                    ],
-                );
-            }
-            let (outcome, fired) = self.resume_injected(specs, mode, seed, occ);
-            self.stats.retired_instrs += self.machine.retired() - fork.retired();
-            self.account_injected_memoized(self.machine.retired(), fired);
-            self.maybe_record_collapse(&cache, input, &specs[0], pc, occ, &outcome, fired);
-            return (outcome, fired);
-        }
-
-        self.begin(input);
-        let (stop, seen) =
-            Self::machine_run_to_fetch(&mut self.machine, &mut self.telemetry, pc, occ);
-        match stop {
-            FetchStop::Finished(outcome) => {
-                let retired = self.machine.retired();
-                if self.golden_memoizable(&outcome) {
-                    cache.record_golden(
-                        input,
-                        GoldenRun {
-                            outcome: outcome.clone(),
-                            retired,
-                        },
-                    );
-                    cache.record_total(input, pc, seen);
-                }
-                self.account_injected(retired, false);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.instant(
-                        "fork_miss",
-                        vec![
-                            arg_u64("pc", pc as u64),
-                            arg_u64("occ", occ),
-                            arg_str("result", "golden"),
-                        ],
-                    );
-                }
-                (outcome, false)
-            }
-            FetchStop::Hit => {
-                let captured = if planned_fork || self.fork_worthwhile(&cache, input) {
-                    if cache.insert_snapshot(input, pc, occ, Arc::new(self.machine.fork_snapshot()))
-                    {
-                        self.stats.prefix_snapshots_built += 1;
-                    }
-                    "captured"
-                } else {
-                    // Too shallow to ever pay for a snapshot restore:
-                    // remember the verdict so later runs with this key
-                    // skip the fork machinery (and its fetch-breakpoint
-                    // capture attempt) outright.
-                    cache.record_shallow(input, pc, occ);
-                    "vetoed"
-                };
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.instant(
-                        "fork_miss",
-                        vec![
-                            arg_u64("pc", pc as u64),
-                            arg_u64("occ", occ),
-                            arg_str("result", captured),
-                        ],
-                    );
-                }
-                let (outcome, fired) = self.resume_injected(specs, mode, seed, occ);
-                self.account_injected(self.machine.retired(), fired);
-                self.maybe_record_collapse(&cache, input, &specs[0], pc, occ, &outcome, fired);
-                (outcome, fired)
-            }
-        }
-    }
-
-    /// Consult the adaptive planner for a single-fault `OpcodeFetch`
-    /// run, ensuring `input`'s def-use trace exists first. `None` when
-    /// no usable trace is available.
-    fn plan_injected(
-        &mut self,
-        cache: &PrefixCache,
-        input: &TestInput,
-        spec: &FaultSpec,
-    ) -> Option<RunPlan> {
-        if let Some(plan) = cache.plan_memo(input, spec) {
-            return Some(plan);
-        }
-        let trace = self.ensure_trace(cache, input)?;
-        let plan = self.planner.plan(spec, &trace);
-        cache.record_plan(input, spec, plan);
-        Some(plan)
     }
 
     /// The def-use trace for `input`, executing the dedicated traced
@@ -1126,10 +995,7 @@ impl RunSession {
         if let Some(memo) = cache.trace(input) {
             return memo;
         }
-        self.machine.restore(&self.snapshot);
-        self.machine.set_input(input.to_tape());
-        self.machine
-            .set_deadline(self.watchdog.map(|d| Instant::now() + d));
+        self.begin(input);
         let mut rec =
             DefUseRecorder::new(self.machine.core(0), &self.code, &watch, input.to_tape());
         let outcome = Self::machine_run(&mut self.machine, &mut self.telemetry, &mut rec);
@@ -1158,123 +1024,6 @@ impl RunSession {
         }
         cache.record_trace(input, Some(Arc::clone(&trace)));
         Some(trace)
-    }
-
-    /// Retain a just-executed fired run as a collapse representative
-    /// when its complete corruption log proves exactly what it applied.
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_record_collapse(
-        &mut self,
-        cache: &PrefixCache,
-        input: &TestInput,
-        spec: &FaultSpec,
-        pc: u32,
-        occ: u64,
-        outcome: &RunOutcome,
-        fired: bool,
-    ) {
-        if !self.prune || !fired || !self.golden_memoizable(outcome) {
-            return;
-        }
-        let Some(log) = self.cached.as_ref().and_then(|c| c.injector.fire_log()) else {
-            return;
-        };
-        if !log.complete() {
-            return;
-        }
-        let class = CollapseClass {
-            log: Arc::new(log.clone()),
-            outcome: outcome.clone(),
-            fired,
-            retired: self.last_retired,
-        };
-        if cache.record_collapse(input, pc, occ, spec.target, spec.when, class) {
-            self.stats.prune_collapse_logged += 1;
-        }
-    }
-
-    /// The sampling oracle: re-run a deterministic, seed-keyed fraction
-    /// of pruned/collapsed answers in full and compare outcome, fired
-    /// flag and retired count against the prediction. The campaign-visible
-    /// result is always the prediction; a disagreement only increments
-    /// `prune_sample_mispredicts` (asserted zero by the perf-smoke
-    /// equivalence gate). Skipped under a wall-clock watchdog, whose
-    /// hangs are not reproducible.
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_sample_check(
-        &mut self,
-        input: &TestInput,
-        specs: &[FaultSpec],
-        mode: TriggerMode,
-        seed: u64,
-        outcome: &RunOutcome,
-        fired: bool,
-        retired: u64,
-    ) {
-        if !self.prune || self.prune_sample_pct == 0 || self.watchdog.is_some() {
-            return;
-        }
-        if splitmix64(seed ^ SAMPLE_SALT) % 100 >= u64::from(self.prune_sample_pct) {
-            return;
-        }
-        self.stats.prune_sample_checks += 1;
-        let (got, got_fired, got_retired) = self.oracle_run(input, specs, mode, seed);
-        if got != *outcome || got_fired != fired || got_retired != retired {
-            self.stats.prune_sample_mispredicts += 1;
-            if let Some(t) = self.telemetry.as_mut() {
-                t.instant("prune_mispredict", vec![arg_u64("seed", seed)]);
-            }
-        }
-    }
-
-    /// A stats-neutral full execution of `(input, specs, seed)` — the
-    /// ground truth the sampling oracle compares against. Touches no run
-    /// counters; the machine is warm-rebooted by the next run as usual.
-    fn oracle_run(
-        &mut self,
-        input: &TestInput,
-        specs: &[FaultSpec],
-        mode: TriggerMode,
-        seed: u64,
-    ) -> (RunOutcome, bool, u64) {
-        self.ensure_injector(specs, mode, seed);
-        self.machine.restore(&self.snapshot);
-        self.machine.set_input(input.to_tape());
-        self.machine.set_deadline(None);
-        let cached = self.cached.as_mut().expect("cache populated above");
-        cached.injector.reset(seed);
-        cached
-            .injector
-            .prepare(&mut self.machine)
-            .expect("fault addresses lie in mapped memory");
-        let outcome =
-            Self::machine_run(&mut self.machine, &mut self.telemetry, &mut cached.injector);
-        let fired = cached.injector.any_fired();
-        (outcome, fired, self.machine.retired())
-    }
-
-    /// Run the injected suffix from the machine's current state (paused
-    /// exactly before the trigger's `occ`-th fetch), arming the injector
-    /// as if it had observed the whole prefix.
-    fn resume_injected(
-        &mut self,
-        specs: &[FaultSpec],
-        mode: TriggerMode,
-        seed: u64,
-        occ: u64,
-    ) -> (RunOutcome, bool) {
-        self.ensure_injector(specs, mode, seed);
-        let cached = self.cached.as_mut().expect("cache populated above");
-        cached.injector.reset(seed);
-        cached.injector.resume_occurrences(0, occ - 1);
-        cached
-            .injector
-            .prepare(&mut self.machine)
-            .expect("fault addresses lie in mapped memory");
-        let outcome =
-            Self::machine_run(&mut self.machine, &mut self.telemetry, &mut cached.injector);
-        let fired = cached.injector.any_fired();
-        (outcome, fired)
     }
 
     /// One classified campaign run: at most one fault, hardware triggers —
@@ -1630,53 +1379,28 @@ mod tests {
 
     #[test]
     fn dormant_faults_short_circuit_after_the_golden_run() {
-        // A fault whose trigger occurs fewer than `occ` times in the
-        // golden run: the first encounter finishes the (golden) run and
-        // records the trigger total; every later encounter is classified
-        // dormant without executing a single instruction.
-        use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
-        let target = program("JB.team11").unwrap();
-        let compiled = compile(target.source_correct).unwrap();
-        let input = &target.family.test_case(1, 29)[0];
-        let site = generate_error_set(&compiled.debug, 1, 0, 29).assign_faults[0].site_addr;
-        // Far beyond any plausible loop count for the short JamesB runs.
-        let spec = FaultSpec {
-            what: ErrorOp::Xor(1),
-            target: Target::InstrBus,
-            trigger: Trigger::OpcodeFetch(site),
-            when: Firing::Nth(1_000_000),
-        };
-
-        let mut full = RunSession::new(&compiled, target.family);
-        let mut forked = RunSession::new(&compiled, target.family);
+        // Capture-run evidence, pruning off: the first encounter finishes
+        // the (golden) run and records the trigger total; every later
+        // encounter is answered by the never-arrives verdict without
+        // executing a single instruction.
+        let (compiled, family, input, spec) = never_arriving_fault();
+        let mut full = RunSession::new(&compiled, family);
+        let mut forked = RunSession::new(&compiled, family);
         forked.set_prefix_cache(Some(crate::prefix::PrefixCache::shared()));
-
-        let want = full.run(input, Some(&spec), 1);
-        assert!(!want.1, "the trigger cannot reach occurrence 10^6");
-        let first = forked.run(input, Some(&spec), 1);
-        assert_eq!(first, want);
-        let before = forked.stats();
-        assert_eq!(before.prefix_dormant_short_circuits, 0);
-
-        let second = forked.run(input, Some(&spec), 2);
-        assert_eq!(second, want);
-        assert_eq!(forked.last_retired(), full.last_retired());
-        let after = forked.stats();
-        assert_eq!(after.prefix_dormant_short_circuits, 1);
-        assert_eq!(
-            after.retired_instrs, before.retired_instrs,
-            "the short-circuited run must not execute"
-        );
-        assert_eq!(after.dormant_runs, 2);
-        assert!(after.prefix_instrs_skipped > before.prefix_instrs_skipped);
+        let first = forked.run(&input, Some(&spec), 1);
+        assert_eq!(first, full.run(&input, Some(&spec), 1));
+        assert_eq!(forked.stats().prefix_dormant_short_circuits, 0);
+        assert_never_arrives(&mut forked, &mut full, &input, &spec);
+        let s = forked.stats();
+        assert_eq!((s.dormant_runs, s.prune_trace_runs), (2, 0), "{s:?}");
     }
 
     #[test]
     fn shallow_triggers_skip_fork_capture_once_golden_is_known() {
         // The JB.team11 fix: once the golden memo proves a trigger sits
-        // near the start of the run, the capture run declines to
-        // snapshot and every later run with that fault takes the plain
-        // path — still matching a fork-free session exactly.
+        // near the start of the run, no capture run snapshots it, however
+        // often the fault runs — and every run still matches a fork-free
+        // session exactly.
         use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
         let target = program("JB.team11").unwrap();
         let compiled = compile(target.source_correct).unwrap();
@@ -1692,26 +1416,120 @@ mod tests {
 
         let mut full = RunSession::new(&compiled, target.family);
         let mut forked = RunSession::new(&compiled, target.family);
-        forked.set_prefix_cache(Some(crate::prefix::PrefixCache::shared()));
+        let cache = crate::prefix::PrefixCache::shared();
+        forked.set_prefix_cache(Some(cache.clone()));
 
         // Record the golden run so the gate has a depth to compare to.
         assert_eq!(forked.run_clean(input), full.run_clean(input));
 
-        let want = full.run(input, Some(&spec), 5);
-        // Capture run: the gate vetoes the snapshot but the run itself
-        // proceeds from the paused prefix as usual.
-        assert_eq!(forked.run(input, Some(&spec), 5), want);
+        for seed in 5..8 {
+            let want = full.run(input, Some(&spec), seed);
+            assert_eq!(forked.run(input, Some(&spec), seed), want);
+            assert_eq!(forked.last_retired(), full.last_retired());
+        }
         let s = forked.stats();
-        assert_eq!(s.prefix_snapshots_built, 0, "shallow prefix not captured");
-        assert_eq!(s.prefix_shallow_skips, 0, "first run still captures");
-
-        // Later runs consult the memo and never touch the fork machinery.
-        assert_eq!(forked.run(input, Some(&spec), 5), want);
-        assert_eq!(forked.last_retired(), full.last_retired());
-        let s = forked.stats();
-        assert_eq!(s.prefix_shallow_skips, 1);
-        assert_eq!(s.prefix_snapshots_built, 0);
+        assert_eq!(s.prefix_snapshots_built, 0, "shallow prefix never captured");
         assert_eq!(s.prefix_fork_hits, 0);
+        assert_eq!(cache.snapshot_count(), 0);
+    }
+
+    /// Run `spec` on `session` and check it was answered by the
+    /// never-arrives verdict: outcome, `fired` and `last_retired` equal
+    /// the `full` session's, and nothing executed except a traced clean
+    /// run the verdict needed.
+    fn assert_never_arrives(
+        session: &mut RunSession,
+        full: &mut RunSession,
+        input: &TestInput,
+        spec: &FaultSpec,
+    ) {
+        let want = full.run(input, Some(spec), 3);
+        assert!(!want.1, "the trigger occurrence never arrives");
+        let before = session.stats();
+        assert_eq!(session.run(input, Some(spec), 3), want);
+        assert_eq!(session.last_retired(), full.last_retired());
+        let after = session.stats();
+        assert_eq!(
+            after.prefix_dormant_short_circuits,
+            before.prefix_dormant_short_circuits + 1,
+            "{after:?}"
+        );
+        let traced = after.prune_trace_runs - before.prune_trace_runs;
+        assert_eq!(
+            after.retired_instrs - before.retired_instrs,
+            traced * full.last_retired(),
+            "only a traced clean run may execute: {after:?}"
+        );
+        assert_eq!(after.prune_sample_mispredicts, 0, "{after:?}");
+    }
+
+    /// A fault far beyond any plausible arrival count at a JB.team11
+    /// site, with that program and one input.
+    fn never_arriving_fault() -> (Program, Family, TestInput, FaultSpec) {
+        use swifi_core::fault::{ErrorOp, Firing, Target, Trigger};
+        let target = program("JB.team11").unwrap();
+        let compiled = compile(target.source_correct).unwrap();
+        let input = target.family.test_case(1, 29)[0].clone();
+        let site = generate_error_set(&compiled.debug, 1, 0, 29).assign_faults[0].site_addr;
+        let spec = FaultSpec {
+            what: ErrorOp::Xor(1),
+            target: Target::InstrBus,
+            trigger: Trigger::OpcodeFetch(site),
+            when: Firing::Nth(1_000_000),
+        };
+        (compiled, target.family, input, spec)
+    }
+
+    /// A pruning session whose cache watches `pc`.
+    fn pruned_session(compiled: &Program, family: Family, pc: u32) -> RunSession {
+        let mut session = RunSession::new(compiled, family);
+        let cache = crate::prefix::PrefixCache::shared();
+        cache.set_watch_pcs(vec![pc]);
+        session.set_prefix_cache(Some(cache));
+        session.set_prune(true, 100);
+        session
+    }
+
+    #[test]
+    fn never_arrives_from_a_usable_trace() {
+        let (compiled, family, input, spec) = never_arriving_fault();
+        let (pc, _) = spec.fork_point().unwrap();
+        let mut full = RunSession::new(&compiled, family);
+        let mut pruned = pruned_session(&compiled, family, pc);
+        assert_never_arrives(&mut pruned, &mut full, &input, &spec);
+        let s = pruned.stats();
+        assert_eq!(s.prune_trace_runs, 1, "{s:?}");
+        assert_eq!(s.prune_sample_checks, 1, "replays are sampled: {s:?}");
+        let trace = pruned.prefix.as_ref().unwrap().trace(&input);
+        assert!(matches!(trace, Some(Some(t)) if t.usable()));
+    }
+
+    #[test]
+    fn never_arrives_from_a_tainted_trace() {
+        // A self-modifying program taints its def-use trace; the
+        // trigger's arrival count is still exact and still replays.
+        use swifi_core::fault::{ErrorOp, Firing, Target, Trigger};
+        let (mut compiled, family, input, _) = never_arriving_fault();
+        compiled.image = swifi_vm::asm::assemble(
+            "li r5, 0x38600000
+             li r9, 0x110
+             stw r5, 0(r9)
+             ori r0, r0, 0
+             halt",
+        )
+        .unwrap();
+        let entry = compiled.image.entry;
+        let spec = FaultSpec {
+            what: ErrorOp::Xor(1),
+            target: Target::InstrBus,
+            trigger: Trigger::OpcodeFetch(entry),
+            when: Firing::Nth(2),
+        };
+        let mut full = RunSession::new(&compiled, family);
+        let mut pruned = pruned_session(&compiled, family, entry);
+        assert_never_arrives(&mut pruned, &mut full, &input, &spec);
+        let trace = pruned.prefix.as_ref().unwrap().trace(&input);
+        assert!(matches!(trace, Some(Some(t)) if !t.usable()));
     }
 
     #[test]
@@ -1742,8 +1560,8 @@ mod tests {
     #[test]
     fn pruned_runs_match_full_runs_exactly() {
         // The trace-guided pruning oracle at session granularity: every
-        // (fault, input) pair answered under pruning — dormancy proofs,
-        // collapse classes, the adaptive planner — must match a
+        // (fault, input) pair answered under pruning — never-arrives and
+        // dormancy-proof replays, trace fork verdicts — must match a
         // prune-free session bit for bit, with the 100% sampling oracle
         // double-checking every pruned answer against a full run.
         use swifi_core::fault::Trigger;
@@ -1790,10 +1608,6 @@ mod tests {
         assert!(
             s.prune_trace_runs as u64 <= inputs.len() as u64,
             "one traced run per input at most: {s:?}"
-        );
-        assert!(
-            s.prune_collapse_hits > 0,
-            "repeat passes must collapse onto the first executions: {s:?}"
         );
         assert_eq!(s.fired_runs + s.dormant_runs, s.injected_runs);
         assert_eq!(s.runs, 2 * full.stats().runs);

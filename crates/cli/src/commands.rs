@@ -58,10 +58,10 @@ CAMPAIGN OPTIONS:
                     reported results are identical either way)
   --no-block-cache  disable basic-block translation (predecoded line
                     cache only; reported results are identical either way)
-  --no-prune        disable trace-guided pruning (provable-dormancy skips
-                    and outcome-equivalence collapse; reported results
-                    are identical either way)
-  --prune-sample N  re-run N% of pruned runs in full and check the
+  --no-prune        disable trace-guided pruning (def-use dormancy proofs
+                    and fork-depth verdicts; reported results are
+                    identical either way)
+  --prune-sample N  re-run N% of replayed runs in full and check the
                     predicted outcome (sampling oracle; default 0)
 
 TELEMETRY OPTIONS (campaign / source-campaign; reported results are

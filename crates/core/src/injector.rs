@@ -127,52 +127,6 @@ impl PreparedWrites {
     }
 }
 
-/// Cap on recorded [`FireEvent`]s per run; beyond it the log only marks
-/// overflow. High-rate faults (`EveryTime` in a hot loop) corrupt far too
-/// much state to be worth equivalence-classing anyway.
-pub const FIRE_LOG_CAP: usize = 2048;
-
-/// One corruption performed by the injector: the architectural value the
-/// hook observed and the value it substituted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FireEvent {
-    /// Value before the error operation was applied.
-    pub input: u32,
-    /// Value written back by the error operation.
-    pub output: u32,
-}
-
-/// Complete record of every corruption a run performed, in firing order.
-///
-/// Two faults whose logs agree event-for-event against the same clean run
-/// produced the identical architectural-state delta, so their outcomes are
-/// equal — the basis for outcome-equivalence collapse in the campaign
-/// layer. `overflowed` marks a truncated log, which must never be used for
-/// equivalence claims.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FireLog {
-    /// The corruptions, in the order they were applied.
-    pub events: Vec<FireEvent>,
-    /// Set when more than [`FIRE_LOG_CAP`] fires happened; `events` holds
-    /// only the prefix.
-    pub overflowed: bool,
-}
-
-impl FireLog {
-    /// Whether the log captured every fire of the run.
-    pub fn complete(&self) -> bool {
-        !self.overflowed
-    }
-
-    fn record(&mut self, input: u32, output: u32) {
-        if self.events.len() >= FIRE_LOG_CAP {
-            self.overflowed = true;
-            return;
-        }
-        self.events.push(FireEvent { input, output });
-    }
-}
-
 /// An armed set of faults, pluggable into
 /// [`Machine::run`](swifi_vm::machine::Machine::run) as an inspector.
 ///
@@ -222,9 +176,6 @@ pub struct Injector {
     /// tables on every event — the seed implementation's behaviour, kept
     /// for differential testing and as the benchmark baseline.
     reference_dispatch: bool,
-    /// When present, every corruption is appended here (see [`FireLog`]).
-    /// `None` keeps the hot path log-free.
-    fire_log: Option<FireLog>,
 }
 
 /// A tiny exact address set: range pre-check plus a linear scan. Campaign
@@ -319,7 +270,6 @@ impl Injector {
             hot_load: AddrSet::default(),
             hot_store: AddrSet::default(),
             reference_dispatch: false,
-            fire_log: None,
         };
         for (i, s) in inj.specs.iter().enumerate() {
             if matches!(s.target, Target::Memory(_)) {
@@ -374,9 +324,6 @@ impl Injector {
                 machine.poke_u32(addr, new)?;
                 writes.writes.push(PreparedWrite { addr, old, new });
                 self.fired[i] += 1;
-                if let Some(log) = &mut self.fire_log {
-                    log.record(old, new);
-                }
             }
         }
         Ok(writes)
@@ -399,22 +346,6 @@ impl Injector {
         self.fired.iter_mut().for_each(|f| *f = 0);
         self.retired = 0;
         self.rng = StdRng::seed_from_u64(seed);
-        if let Some(log) = &mut self.fire_log {
-            log.events.clear();
-            log.overflowed = false;
-        }
-    }
-
-    /// Enable or disable the per-run corruption log. Enablement survives
-    /// [`Injector::reset`] (the events are cleared, the choice is not), so
-    /// a session can switch it on once per injector.
-    pub fn set_fire_log(&mut self, on: bool) {
-        self.fire_log = on.then(FireLog::default);
-    }
-
-    /// The corruption log of the current run, if logging is enabled.
-    pub fn fire_log(&self) -> Option<&FireLog> {
-        self.fire_log.as_ref()
     }
 
     /// Arm-after-restore: preload the occurrence counter of spec `i` with
@@ -450,12 +381,8 @@ impl Injector {
     #[inline]
     fn fire_value(&mut self, i: usize, value: &mut u32) {
         let random = self.rng.next_u32();
-        let before = *value;
-        *value = self.specs[i].what.apply(before, random);
+        *value = self.specs[i].what.apply(*value, random);
         self.fired[i] += 1;
-        if let Some(log) = &mut self.fire_log {
-            log.record(before, *value);
-        }
     }
 
     /// Advance occurrence counting for spec `i`; returns whether this
@@ -1328,58 +1255,6 @@ mod tests {
         let (out, fired) = run_with_faults(src, vec![fault], TriggerMode::Hardware);
         assert!(out.is_normal());
         assert!(!fired, "fault at unexecuted address must stay dormant");
-    }
-
-    #[test]
-    fn fire_log_records_each_corruption_and_survives_reset() {
-        let fault = FaultSpec {
-            what: ErrorOp::Add(1),
-            target: Target::DataBusStore,
-            trigger: Trigger::OpcodeFetch(0x10C),
-            when: Firing::EveryTime,
-        };
-        let image = assemble(STORE_SRC).unwrap();
-        let mut inj = Injector::new(vec![fault], TriggerMode::Hardware, 7).unwrap();
-        inj.set_fire_log(true);
-        let mut m = Machine::new(MachineConfig::default());
-        m.load(&image);
-        m.run(&mut inj);
-        let log = inj.fire_log().unwrap();
-        assert_eq!(
-            log.events,
-            vec![FireEvent {
-                input: 41,
-                output: 42
-            }]
-        );
-        assert!(log.complete());
-
-        // reset keeps logging enabled but clears the events.
-        inj.reset(7);
-        let log = inj.fire_log().unwrap();
-        assert!(log.events.is_empty() && !log.overflowed);
-
-        // prepare()-time memory patches are corruptions too.
-        let slot = image.data_base();
-        let mem = FaultSpec {
-            what: ErrorOp::Replace(123),
-            target: Target::Memory(slot),
-            trigger: Trigger::OpcodeFetch(0x100),
-            when: Firing::First,
-        };
-        let mut inj = Injector::new(vec![mem], TriggerMode::Hardware, 7).unwrap();
-        inj.set_fire_log(true);
-        let mut m = Machine::new(MachineConfig::default());
-        m.load(&image);
-        let before = m.peek_u32(slot).unwrap();
-        inj.prepare(&mut m).unwrap();
-        assert_eq!(
-            inj.fire_log().unwrap().events,
-            vec![FireEvent {
-                input: before,
-                output: 123
-            }]
-        );
     }
 
     #[test]

@@ -6,10 +6,16 @@
 //! a supervisor sends to tear the daemon down). Shutdown is graceful:
 //! the loop stops accepting and joins every in-flight campaign before
 //! returning.
+//!
+//! The request line is read inline too, so it is bounded in time
+//! ([`REQUEST_TIMEOUT`] per read) and size ([`MAX_REQUEST_BYTES`]): a
+//! silent or endless peer gets an `error` event instead of stalling
+//! every later connection.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::job::{run_campaign, JobConfig};
 use crate::protocol::{parse_request, Event, Request};
@@ -64,16 +70,34 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
     Ok(())
 }
 
+/// How long a read of the request line may wait for data.
+pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Longest request line accepted, newline included.
+pub const MAX_REQUEST_BYTES: u64 = 64 << 10;
+
 fn read_request(stream: &TcpStream) -> Result<Request, String> {
+    stream
+        .set_read_timeout(Some(REQUEST_TIMEOUT))
+        .map_err(|e| format!("cannot set request timeout: {e}"))?;
     let mut reader = BufReader::new(
         stream
             .try_clone()
             .map_err(|e| format!("cannot clone connection: {e}"))?,
-    );
+    )
+    .take(MAX_REQUEST_BYTES);
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("cannot read request: {e}"))?;
+    reader.read_line(&mut line).map_err(|e| match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+            format!("no request line within {}s", REQUEST_TIMEOUT.as_secs())
+        }
+        _ => format!("cannot read request: {e}"),
+    })?;
+    if !line.ends_with('\n') && line.len() as u64 >= MAX_REQUEST_BYTES {
+        return Err(format!(
+            "request line longer than {MAX_REQUEST_BYTES} bytes"
+        ));
+    }
     if line.trim().is_empty() {
         return Err("empty request".to_string());
     }

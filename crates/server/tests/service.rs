@@ -120,6 +120,53 @@ fn malformed_request_lines_get_a_diagnosis() {
     stop_server(&addr, handle, &workdir);
 }
 
+/// Read one event line from `stream` and return its `error` message.
+fn error_event(stream: TcpStream) -> String {
+    use std::io::{BufRead, BufReader};
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    match Event::parse(&line).unwrap() {
+        Event::Error { message } => message,
+        other => panic!("expected error event, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_idle_connection_delays_a_ping_by_at_most_the_request_timeout() {
+    use std::time::{Duration, Instant};
+    use swifi_server::server::REQUEST_TIMEOUT;
+    let (addr, handle, workdir) = start_server("idle");
+    // Connected but silent: the accept loop reaches it first.
+    let idle = TcpStream::connect(&addr).unwrap();
+    let t0 = Instant::now();
+    let mut events = Vec::new();
+    request(&addr, &Request::Ping, |e| events.push(e.clone())).unwrap();
+    assert_eq!(events, vec![Event::Pong]);
+    let waited = t0.elapsed();
+    assert!(
+        waited < REQUEST_TIMEOUT + Duration::from_secs(2),
+        "ping waited {waited:?}"
+    );
+    let message = error_event(idle);
+    assert!(message.contains("no request line"), "{message}");
+    stop_server(&addr, handle, &workdir);
+}
+
+#[test]
+fn an_over_long_request_line_gets_an_error_event() {
+    use std::io::Write;
+    use swifi_server::server::MAX_REQUEST_BYTES;
+    let (addr, handle, workdir) = start_server("overlong");
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    // The limit's worth of bytes and still no newline.
+    stream
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES as usize])
+        .unwrap();
+    let message = error_event(stream);
+    assert!(message.contains("longer than"), "{message}");
+    stop_server(&addr, handle, &workdir);
+}
+
 #[test]
 fn sharded_class_campaign_reports_byte_identically() {
     let direct = class_campaign_with(

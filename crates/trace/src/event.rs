@@ -159,13 +159,11 @@ pub const EVENT_NAMES: &[&str] = &[
     // Prefix-fork cache instants.
     "fork_hit",
     "fork_miss",
-    "fork_veto",
     "dormant_short_circuit",
     "golden_hit",
     // Trace-guided pruning instants.
     "trace_run",
     "prune_dormant",
-    "collapse_hit",
     "prune_mispredict",
     // Block-translation instants.
     "block_translate",

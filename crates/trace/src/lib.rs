@@ -3,9 +3,10 @@
 //!
 //! 1. **Structured event tracing** ([`event`], [`telemetry`]) — spans for
 //!    campaign → phase → run and instants for the injection lifecycle
-//!    (fault arm, trigger fire, watchdog hang), the prefix-fork cache
-//!    (hit / miss / veto / dormant short-circuit), block translation,
-//!    and the engine (checkpoint flush, worker panic/retire). Events
+//!    (fault arm, trigger fire, watchdog hang), the run planner (fork
+//!    hit, capture miss, never-arrives replay, traced run, dormancy
+//!    proof), block translation, and the engine (checkpoint flush,
+//!    worker panic/retire). Events
 //!    buffer per worker — no locks on the run path — and export as a
 //!    Chrome trace-event JSON array, one event per line, loadable
 //!    directly in `chrome://tracing` and Perfetto.

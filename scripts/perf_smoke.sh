@@ -21,9 +21,8 @@
 # stays non-gating.
 #
 # `perf_smoke.sh prune` runs the sampling oracle: a campaign with
-# pruning on and `--prune-sample 100` re-executes every pruned or
-# collapsed run in full and compares the predicted outcome against the
-# real one. Any misprediction is a soundness bug and fails the script.
+# pruning on and `--prune-sample 100` re-executes every replayed run
+# in full and compares the predicted outcome against the real one. Any misprediction is a soundness bug and fails the script.
 #
 # Exit codes: 0 ok, 1 cached interpreter slower than the floor (or
 # fork-on/fork-off reports diverge, or the pruning oracle caught a

@@ -120,8 +120,8 @@ fn killed_campaign_resumes_equally_under_either_prune_flag() {
     };
     let reference = class_campaign_with(&target, scale, seed, &unpruned).unwrap();
 
-    // Pruning on with the sampling oracle at 100%: every dormant skip
-    // and collapse hit re-executes in full and checks the prediction.
+    // Pruning on with the sampling oracle at 100%: every replayed run
+    // re-executes in full and checks the prediction.
     let sampled = class_campaign_with(
         &target,
         scale,

@@ -313,12 +313,12 @@ proptest! {
 
     /// The trace-guided pruning oracle: for arbitrary (fault, firing
     /// policy, seed) triples, a pruning session — def-use watch list
-    /// armed, provable-dormancy skips and outcome-equivalence collapse
-    /// live, sampling oracle at 100% — classifies identically to an
-    /// unpruned session, with identical fired flags and retired counts.
-    /// Each triple runs twice on the pruned side: the first pass gathers
-    /// the evidence (traced clean run, collapse-class recording), the
-    /// second answers from proof (dormant skip or collapse hit). The
+    /// armed, never-arrives and dormancy-proof replays live, sampling
+    /// oracle at 100% — classifies identically to an unpruned session,
+    /// with identical fired flags and retired counts. Each triple runs
+    /// twice on the pruned side: the first pass gathers the evidence
+    /// (traced clean run, prefix capture), the second answers from the
+    /// memoized plan (replay or fork). The
     /// 100% sampling re-executes every skipped run in full and asserts
     /// the predicted outcome, so a single misprediction fails the test.
     #[test]
