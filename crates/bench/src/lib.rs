@@ -8,8 +8,12 @@
 //!   `cargo bench -p swifi-bench --bench repro -- fig7`. Set `REPRO_FULL=1`
 //!   for the paper's full scale (300 inputs per fault, >100 000 runs).
 //!   Results are also dumped as JSON under `target/repro/`.
-//! - `perf` (criterion): microbenchmarks of the VM interpreter, compiler,
-//!   injector overhead, and campaign throughput.
+//! - `perf` (custom harness): the engine bench. One tier ladder, from the
+//!   cold reference interpreter to the default campaign engine, over the
+//!   §6 class-campaign schedules, from fresh state every round; checks
+//!   every tier's outcomes against the reference and writes
+//!   `BENCH_engine.json`. Run it with
+//!   `cargo bench -p swifi-bench --bench perf`.
 
 #![warn(missing_docs)]
 

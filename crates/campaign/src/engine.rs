@@ -894,6 +894,81 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// One way to damage a valid checkpoint file.
+    #[derive(Debug, Clone)]
+    enum Damage {
+        Truncate(usize),
+        FlipByte(usize, u8),
+        DuplicateLine(usize),
+    }
+
+    fn arb_damage() -> impl proptest::Strategy<Value = Damage> {
+        use proptest::prelude::*;
+        prop_oneof![
+            any::<usize>().prop_map(Damage::Truncate),
+            (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Damage::FlipByte(at, mask)),
+            any::<usize>().prop_map(Damage::DuplicateLine),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Resume on a truncated, bit-flipped or line-duplicated
+        /// checkpoint returns `Ok` or `Err` and never panics.
+        #[test]
+        fn resume_survives_corrupt_checkpoints(damage in arb_damage()) {
+            let path = temp_path("fuzz");
+            let header = CheckpointHeader::new("fuzz", 11, 3);
+            {
+                let mut log = CheckpointLog::create(&path, &header).unwrap();
+                for i in 0..4u64 {
+                    let status = if i == 2 {
+                        RunStatus::Abnormal {
+                            message: "chaos".to_string(),
+                            detail: format!("item {i}"),
+                        }
+                    } else {
+                        RunStatus::Ok((i as u32, vec![i; 3]))
+                    };
+                    log.append(&RunRecord {
+                        phase: "p".to_string(),
+                        index: i,
+                        elapsed_micros: 7 * i,
+                        status,
+                    })
+                    .unwrap();
+                }
+            }
+            let mut bytes = std::fs::read(&path).unwrap();
+            match damage {
+                Damage::Truncate(at) => bytes.truncate(at % (bytes.len() + 1)),
+                Damage::FlipByte(at, mask) => {
+                    let at = at % bytes.len();
+                    bytes[at] ^= mask;
+                }
+                Damage::DuplicateLine(at) => {
+                    let starts: Vec<usize> = std::iter::once(0)
+                        .chain(bytes.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1))
+                        .filter(|&i| i < bytes.len())
+                        .collect();
+                    let start = starts[at % starts.len()];
+                    let end = bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(bytes.len(), |i| start + i + 1);
+                    let line = bytes[start..end].to_vec();
+                    bytes.splice(end..end, line);
+                }
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok(log) = CheckpointLog::resume(&path, &header) {
+                proptest::prop_assert!(log.loaded_records() <= 4, "{damage:?}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     #[test]
     fn abnormal_items_become_records_and_split_out() {
         let items: Vec<u32> = (0..8).collect();

@@ -7,9 +7,8 @@
 //! it processes — the warm-reboot engine's "one session per worker, not
 //! per run" contract.
 //!
-//! Worker panics are propagated to the caller with the index of the item
-//! that failed, instead of surfacing as a misleading "every index
-//! produced" unwind from the collection path.
+//! A panicking item is caught and returned as data with the index of the
+//! item that failed, so one broken run cannot take the campaign down.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,6 +27,15 @@ pub struct CaughtRun<R> {
     pub result: Result<R, String>,
 }
 
+impl<R> CaughtRun<R> {
+    /// The closure's result, or a panic naming item `index` and the
+    /// caught message.
+    pub fn expect_item(self, index: usize) -> R {
+        self.result
+            .unwrap_or_else(|m| panic!("parallel_map worker panicked on item {index}: {m}"))
+    }
+}
+
 /// Render a caught panic payload as a message for [`CaughtRun::result`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
@@ -38,133 +46,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Map `f` over `items` on up to `available_parallelism` worker threads,
-/// returning results in input order.
+/// returning results in input order plus the final worker states.
 ///
-/// # Panics
-/// If `f` panics for some item, the panic is re-raised on the calling
-/// thread, prefixed with the failing item's index.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(items, || (), |(), item| f(item)).0
-}
-
-/// Like [`parallel_map`], but each worker thread owns a state value built
-/// once by `init` and threaded through every item that worker processes.
+/// Each worker thread owns a state value built once by `init` and
+/// threaded through every item that worker processes (one per worker
+/// actually spawned; callers wanting aggregate counters fold over them).
+/// Results must not depend on which worker handled which item — the
+/// warm-reboot equivalence property is exactly what licenses this.
 ///
-/// Returns the in-order results plus the final worker states (one per
-/// worker actually spawned; callers wanting aggregate counters fold over
-/// them). Results must not depend on which worker handled which item —
-/// the warm-reboot equivalence property is exactly what licenses this.
-pub fn parallel_map_with<T, S, R, I, F>(items: &[T], init: I, f: F) -> (Vec<R>, Vec<S>)
-where
-    T: Sync,
-    S: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let workers = workers.min(items.len().max(1));
-    if workers <= 1 || items.len() < 2 {
-        let mut state = init();
-        let mut out = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut state, item))) {
-                Ok(r) => out.push(r),
-                Err(payload) => raise_with_index(i, payload),
-            }
-        }
-        return (out, vec![state]);
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            let init = &init;
-            handles.push(scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = catch_unwind(AssertUnwindSafe(|| f(&mut state, &items[i])));
-                    let panicked = r.is_err();
-                    if tx.send((i, r)).is_err() || panicked {
-                        // After a panic the worker state may be arbitrary;
-                        // stop this worker. Remaining items are picked up
-                        // by the other workers (the caller re-raises the
-                        // panic regardless).
-                        break;
-                    }
-                }
-                state
-            }));
-        }
-        drop(tx);
-
-        let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        let mut failure: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-        for (i, r) in rx {
-            match r {
-                Ok(v) => out[i] = Some(v),
-                Err(payload) => match &failure {
-                    Some((j, _)) if *j <= i => {}
-                    _ => failure = Some((i, payload)),
-                },
-            }
-        }
-        // Join every worker. A join error means the worker thread itself
-        // panicked outside the per-item `catch_unwind` (only `init` can do
-        // that); swallowing it with `.ok()` would silently drop the worker's
-        // state — and its `SessionStats` counters — undercounting campaign
-        // totals. Keep the states that did survive and re-raise the panic
-        // after the per-item failure (which names the item) gets priority.
-        let mut states: Vec<S> = Vec::with_capacity(handles.len());
-        let mut worker_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            match h.join() {
-                Ok(s) => states.push(s),
-                Err(payload) => worker_panic = Some(payload),
-            }
-        }
-
-        if let Some((i, payload)) = failure {
-            raise_with_index(i, payload);
-        }
-        if let Some(payload) = worker_panic {
-            eprintln!(
-                "parallel_map worker panicked during init ({} of {} states survive)",
-                states.len(),
-                workers
-            );
-            resume_unwind(payload);
-        }
-
-        let results = out
-            .into_iter()
-            .map(|r| r.expect("all indices complete when no worker panicked"))
-            .collect();
-        (results, states)
-    })
-}
-
-/// Like [`parallel_map_with`], but a panicking item is caught and returned
-/// as data (`Err(message)` in its [`CaughtRun`]) instead of being re-raised
-/// — the fault-tolerant path the campaign engine runs on. A reproduction
-/// that injects faults should survive the faults it injects: one wedged or
-/// panicking run must not discard the 10⁴ completed ones.
+/// A panicking item is caught and returned as data (`Err(message)` in its
+/// [`CaughtRun`]) instead of being re-raised. A reproduction that injects
+/// faults should survive the faults it injects: one wedged or panicking
+/// run must not discard the 10⁴ completed ones. Drivers without an
+/// abnormal-run path fail the call with [`CaughtRun::expect_item`].
 ///
 /// Semantics on a caught panic:
 ///
@@ -282,43 +176,47 @@ where
     })
 }
 
-/// Re-raise a caught worker panic, prefixing the failing item's index so
-/// campaign logs identify which fault/input pair blew up.
-fn raise_with_index(i: usize, payload: Box<dyn std::any::Any + Send>) -> ! {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned());
-    match msg {
-        Some(m) => panic!("parallel_map worker panicked on item {i}: {m}"),
-        None => {
-            eprintln!("parallel_map worker panicked on item {i} (opaque payload)");
-            resume_unwind(payload);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Map `f` statelessly and unwrap every item, failing on the first
+    /// panicked one.
+    fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let (runs, _) = parallel_map_resilient(items, || (), |(), x| f(x), |_, _| {});
+        unwrap_all(runs)
+    }
+
+    fn unwrap_all<R>(runs: Vec<CaughtRun<R>>) -> Vec<R> {
+        runs.into_iter()
+            .enumerate()
+            .map(|(i, run)| run.expect_item(i))
+            .collect()
+    }
+
+    fn panic_text(err: Box<dyn std::any::Any + Send>) -> String {
+        err.downcast_ref::<String>()
+            .cloned()
+            .expect("expect_item panics with a formatted message")
+    }
+
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(&items, |&x| x * 2);
+        let out = map(&items, |&x| x * 2);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<u64>>());
     }
 
     #[test]
     fn works_on_tiny_inputs() {
-        assert_eq!(parallel_map(&[5u32], |&x| x + 1), vec![6]);
-        assert_eq!(parallel_map::<u32, u32, _>(&[], |&x| x), Vec::<u32>::new());
+        assert_eq!(map(&[5u32], |&x| x + 1), vec![6]);
+        assert_eq!(map::<u32, u32>(&[], |&x| x), Vec::<u32>::new());
     }
 
     #[test]
     fn handles_heavier_work() {
         let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map(&items, |&x| (0..10_000).fold(x, |a, b| a.wrapping_add(b)));
+        let out = map(&items, |&x| (0..10_000).fold(x, |a, b| a.wrapping_add(b)));
         assert_eq!(out.len(), 64);
         assert_eq!(out[0], (0..10_000).sum::<u64>());
     }
@@ -328,15 +226,16 @@ mod tests {
         // Each worker counts how many items it processed; the counts must
         // sum to the item count no matter how the scheduler split them.
         let items: Vec<u32> = (0..500).collect();
-        let (out, states) = parallel_map_with(
+        let (out, states) = parallel_map_resilient(
             &items,
             || 0u32,
             |count, &x| {
                 *count += 1;
                 x + 1
             },
+            |_, _| {},
         );
-        assert_eq!(out, (1..=500).collect::<Vec<u32>>());
+        assert_eq!(unwrap_all(out), (1..=500).collect::<Vec<u32>>());
         assert_eq!(states.iter().sum::<u32>(), 500);
         assert!(!states.is_empty());
     }
@@ -345,18 +244,15 @@ mod tests {
     fn propagates_panic_with_item_index() {
         let items: Vec<u32> = (0..256).collect();
         let err = std::panic::catch_unwind(|| {
-            parallel_map(&items, |&x| {
+            map(&items, |&x| {
                 if x == 97 {
                     panic!("boom at {x}");
                 }
                 x
             })
         })
-        .expect_err("panic must propagate");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
+        .expect_err("panic must fail the call");
+        let msg = panic_text(err);
         assert!(
             msg.contains("item 97"),
             "message should name the item: {msg}"
@@ -369,9 +265,9 @@ mod tests {
 
     #[test]
     fn propagates_panic_on_sequential_path() {
-        let err = std::panic::catch_unwind(|| parallel_map(&[1u32], |_| panic!("single")))
-            .expect_err("panic must propagate");
-        let msg = err.downcast_ref::<String>().expect("wrapped message");
+        let err = std::panic::catch_unwind(|| map(&[1u32], |_| -> u32 { panic!("single") }))
+            .expect_err("panic must fail the call");
+        let msg = panic_text(err);
         assert!(
             msg.contains("item 0") && msg.contains("single"),
             "got: {msg}"
@@ -380,12 +276,11 @@ mod tests {
 
     #[test]
     fn propagates_panic_through_stateful_path() {
-        // The warm-reboot engine routes everything through
-        // `parallel_map_with`; a run blowing up there must also name the
+        // A run blowing up in a stateful worker must also name the
         // failing item, not just the bare payload.
         let items: Vec<u32> = (0..128).collect();
         let err = std::panic::catch_unwind(|| {
-            parallel_map_with(
+            let (runs, _) = parallel_map_resilient(
                 &items,
                 || 0u64,
                 |count, &x| {
@@ -395,10 +290,12 @@ mod tests {
                     }
                     x
                 },
-            )
+                |_, _| {},
+            );
+            unwrap_all(runs)
         })
-        .expect_err("panic must propagate");
-        let msg = err.downcast_ref::<String>().expect("wrapped message");
+        .expect_err("panic must fail the call");
+        let msg = panic_text(err);
         assert!(
             msg.contains("item 42") && msg.contains("session wedged on 42"),
             "got: {msg}"
@@ -465,25 +362,5 @@ mod tests {
         assert!(out[0].result.as_ref().unwrap_err().contains("single wedge"));
         // One retired (wedged) state plus the fresh replacement.
         assert_eq!(states.len(), 2);
-    }
-
-    #[test]
-    fn opaque_panic_payloads_survive_unwrapped() {
-        // A non-string payload can't be folded into the index message;
-        // it must be re-raised intact so callers can still downcast it.
-        #[derive(Debug, PartialEq)]
-        struct Diag(u32);
-        let items: Vec<u32> = (0..64).collect();
-        let err = std::panic::catch_unwind(|| {
-            parallel_map(&items, |&x| {
-                if x == 7 {
-                    std::panic::panic_any(Diag(x));
-                }
-                x
-            })
-        })
-        .expect_err("panic must propagate");
-        let diag = err.downcast_ref::<Diag>().expect("payload preserved");
-        assert_eq!(*diag, Diag(7));
     }
 }

@@ -158,21 +158,23 @@ pub fn execute(
     RunSession::new(program, family).run(input, fault, seed)
 }
 
-/// The pre-session cold-boot lifecycle, kept as the benchmark baseline for
-/// the warm-reboot engine: a fresh machine (zeroing all guest memory), a
-/// fresh image load, a freshly compiled injector for every single run, the
-/// injector's exhaustive reference dispatch (no hot-path filters), and the
-/// seed decode-every-fetch reference interpreter (no translation cache).
+/// The pre-session cold-boot lifecycle, kept as the reference semantics
+/// every faster execution tier is checked against: a fresh machine
+/// (zeroing all guest memory), a fresh image load, a freshly compiled
+/// injector for every single run, the injector's exhaustive reference
+/// dispatch (no hot-path filters), and the seed decode-every-fetch
+/// reference interpreter (no translation cache).
 ///
-/// Observably identical to [`execute`] (same classification, same fired
-/// flag) — just slower, which is the point of keeping it around.
+/// Returns the same classification and fired flag as [`execute`], plus
+/// the run's retired-instruction count (what
+/// [`RunSession::last_retired`] reports for the same run on any tier).
 pub fn execute_cold(
     program: &Program,
     family: swifi_programs::Family,
     input: &TestInput,
     fault: Option<&FaultSpec>,
     seed: u64,
-) -> (FailureMode, bool) {
+) -> (FailureMode, bool, u64) {
     use swifi_core::injector::{Injector, TriggerMode};
     use swifi_vm::machine::Machine;
     use swifi_vm::Noop;
@@ -182,8 +184,8 @@ pub fn execute_cold(
     machine.load(&program.image);
     machine.set_input(input.to_tape());
     let expected = input.expected_output();
-    match fault {
-        None => (classify_outcome(&machine.run(&mut Noop), &expected), false),
+    let (outcome, fired) = match fault {
+        None => (machine.run(&mut Noop), false),
         Some(spec) => {
             let mut injector = Injector::new(vec![*spec], TriggerMode::Hardware, seed)
                 .expect("a single fault fits the hardware trigger budget");
@@ -192,9 +194,14 @@ pub fn execute_cold(
                 .prepare(&mut machine)
                 .expect("fault addresses lie in mapped memory");
             let outcome = machine.run(&mut injector);
-            (classify_outcome(&outcome, &expected), injector.any_fired())
+            (outcome, injector.any_fired())
         }
-    }
+    };
+    (
+        classify_outcome(&outcome, &expected),
+        fired,
+        machine.retired(),
+    )
 }
 
 #[cfg(test)]
@@ -245,19 +252,20 @@ mod tests {
             line: b"baseline".to_vec(),
         };
         let set = generate_error_set(&compiled.debug, 3, 3, 17);
+        let mut session = RunSession::new(&compiled, Family::JamesB);
         for (i, f) in set
             .assign_faults
             .iter()
             .chain(&set.check_faults)
             .enumerate()
         {
-            let a = execute(&compiled, Family::JamesB, &input, Some(&f.spec), i as u64);
-            let b = execute_cold(&compiled, Family::JamesB, &input, Some(&f.spec), i as u64);
-            assert_eq!(a, b, "fault {i}");
+            let (mode, fired) = session.run(&input, Some(&f.spec), i as u64);
+            let cold = execute_cold(&compiled, Family::JamesB, &input, Some(&f.spec), i as u64);
+            assert_eq!((mode, fired, session.last_retired()), cold, "fault {i}");
         }
-        let a = execute(&compiled, Family::JamesB, &input, None, 0);
-        let b = execute_cold(&compiled, Family::JamesB, &input, None, 0);
-        assert_eq!(a, b);
+        let (mode, fired) = session.run(&input, None, 0);
+        let cold = execute_cold(&compiled, Family::JamesB, &input, None, 0);
+        assert_eq!((mode, fired, session.last_retired()), cold);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    [`Injector::reset`], and run.
 //!
 //! The campaign drivers hold **one session per worker thread, not one per
-//! run** (see [`crate::pool::parallel_map_with`]); the equivalence of a
+//! run** (see [`crate::pool::parallel_map_resilient`]); the equivalence of a
 //! restored machine and a freshly booted one is a tested invariant (VM
 //! unit tests plus the property suite in `tests/fault_injection_properties.rs`),
 //! which is exactly what licenses the reuse.
@@ -427,8 +427,8 @@ pub struct RunSession {
     /// Per-worker telemetry accumulator (trace events, metrics, guest
     /// profiling). `None` — the default — is the disabled contract:
     /// every instrumentation site below is behind one `Option` test per
-    /// *run* (never per instruction), which is what keeps the disabled
-    /// overhead inside the <1% budget of `BENCH_trace_overhead.json`.
+    /// *run* (never per instruction); the engine bench's `default` and
+    /// `default+telemetry` rungs (`BENCH_engine.json`) measure both sides.
     telemetry: Option<WorkerTelemetry>,
     /// The loaded program's code words, kept for the def-use recorder's
     /// static decode of watched sites.

@@ -18,7 +18,7 @@ use swifi_core::locations::generate_error_set;
 use swifi_lang::compile;
 use swifi_programs::TargetProgram;
 
-use crate::pool::parallel_map_with;
+use crate::pool::parallel_map_resilient;
 use crate::prefix::PrefixCache;
 use crate::runner::ModeCounts;
 use crate::section6::CampaignScale;
@@ -63,7 +63,7 @@ pub fn trigger_ablation(
     policies
         .into_iter()
         .map(|(label, when)| {
-            let (per_fault, _sessions) = parallel_map_with(
+            let (per_fault, _sessions) = parallel_map_resilient(
                 &faults,
                 || {
                     let mut s = RunSession::new(&compiled, target.family);
@@ -85,10 +85,12 @@ pub fn trigger_ablation(
                     }
                     (counts, dormant)
                 },
+                |_, _| {},
             );
             let mut modes = ModeCounts::default();
             let mut dormant_runs = 0;
-            for (c, d) in per_fault {
+            for (i, run) in per_fault.into_iter().enumerate() {
+                let (c, d) = run.expect_item(i);
                 modes.merge(&c);
                 dormant_runs += d;
             }

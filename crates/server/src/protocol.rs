@@ -10,6 +10,16 @@
 use serde::Value;
 use swifi_campaign::MergeSummary;
 
+/// Most shards one submission may ask for. Each shard is a checkpoint
+/// path and a worker pass, built before any work starts, so the bound
+/// keeps a hostile submission from exhausting memory. The repository's
+/// own scales use at most 3.
+pub const MAX_SHARDS: u64 = 1024;
+
+/// Most inputs per fault (or per mutant) one submission may ask for:
+/// every input is generated up front. The paper's full scale is 300.
+pub const MAX_INPUTS: u64 = 100_000;
+
 /// A client request: exactly one per connection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -326,9 +336,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 driver: Driver::from_name(&get_str(obj, "driver")?)?,
                 target: get_str(obj, "target")?,
                 seed: get_u64(obj, "seed")?,
-                inputs: get_u64(obj, "inputs")?.max(1) as usize,
+                inputs: get_bounded(obj, "inputs", MAX_INPUTS)?.max(1) as usize,
                 mutants: get_u64(obj, "mutants")?.max(1) as usize,
-                shards: get_u64(obj, "shards")?,
+                shards: get_bounded(obj, "shards", MAX_SHARDS)?,
                 pool: get_u64(obj, "pool")?.max(1) as usize,
                 want_trace: get_bool(obj, "want_trace")?,
                 want_metrics: get_bool(obj, "want_metrics")?,
@@ -377,6 +387,14 @@ fn get_u64(obj: &[(String, Value)], key: &str) -> Result<u64, String> {
         Ok(_) => Err(format!("field `{key}` must be a non-negative integer")),
         Err(_) => Err(format!("missing field `{key}`")),
     }
+}
+
+fn get_bounded(obj: &[(String, Value)], key: &str, max: u64) -> Result<u64, String> {
+    let n = get_u64(obj, key)?;
+    if n > max {
+        return Err(format!("field `{key}` is {n}, above the limit of {max}"));
+    }
+    Ok(n)
 }
 
 fn get_bool(obj: &[(String, Value)], key: &str) -> Result<bool, String> {
@@ -466,6 +484,109 @@ mod tests {
             let line = e.render();
             assert!(!line.contains('\n'), "one line per message: {line}");
             assert_eq!(Event::parse(&line).unwrap(), e);
+        }
+    }
+
+    #[test]
+    fn over_bound_submissions_are_refused() {
+        let mut req = sample_request();
+        req.shards = MAX_SHARDS + 1;
+        let err = parse_request(&render_request(&Request::Submit(req))).unwrap_err();
+        assert!(err.contains("`shards`") && err.contains("limit"), "{err}");
+        let mut req = sample_request();
+        req.inputs = MAX_INPUTS as usize + 1;
+        let err = parse_request(&render_request(&Request::Submit(req))).unwrap_err();
+        assert!(err.contains("`inputs`") && err.contains("limit"), "{err}");
+        let huge = render_request(&Request::Submit(sample_request()))
+            .replace("\"shards\":3", "\"shards\":1000000000000");
+        assert!(parse_request(&huge).unwrap_err().contains("limit"));
+    }
+
+    #[test]
+    fn submissions_at_the_bounds_are_accepted() {
+        let mut req = sample_request();
+        req.shards = MAX_SHARDS;
+        req.inputs = MAX_INPUTS as usize;
+        let line = render_request(&Request::Submit(req.clone()));
+        assert_eq!(parse_request(&line).unwrap(), Request::Submit(req));
+    }
+
+    /// Bytes a mutation writes: JSON punctuation and digits (to grow
+    /// numbers past the bounds) as often as arbitrary bytes.
+    const ALPHABET: &[u8] = b"0123456789{}[]\":,-.e+ \\tnuf";
+
+    /// One byte-level edit of a request line: overwrite, insert or delete
+    /// at a position, or duplicate a span in place.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        Overwrite(usize, u8),
+        Insert(usize, u8),
+        Delete(usize),
+        Duplicate(usize, usize),
+    }
+
+    fn arb_byte() -> impl proptest::Strategy<Value = u8> {
+        use proptest::prelude::*;
+        prop_oneof![(0..ALPHABET.len()).prop_map(|i| ALPHABET[i]), any::<u8>(),]
+    }
+
+    fn arb_edit() -> impl proptest::Strategy<Value = Edit> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (any::<usize>(), arb_byte()).prop_map(|(at, b)| Edit::Overwrite(at, b)),
+            (any::<usize>(), arb_byte()).prop_map(|(at, b)| Edit::Insert(at, b)),
+            any::<usize>().prop_map(Edit::Delete),
+            (any::<usize>(), 1usize..16).prop_map(|(at, n)| Edit::Duplicate(at, n)),
+        ]
+    }
+
+    fn apply(line: &mut Vec<u8>, edit: &Edit) {
+        let len = line.len();
+        match *edit {
+            Edit::Overwrite(at, b) if len > 0 => line[at % len] = b,
+            Edit::Insert(at, b) => line.insert(at % (len + 1), b),
+            Edit::Delete(at) if len > 0 => {
+                line.remove(at % len);
+            }
+            Edit::Duplicate(at, n) if len > 0 => {
+                let start = at % len;
+                let span = line[start..(start + n).min(len)].to_vec();
+                line.splice(start..start, span);
+            }
+            _ => {}
+        }
+    }
+
+    fn valid_line(i: usize, shards: u64, inputs: u64) -> String {
+        let mut req = sample_request();
+        req.shards = shards;
+        req.inputs = inputs as usize;
+        req.driver = [Driver::Class, Driver::Source][i % 2];
+        let reqs = [Request::Ping, Request::Shutdown, Request::Submit(req)];
+        render_request(&reqs[i % reqs.len()])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// A byte-mutated valid request line never panics the parser,
+        /// and every submission it accepts is within the bounds.
+        #[test]
+        fn mutated_request_lines_parse_or_fail_cleanly(
+            which in 0usize..6,
+            shards in 1u64..=MAX_SHARDS,
+            inputs in 1u64..=MAX_INPUTS,
+            edits in proptest::collection::vec(arb_edit(), 1..8),
+        ) {
+            let mut line = valid_line(which, shards, inputs).into_bytes();
+            for e in &edits {
+                apply(&mut line, e);
+            }
+            let text = String::from_utf8_lossy(&line);
+            if let Ok(Request::Submit(req)) = parse_request(&text) {
+                proptest::prop_assert!((1..=MAX_SHARDS).contains(&req.shards), "{text}");
+                proptest::prop_assert!((1..=MAX_INPUTS as usize).contains(&req.inputs), "{text}");
+            }
         }
     }
 

@@ -132,6 +132,18 @@ fn error_event(stream: TcpStream) -> String {
 }
 
 #[test]
+fn an_over_bound_submission_is_refused_and_the_server_keeps_serving() {
+    use swifi_server::protocol::MAX_SHARDS;
+    let (addr, handle, workdir) = start_server("overbound");
+    let err = submit(&addr, class_request(MAX_SHARDS + 1)).unwrap_err();
+    assert!(err.contains("`shards`") && err.contains("limit"), "{err}");
+    let mut events = Vec::new();
+    request(&addr, &Request::Ping, |e| events.push(e.clone())).unwrap();
+    assert_eq!(events, vec![Event::Pong]);
+    stop_server(&addr, handle, &workdir);
+}
+
+#[test]
 fn an_idle_connection_delays_a_ping_by_at_most_the_request_timeout() {
     use std::time::{Duration, Instant};
     use swifi_server::server::REQUEST_TIMEOUT;

@@ -20,8 +20,9 @@
 //!
 //! The disabled case is the design constraint (ZOFI's near-zero-probe
 //! bar): a campaign without telemetry carries `None` instead of a hub,
-//! so the per-run cost is one pointer test — measured by
-//! `BENCH_trace_overhead.json` at under 1% of instruction throughput.
+//! so the per-run cost is one pointer test. The engine bench
+//! (`BENCH_engine.json`) times the `default` rung beside the same
+//! schedule with every pillar live (`default+telemetry`).
 //! Telemetry never feeds report equality: the resume and sharding
 //! oracles compare through `Throughput::equality_key` exactly as before.
 

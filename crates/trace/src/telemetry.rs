@@ -11,8 +11,8 @@
 //!
 //! When a pillar is disabled its record calls reduce to a flag test; the
 //! campaign session additionally guards its instrumentation behind one
-//! `Option` check per *run*, which is what keeps the disabled-telemetry
-//! overhead under the 1% budget (`BENCH_trace_overhead.json`).
+//! `Option` check per *run*, so disabled telemetry costs one pointer test
+//! per run (the engine bench's `default` rung in `BENCH_engine.json`).
 
 use std::io::Write;
 use std::path::Path;

@@ -8,9 +8,9 @@
 #   2. prints the per-program and total wall-clock speedup.
 # The speedup floor below is deliberately loose (shared CI boxes are
 # noisy) — this script exists to catch the cache being *disabled or
-# pessimised by an order of magnitude*, not to re-certify the headline
-# number in BENCH_translation_cache.json (use `cargo bench -p swifi-bench`
-# for that, with its interleaved best-of-chunks methodology).
+# pessimised by an order of magnitude*, not to measure the tiers (the
+# engine bench does that: `cargo bench -p swifi-bench --bench perf`
+# writes BENCH_engine.json, median of fresh-state rounds per tier).
 #
 # `perf_smoke.sh equivalence` runs the execution-strategy A/B checks
 # instead: campaign reports with the prefix-fork cache on vs off, with

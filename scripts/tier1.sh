@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The benchmark package (perfbench/) has its own workspace; test it here
+# so a campaign-API change that breaks its build fails tier 1.
+cargo test --offline --manifest-path perfbench/Cargo.toml
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 ./scripts/resume_smoke.sh
