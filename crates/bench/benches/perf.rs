@@ -6,8 +6,8 @@
 //! fault against each shared input, exactly the loop `swifi campaign`
 //! runs — from fresh state: a fresh [`RunSession`], a fresh
 //! [`PrefixCache`] and (for the telemetry rung) a fresh hub every round.
-//! Nothing is warmed first, so a cell pays its captures, def-use traces
-//! and block translations the way a campaign does. Each round rotates
+//! Nothing is warmed first, so a cell pays its captures and block
+//! translations the way a campaign does. Each round rotates
 //! the rung order so slow host drift lands on every rung alike, and the
 //! report gives the median, min and max over rounds.
 //!
@@ -17,8 +17,8 @@
 //! on the reference interpreter, the reference semantics). A mismatch
 //! names the rung and program and exits nonzero.
 //!
-//! One session per rung, on one thread: pool scheduling, trace
-//! duplication and server costs are measured end to end by `perfbench/`.
+//! One session per rung, on one thread: pool scheduling and server costs
+//! are measured end to end by `perfbench/`.
 //!
 //! ```text
 //! cargo bench -p swifi-bench --bench perf
@@ -28,9 +28,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 use swifi_campaign::section6::chosen_locations;
-use swifi_campaign::{
-    execute_cold, watch_pcs_of, FailureMode, PrefixCache, RunSession, SessionStats,
-};
+use swifi_campaign::{execute_cold, FailureMode, PrefixCache, RunSession, SessionStats};
 use swifi_core::fault::FaultSpec;
 use swifi_core::locations::generate_error_set;
 use swifi_lang::{compile, Program};
@@ -63,20 +61,17 @@ enum Rung {
     Line,
     /// One warm session on the block interpreter.
     Blocks,
-    /// Blocks plus the prefix-fork cache, no pruning.
-    BlocksFork,
-    /// Blocks, prefix fork and trace-guided pruning: `swifi campaign`.
+    /// Blocks plus the prefix-fork cache: `swifi campaign`.
     Default,
     /// `Default` with every telemetry pillar live.
     DefaultTelemetry,
 }
 
-const RUNGS: [Rung; 7] = [
+const RUNGS: [Rung; 6] = [
     Rung::ColdReference,
     Rung::WarmReference,
     Rung::Line,
     Rung::Blocks,
-    Rung::BlocksFork,
     Rung::Default,
     Rung::DefaultTelemetry,
 ];
@@ -88,7 +83,6 @@ impl Rung {
             Rung::WarmReference => "warm-reference",
             Rung::Line => "line",
             Rung::Blocks => "blocks",
-            Rung::BlocksFork => "blocks+fork",
             Rung::Default => "default",
             Rung::DefaultTelemetry => "default+telemetry",
         }
@@ -189,12 +183,8 @@ fn run_cell(rung: Rung, s: &Schedule) -> Sample {
     match rung {
         Rung::WarmReference => session.set_reference_interp(true),
         Rung::Line => session.set_block_cache(false),
-        Rung::BlocksFork => session.set_prefix_cache(Some(PrefixCache::shared())),
         Rung::Default | Rung::DefaultTelemetry => {
-            let cache = PrefixCache::shared();
-            cache.set_watch_pcs(watch_pcs_of(s.faults.iter().map(|(spec, _)| spec)));
-            session.set_prefix_cache(Some(cache));
-            session.set_prune(true, 0);
+            session.set_prefix_cache(Some(PrefixCache::shared()));
         }
         Rung::ColdReference | Rung::Blocks => {}
     }

@@ -23,7 +23,7 @@ use swifi_metrics::{allocate, measure, AllocationStrategy};
 use swifi_programs::TargetProgram;
 
 use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
-use crate::prefix::{watch_pcs_of, PrefixCache};
+use crate::prefix::PrefixCache;
 use crate::runner::ModeCounts;
 use crate::section6::CampaignScale;
 use crate::session::RunSession;
@@ -116,11 +116,7 @@ pub fn ablation_with(
     // Shared across all three strategies: they run the same program on
     // the same inputs, differing only in where the faults land.
     let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
-    // Gather every strategy's fault set before any run: the shared
-    // cache's watch list must cover all three strategies up front,
-    // because the traced clean run happens once per input — PCs declared
-    // after it would never enter the def-use evidence.
-    let strategy_faults: Vec<_> = strategies
+    strategies
         .into_iter()
         .map(|(label, strategy)| {
             let allocation = allocate(&metrics, &strategy, budget);
@@ -160,17 +156,6 @@ pub fn ablation_with(
             }
             (label, allocation, faults)
         })
-        .collect();
-    if let Some(cache) = &prefix {
-        cache.set_watch_pcs(watch_pcs_of(
-            strategy_faults
-                .iter()
-                .flat_map(|(_, _, faults)| faults)
-                .map(|f| &f.spec),
-        ));
-    }
-    strategy_faults
-        .into_iter()
         .map(|(label, allocation, faults)| {
             let base = chaos_base;
             chaos_base += faults.len() as u64;

@@ -70,7 +70,7 @@ pub use engine::{
     AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, CheckpointLog, PhaseTime,
     RunRecord, RunStatus,
 };
-pub use plan::{Replay, RunPlan};
+pub use plan::RunPlan;
 pub use prefix::{watch_pcs_of, GoldenRun, PrefixCache};
 pub use runner::{classify_outcome, execute, execute_cold, FailureMode, ModeCounts};
 pub use section6::{campaign_all, class_campaign, CampaignScale, ProgramCampaign};

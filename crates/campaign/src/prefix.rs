@@ -21,15 +21,10 @@
 //!   complete fault-free run; its outcome and retired-instruction count
 //!   are recorded per input, so later clean runs (and dormant
 //!   classifications) are answered without executing;
-//! - **trigger totals** — the same finished capture (or a def-use
-//!   traced run) proves how many times the trigger PC executes in the
-//!   golden run, so any fault needing a later occurrence is classified
-//!   dormant outright (the planner's never-arrives verdict);
-//! - **def-use traces** — one dedicated clean run per input records a
-//!   [`DefUseTrace`] over the campaign's candidate trigger PCs
-//!   ([`PrefixCache::set_watch_pcs`]), the evidence base for provable
-//!   dormancy and the run planner (`plan.rs`), memoized per
-//!   (input, fault) as the planner's trace verdict.
+//! - **trigger totals** — the same finished capture proves how many
+//!   times the trigger PC executes in the golden run, so any fault
+//!   needing a later occurrence is classified dormant outright (the
+//!   planner's never-arrives verdict).
 //!
 //! The cache is owned by the campaign driver and shared across the
 //! worker pool behind an [`Arc`]: all sessions of one phase run the
@@ -47,16 +42,13 @@
 //! Snapshot storage is bounded ([`PrefixCache::with_capacity`]) with
 //! FIFO eviction: once full, the oldest retained snapshot is dropped to
 //! admit the new one, so a pathological campaign cannot exhaust memory.
-//! The golden, total, trace and plan memos are a few words per key and
-//! unbounded.
+//! The golden and total memos are a few words per key and unbounded.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use crate::plan::RunPlan;
 use swifi_core::fault::{FaultSpec, Trigger};
 use swifi_programs::input::TestInput;
-use swifi_vm::defuse::DefUseTrace;
 use swifi_vm::machine::RunOutcome;
 use swifi_vm::ForkSnapshot;
 
@@ -88,23 +80,11 @@ struct Inner {
     /// input id → memoized fault-free run.
     golden: HashMap<u32, GoldenRun>,
     /// (input id, trigger pc) → exact trigger-arrival count in the
-    /// golden run (recorded by a def-use traced run for every watched
-    /// pc, or by a capture run that finishes without hitting).
+    /// golden run (recorded by a capture run that finishes without
+    /// hitting).
     totals: HashMap<(u32, u32), u64>,
     /// input id → host-oracle expected output, shared across sessions.
     expected: HashMap<u32, Arc<Vec<u8>>>,
-    /// input id → def-use trace of the dedicated clean run. `Some(None)`
-    /// memoizes a failed attempt (e.g. the clean run hit the watchdog)
-    /// so it is not retried per fault.
-    traces: HashMap<u32, Option<Arc<DefUseTrace>>>,
-    /// (input id, fault spec) → the def-use trace's plan verdict
-    /// ([`crate::plan::trace_plan`]). The plan is a pure function of the
-    /// first-writer-wins def-use trace, so one occurrence walk serves
-    /// every later run of the same pair.
-    plans: HashMap<(u32, FaultSpec), RunPlan>,
-    /// Candidate trigger PCs the campaign will inject at — the def-use
-    /// recorder watches exactly these during the traced clean run.
-    watch: Arc<Vec<u32>>,
 }
 
 impl Inner {
@@ -155,8 +135,8 @@ impl PrefixCache {
     }
 
     /// A cache retaining at most `max_snapshots` fork snapshots (FIFO
-    /// eviction beyond that). Golden, trigger-total, trace and plan memos
-    /// are not bounded the same way (they are a few words per key).
+    /// eviction beyond that). Golden and trigger-total memos are not
+    /// bounded the same way (they are a few words per key).
     pub fn with_capacity(max_snapshots: usize) -> PrefixCache {
         PrefixCache {
             inner: Mutex::new(Inner::default()),
@@ -228,7 +208,7 @@ impl PrefixCache {
     }
 
     /// The exact number of golden-run arrivals at trigger `pc` on
-    /// `input`, if a traced run or a finished capture run observed it.
+    /// `input`, if a finished capture run observed it.
     pub fn total_occurrences(&self, input: &TestInput, pc: u32) -> Option<u64> {
         let inner = self.inner.lock().expect("prefix cache poisoned");
         let id = inner.id(input)?;
@@ -242,62 +222,9 @@ impl PrefixCache {
         inner.totals.entry((id, pc)).or_insert(total);
     }
 
-    /// The def-use trace of `input`'s clean run: `None` if no traced run
-    /// happened yet, `Some(None)` if one was attempted and memoized as
-    /// unusable, `Some(Some(trace))` otherwise.
-    #[allow(clippy::option_option)]
-    pub fn trace(&self, input: &TestInput) -> Option<Option<Arc<DefUseTrace>>> {
-        let inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.id(input)?;
-        inner.traces.get(&id).cloned()
-    }
-
-    /// Record the def-use trace of `input`'s clean run (first writer
-    /// wins). Pass `None` to memoize a failed attempt so it is not
-    /// retried for every fault.
-    pub fn record_trace(&self, input: &TestInput, trace: Option<Arc<DefUseTrace>>) {
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.intern(input);
-        inner.traces.entry(id).or_insert(trace);
-    }
-
-    /// The memoized trace verdict for `(input, spec)`, if one was
-    /// recorded ([`PrefixCache::record_plan`]).
-    pub fn plan_memo(&self, input: &TestInput, spec: &FaultSpec) -> Option<RunPlan> {
-        let inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.id(input)?;
-        inner.plans.get(&(id, *spec)).cloned()
-    }
-
-    /// Memoize the trace verdict for `(input, spec)`. The verdict
-    /// derives from the input's def-use trace, which is first-writer-wins
-    /// and immutable once recorded — so one occurrence walk serves every
-    /// later run of the pair, across all workers.
-    pub fn record_plan(&self, input: &TestInput, spec: &FaultSpec, plan: RunPlan) {
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.intern(input);
-        inner.plans.insert((id, *spec), plan);
-    }
-
-    /// Declare the campaign's candidate trigger PCs. The traced clean
-    /// run watches exactly these; drivers call this once, after
-    /// generating the fault set and before starting the pool.
-    pub fn set_watch_pcs(&self, mut pcs: Vec<u32>) {
-        pcs.sort_unstable();
-        pcs.dedup();
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        inner.watch = Arc::new(pcs);
-    }
-
-    /// The declared candidate trigger PCs (empty until
-    /// [`PrefixCache::set_watch_pcs`]).
-    pub fn watch_pcs(&self) -> Arc<Vec<u32>> {
-        self.inner
-            .lock()
-            .expect("prefix cache poisoned")
-            .watch
-            .clone()
-    }
+    /// Has no effect until the next benchmark change drops it: the
+    /// benchmark harness still calls it.
+    pub fn set_watch_pcs(&self, _pcs: Vec<u32>) {}
 
     /// The host-oracle expected output for `input`, computed once across
     /// all sessions sharing this cache.
@@ -326,10 +253,9 @@ impl PrefixCache {
     }
 }
 
-/// The distinct [`Trigger::OpcodeFetch`] PCs of a fault set — the watch
-/// list campaign drivers hand to [`PrefixCache::set_watch_pcs`]. Faults
-/// with other trigger shapes contribute nothing: the def-use machinery
-/// only reasons about fetch-triggered corruption.
+/// The [`Trigger::OpcodeFetch`] PCs of a fault set. It feeds only the
+/// no-op [`PrefixCache::set_watch_pcs`], so it has no effect until the
+/// next benchmark change drops both.
 pub fn watch_pcs_of<'a>(specs: impl IntoIterator<Item = &'a FaultSpec>) -> Vec<u32> {
     specs
         .into_iter()
@@ -424,39 +350,5 @@ mod tests {
         assert_eq!(cache.total_occurrences(&inputs[1], 0x100), Some(5));
         assert!(cache.golden(&inputs[0]).is_some());
         assert!(cache.golden(&inputs[1]).is_none());
-    }
-
-    #[test]
-    fn trace_and_watch_memos() {
-        let target = program("JB.team11").unwrap();
-        let input = &target.family.test_case(1, 2)[0];
-        let cache = PrefixCache::new();
-        assert!(cache.watch_pcs().is_empty());
-        cache.set_watch_pcs(vec![0x10C, 0x104, 0x10C]);
-        assert_eq!(*cache.watch_pcs(), vec![0x104, 0x10C]);
-
-        assert!(cache.trace(input).is_none(), "no traced run yet");
-        cache.record_trace(input, None);
-        assert!(
-            matches!(cache.trace(input), Some(None)),
-            "failed attempt memoized, not retried"
-        );
-        // First writer wins: a later success does not overwrite.
-        let dummy = {
-            let image = swifi_vm::asm::assemble("li r3, 0\nhalt").unwrap();
-            let mut m = Machine::new(MachineConfig::default());
-            m.load(&image);
-            let rec = swifi_vm::DefUseRecorder::new(
-                m.core(0),
-                &image.code,
-                &[],
-                swifi_vm::InputTape::new(),
-            );
-            let mut rec = rec;
-            let out = m.run(&mut rec);
-            Arc::new(rec.finish(&out))
-        };
-        cache.record_trace(input, Some(dummy));
-        assert!(matches!(cache.trace(input), Some(None)));
     }
 }

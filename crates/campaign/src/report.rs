@@ -131,18 +131,6 @@ pub fn prefix_fork_line(tp: &Throughput) -> String {
     )
 }
 
-/// One-line summary of the trace-guided pruning layer, e.g.
-/// `prune: 3 trace runs, 41 dormant skips, 7 sampled (0 mispredicted)`.
-pub fn prune_line(tp: &Throughput) -> String {
-    format!(
-        "prune: {} trace runs, {} dormant skips, {} sampled ({} mispredicted)",
-        tp.prune_trace_runs,
-        tp.prune_dormant_skips,
-        tp.prune_sample_checks,
-        tp.prune_sample_mispredicts,
-    )
-}
-
 /// One-line summary of the block-translation layer, e.g.
 /// `blocks: 412 built, 9120 hits, 1820 fallback dispatches, 12
 /// invalidated, 78.4% of instrs in blocks`.
@@ -205,8 +193,6 @@ pub fn class_campaign_report(c: &ProgramCampaign) -> String {
     out.push_str(&block_cache_line(&c.throughput));
     out.push('\n');
     out.push_str(&prefix_fork_line(&c.throughput));
-    out.push('\n');
-    out.push_str(&prune_line(&c.throughput));
     out.push('\n');
     let phases = phase_times_line(&c.phase_times);
     if !phases.is_empty() {

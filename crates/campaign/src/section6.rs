@@ -22,7 +22,7 @@ use swifi_trace::{Telemetry, TraceEvent, ENGINE_TID};
 use crate::engine::{
     split_records, AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, PhaseTime,
 };
-use crate::prefix::{watch_pcs_of, PrefixCache};
+use crate::prefix::PrefixCache;
 use crate::runner::ModeCounts;
 use crate::session::{RunSession, Throughput};
 
@@ -196,14 +196,6 @@ pub fn class_campaign_with(
     // session of both phases: all runs of the campaign share the same
     // input set, so each (input, trigger) golden prefix is paid for once.
     let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
-    // Declare both phases' candidate trigger PCs before the pool starts:
-    // the traced clean run (one per input) watches exactly these, giving
-    // the planner its dormancy-proof and fork-depth evidence.
-    if let Some(cache) = &prefix {
-        cache.set_watch_pcs(watch_pcs_of(
-            assign_faults.iter().chain(&check_faults).map(|f| &f.spec),
-        ));
-    }
 
     // One work item per fault: runs the whole shared test case. Each
     // worker thread owns a warm-reboot session reused across all the

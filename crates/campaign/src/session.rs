@@ -35,12 +35,11 @@ use swifi_programs::Family;
 use swifi_trace::event::{arg_str, arg_u64};
 use swifi_trace::metrics::names as metric_names;
 use swifi_trace::{ProfiledInspector, WorkerTelemetry};
-use swifi_vm::defuse::{DefUseRecorder, DefUseTrace};
 use swifi_vm::inspect::Inspector;
 use swifi_vm::machine::{FetchStop, Machine, MachineSnapshot, RunOutcome};
 use swifi_vm::Noop;
 
-use crate::plan::{self, Replay, RunPlan};
+use crate::plan::{self, RunPlan};
 use crate::prefix::{GoldenRun, PrefixCache};
 use crate::runner::{campaign_config, classify_outcome, FailureMode};
 
@@ -96,23 +95,15 @@ pub struct SessionStats {
     pub block_fallbacks: u64,
     /// Translated blocks discarded because a write touched their words.
     pub block_invalidations: u64,
-    /// Dedicated def-use-traced clean runs executed (one per input when
-    /// pruning is enabled and trigger PCs are declared).
+    /// Always 0, and has no effect until the next benchmark change drops
+    /// it: the benchmark harness still reads it.
     pub prune_trace_runs: u64,
-    /// Injected runs answered by a dormancy proof from the def-use trace
-    /// (dead destination or value-identical corruption), without
-    /// executing.
+    /// Always 0, and has no effect until the next benchmark change drops
+    /// it: the benchmark harness still reads it.
     pub prune_dormant_skips: u64,
-    /// Always 0. Outcome-equivalence collapse, which answered a run from
-    /// an earlier run's corruption log, was removed: it answered no run
-    /// in any measured campaign except repeats of the same (fault, input,
-    /// seed). The field stays for readers that sum pruned runs.
+    /// Always 0, and has no effect until the next benchmark change drops
+    /// it: the benchmark harness still reads it.
     pub prune_collapse_hits: u64,
-    /// Replayed answers re-validated by a full sampled run.
-    pub prune_sample_checks: u64,
-    /// Sampled validations whose full run disagreed with the prediction
-    /// (must stay zero; a nonzero count is a soundness bug).
-    pub prune_sample_mispredicts: u64,
 }
 
 impl SessionStats {
@@ -137,10 +128,6 @@ impl SessionStats {
         self.block_instrs += other.block_instrs;
         self.block_fallbacks += other.block_fallbacks;
         self.block_invalidations += other.block_invalidations;
-        self.prune_trace_runs += other.prune_trace_runs;
-        self.prune_dormant_skips += other.prune_dormant_skips;
-        self.prune_sample_checks += other.prune_sample_checks;
-        self.prune_sample_mispredicts += other.prune_sample_mispredicts;
     }
 }
 
@@ -194,13 +181,8 @@ pub struct Throughput {
     pub block_fallbacks: u64,
     /// Translated blocks discarded by code writes.
     pub block_invalidations: u64,
-    /// Def-use-traced clean runs executed across all sessions.
-    pub prune_trace_runs: u64,
-    /// Injected runs answered by a def-use dormancy proof.
-    pub prune_dormant_skips: u64,
-    /// Replayed answers re-validated by a full sampled run.
-    pub prune_sample_checks: u64,
-    /// Sampled validations that disagreed with the prediction.
+    /// Always 0, and has no effect until the next benchmark change drops
+    /// it: the benchmark harness still reads it.
     pub prune_sample_mispredicts: u64,
 }
 
@@ -252,10 +234,7 @@ impl Throughput {
             block_instrs: stats.block_instrs,
             block_fallbacks: stats.block_fallbacks,
             block_invalidations: stats.block_invalidations,
-            prune_trace_runs: stats.prune_trace_runs,
-            prune_dormant_skips: stats.prune_dormant_skips,
-            prune_sample_checks: stats.prune_sample_checks,
-            prune_sample_mispredicts: stats.prune_sample_mispredicts,
+            prune_sample_mispredicts: 0,
         }
     }
 
@@ -299,10 +278,6 @@ impl Throughput {
         self.block_instrs += other.block_instrs;
         self.block_fallbacks += other.block_fallbacks;
         self.block_invalidations += other.block_invalidations;
-        self.prune_trace_runs += other.prune_trace_runs;
-        self.prune_dormant_skips += other.prune_dormant_skips;
-        self.prune_sample_checks += other.prune_sample_checks;
-        self.prune_sample_mispredicts += other.prune_sample_mispredicts;
     }
 }
 
@@ -334,20 +309,6 @@ fn fork_point(specs: &[FaultSpec]) -> (u32, u64) {
     specs[0]
         .fork_point()
         .expect("fork and capture plans come from a fork point")
-}
-
-/// Salt folded into the run seed when deciding whether a replayed answer is
-/// re-validated by a full sampled run, so the sampling stream is
-/// independent of the injector's random-value stream.
-const SAMPLE_SALT: u64 = 0x5057_4946_5052_4E45;
-
-/// SplitMix64 finalizer: a cheap, well-mixed hash of the run seed for the
-/// deterministic sampling decision.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A structured failure from the fallible run entry points
@@ -430,16 +391,6 @@ pub struct RunSession {
     /// *run* (never per instruction); the engine bench's `default` and
     /// `default+telemetry` rungs (`BENCH_engine.json`) measure both sides.
     telemetry: Option<WorkerTelemetry>,
-    /// The loaded program's code words, kept for the def-use recorder's
-    /// static decode of watched sites.
-    code: Arc<Vec<u32>>,
-    /// Trace-guided pruning: when enabled (and the prefix cache declares
-    /// watch PCs), the planner consults the def-use trace before each
-    /// injected run.
-    prune: bool,
-    /// Percentage (0–100) of replayed answers re-validated by a full run
-    /// (the sampling oracle). 0 disables validation.
-    prune_sample_pct: u32,
 }
 
 impl std::fmt::Debug for RunSession {
@@ -470,9 +421,6 @@ impl RunSession {
             last_retired: 0,
             watchdog: None,
             telemetry: None,
-            code: Arc::new(program.image.code.clone()),
-            prune: false,
-            prune_sample_pct: 0,
         }
     }
 
@@ -482,17 +430,6 @@ impl RunSession {
     /// identically-built machines. `None` disables prefix forking.
     pub fn set_prefix_cache(&mut self, cache: Option<Arc<PrefixCache>>) {
         self.prefix = cache;
-    }
-
-    /// Enable trace-guided pruning: dormancy proofs and fork-depth
-    /// verdicts from each input's def-use trace. Inert without a prefix
-    /// cache whose [`PrefixCache::set_watch_pcs`] declares the campaign's
-    /// trigger PCs. `sample_pct` (clamped to 0–100) of replayed answers are
-    /// re-validated by running the skipped run in full and comparing
-    /// outcome, fired flag and retired count — the sampling oracle.
-    pub fn set_prune(&mut self, enabled: bool, sample_pct: u32) {
-        self.prune = enabled;
-        self.prune_sample_pct = sample_pct.min(100);
     }
 
     /// Retired-instruction count of the most recent run, as a full run
@@ -699,7 +636,7 @@ impl RunSession {
         let ran = self
             .execute(&plan, input, specs, mode, seed)
             .expect("campaign fault sets fit their trigger mode and mapped memory");
-        self.account(&plan, &ran, input, specs, mode, seed);
+        self.account(&plan, &ran, specs);
         (ran.outcome, ran.fired)
     }
 
@@ -723,7 +660,7 @@ impl RunSession {
         seed: u64,
     ) -> Result<(RunOutcome, bool), SessionError> {
         let ran = self.execute(&RunPlan::Full, input, specs, mode, seed)?;
-        self.account(&RunPlan::Full, &ran, input, specs, mode, seed);
+        self.account(&RunPlan::Full, &ran, specs);
         Ok((ran.outcome, ran.fired))
     }
 
@@ -739,30 +676,15 @@ impl RunSession {
         let Some((pc, occ)) = spec.fork_point() else {
             return RunPlan::Full;
         };
-        // The trace's verdict, memoized per (input, fault). The traced
-        // clean run also records the trigger totals read just below.
-        let traced = self.prune.then(|| {
-            cache.plan_memo(input, spec).or_else(|| {
-                let trace = self.ensure_trace(&cache, input)?;
-                let verdict = plan::trace_plan(spec, &trace);
-                cache.record_plan(input, spec, verdict.clone());
-                Some(verdict)
-            })
-        });
-        if let Some(replay) = plan::never_arrives(occ, cache.total_occurrences(input, pc)) {
-            return replay;
-        }
-        match traced.flatten() {
-            Some(RunPlan::Capture) | None => cache
+        plan::never_arrives(occ, cache.total_occurrences(input, pc)).unwrap_or_else(|| {
+            cache
                 .snapshot(input, pc, occ)
-                .map_or(RunPlan::Capture, RunPlan::Fork),
-            Some(verdict) => verdict,
-        }
+                .map_or(RunPlan::Capture, RunPlan::Fork)
+        })
     }
 
     /// Execute one injected run as `plan` says. Touches no run counters
-    /// ([`RunSession::account`] does), so the sampling oracle also uses
-    /// it for its reference run.
+    /// ([`RunSession::account`] does).
     fn execute(
         &mut self,
         plan: &RunPlan,
@@ -772,12 +694,12 @@ impl RunSession {
         seed: u64,
     ) -> Result<Ran, SessionError> {
         let (outcome, fired, skipped, capture) = match plan {
-            RunPlan::Replay { fired, .. } => {
+            RunPlan::NeverArrives => {
                 let golden = self.prefix.as_ref().and_then(|cache| cache.golden(input));
-                let golden = golden.expect("replay evidence is recorded with the golden run");
+                let golden = golden.expect("trigger totals are recorded with the golden run");
                 return Ok(Ran {
                     outcome: golden.outcome,
-                    fired: *fired,
+                    fired: false,
                     retired: golden.retired,
                     executed: 0,
                     capture: "",
@@ -866,21 +788,9 @@ impl RunSession {
     }
 
     /// The one place an injected run is counted: run and activation
-    /// counters, executed and skipped instructions, the plan's own
-    /// counter and telemetry instant, and the sampling oracle for
-    /// replayed answers.
-    fn account(
-        &mut self,
-        plan: &RunPlan,
-        ran: &Ran,
-        input: &TestInput,
-        specs: &[FaultSpec],
-        mode: TriggerMode,
-        seed: u64,
-    ) {
-        if matches!(plan, RunPlan::Replay { .. }) {
-            self.sample_check(ran, input, specs, mode, seed);
-        }
+    /// counters, executed and skipped instructions, and the plan's own
+    /// counter and telemetry instant.
+    fn account(&mut self, plan: &RunPlan, ran: &Ran, specs: &[FaultSpec]) {
         let s = &mut self.stats;
         s.runs += 1;
         s.injected_runs += 1;
@@ -891,13 +801,9 @@ impl RunSession {
         self.last_retired = ran.retired;
         let (event, extra) = match plan {
             RunPlan::Full => return,
-            RunPlan::Replay { why, .. } if *why == Replay::NeverArrives => {
+            RunPlan::NeverArrives => {
                 s.prefix_dormant_short_circuits += 1;
                 ("dormant_short_circuit", None)
-            }
-            RunPlan::Replay { .. } => {
-                s.prune_dormant_skips += 1;
-                ("prune_dormant", None)
             }
             RunPlan::Fork(_) => {
                 s.prefix_fork_hits += 1;
@@ -914,42 +820,6 @@ impl RunSession {
             let mut args = vec![arg_u64("pc", pc as u64), arg_u64("occ", occ)];
             args.extend(extra);
             t.instant(event, args);
-        }
-    }
-
-    /// The sampling oracle: re-run a deterministic, seed-keyed share of
-    /// replayed answers in full and compare outcome, fired flag and
-    /// retired count against the prediction. The campaign-visible result
-    /// is always the prediction; a disagreement only increments
-    /// `prune_sample_mispredicts` (asserted zero by the perf-smoke
-    /// equivalence gate). Skipped under a wall-clock watchdog, whose
-    /// hangs are not reproducible.
-    fn sample_check(
-        &mut self,
-        predicted: &Ran,
-        input: &TestInput,
-        specs: &[FaultSpec],
-        mode: TriggerMode,
-        seed: u64,
-    ) {
-        if !self.prune || self.prune_sample_pct == 0 || self.watchdog.is_some() {
-            return;
-        }
-        if splitmix64(seed ^ SAMPLE_SALT) % 100 >= u64::from(self.prune_sample_pct) {
-            return;
-        }
-        self.stats.prune_sample_checks += 1;
-        let got = self
-            .execute(&RunPlan::Full, input, specs, mode, seed)
-            .expect("a replayed fault set executes");
-        if got.outcome != predicted.outcome
-            || got.fired != predicted.fired
-            || got.retired != predicted.retired
-        {
-            self.stats.prune_sample_mispredicts += 1;
-            if let Some(t) = self.telemetry.as_mut() {
-                t.instant("prune_mispredict", vec![arg_u64("seed", seed)]);
-            }
         }
     }
 
@@ -978,52 +848,6 @@ impl RunSession {
             }
         }
         Ok(())
-    }
-
-    /// The def-use trace for `input`, executing the dedicated traced
-    /// clean run on first need. One instrumented execution per input,
-    /// amortized over every fault probing that input; the golden run and
-    /// the exact trigger totals of every watched PC ride along (the
-    /// traced run *is* a complete fault-free run). `None` when tracing
-    /// is unavailable (no declared watch PCs) or the traced run's
-    /// outcome was not safe to memoize (wall-clock hang).
-    fn ensure_trace(&mut self, cache: &PrefixCache, input: &TestInput) -> Option<Arc<DefUseTrace>> {
-        let watch = cache.watch_pcs();
-        if watch.is_empty() {
-            return None;
-        }
-        if let Some(memo) = cache.trace(input) {
-            return memo;
-        }
-        self.begin(input);
-        let mut rec =
-            DefUseRecorder::new(self.machine.core(0), &self.code, &watch, input.to_tape());
-        let outcome = Self::machine_run(&mut self.machine, &mut self.telemetry, &mut rec);
-        let retired = self.machine.retired();
-        self.stats.retired_instrs += retired;
-        self.stats.prune_trace_runs += 1;
-        if let Some(t) = self.telemetry.as_mut() {
-            t.instant(
-                "trace_run",
-                vec![
-                    arg_u64("retired", retired),
-                    arg_u64("watched", watch.len() as u64),
-                ],
-            );
-        }
-        if !self.golden_memoizable(&outcome) {
-            // Nondeterministic (wall-clock) hang: memoize the failed
-            // attempt so the traced run is not retried for every fault.
-            cache.record_trace(input, None);
-            return None;
-        }
-        let trace = Arc::new(rec.finish(&outcome));
-        cache.record_golden(input, GoldenRun { outcome, retired });
-        for &wpc in watch.iter() {
-            cache.record_total(input, wpc, trace.total(wpc).unwrap_or(0));
-        }
-        cache.record_trace(input, Some(Arc::clone(&trace)));
-        Some(trace)
     }
 
     /// One classified campaign run: at most one fault, hardware triggers —
@@ -1379,10 +1203,10 @@ mod tests {
 
     #[test]
     fn dormant_faults_short_circuit_after_the_golden_run() {
-        // Capture-run evidence, pruning off: the first encounter finishes
-        // the (golden) run and records the trigger total; every later
-        // encounter is answered by the never-arrives verdict without
-        // executing a single instruction.
+        // Capture-run evidence: the first encounter finishes the (golden)
+        // run and records the trigger total; every later encounter is
+        // answered by the never-arrives verdict without executing a
+        // single instruction.
         let (compiled, family, input, spec) = never_arriving_fault();
         let mut full = RunSession::new(&compiled, family);
         let mut forked = RunSession::new(&compiled, family);
@@ -1391,8 +1215,7 @@ mod tests {
         assert_eq!(first, full.run(&input, Some(&spec), 1));
         assert_eq!(forked.stats().prefix_dormant_short_circuits, 0);
         assert_never_arrives(&mut forked, &mut full, &input, &spec);
-        let s = forked.stats();
-        assert_eq!((s.dormant_runs, s.prune_trace_runs), (2, 0), "{s:?}");
+        assert_eq!(forked.stats().dormant_runs, 2);
     }
 
     #[test]
@@ -1435,8 +1258,7 @@ mod tests {
 
     /// Run `spec` on `session` and check it was answered by the
     /// never-arrives verdict: outcome, `fired` and `last_retired` equal
-    /// the `full` session's, and nothing executed except a traced clean
-    /// run the verdict needed.
+    /// the `full` session's, and nothing executed.
     fn assert_never_arrives(
         session: &mut RunSession,
         full: &mut RunSession,
@@ -1454,13 +1276,10 @@ mod tests {
             before.prefix_dormant_short_circuits + 1,
             "{after:?}"
         );
-        let traced = after.prune_trace_runs - before.prune_trace_runs;
         assert_eq!(
-            after.retired_instrs - before.retired_instrs,
-            traced * full.last_retired(),
-            "only a traced clean run may execute: {after:?}"
+            after.retired_instrs, before.retired_instrs,
+            "nothing may execute: {after:?}"
         );
-        assert_eq!(after.prune_sample_mispredicts, 0, "{after:?}");
     }
 
     /// A fault far beyond any plausible arrival count at a JB.team11
@@ -1480,34 +1299,53 @@ mod tests {
         (compiled, target.family, input, spec)
     }
 
-    /// A pruning session whose cache watches `pc`.
-    fn pruned_session(compiled: &Program, family: Family, pc: u32) -> RunSession {
+    /// A session with a fresh prefix cache whose first run of `spec`
+    /// on `input` has finished as the golden run, and the trigger total
+    /// that run recorded for the never-arrives verdict.
+    fn session_with_totals(
+        compiled: &Program,
+        family: Family,
+        input: &TestInput,
+        spec: &FaultSpec,
+    ) -> (RunSession, u64) {
         let mut session = RunSession::new(compiled, family);
         let cache = crate::prefix::PrefixCache::shared();
-        cache.set_watch_pcs(vec![pc]);
-        session.set_prefix_cache(Some(cache));
-        session.set_prune(true, 100);
-        session
+        session.set_prefix_cache(Some(cache.clone()));
+        let (_, fired) = session.run(input, Some(spec), 1);
+        assert!(!fired);
+        let s = session.stats();
+        assert_eq!(s.prefix_dormant_short_circuits, 0, "first sight executes");
+        assert_eq!(s.prefix_snapshots_built, 0, "the trigger never paused");
+        let (pc, _) = spec.fork_point().unwrap();
+        let total = cache.total_occurrences(input, pc);
+        (
+            session,
+            total.expect("the finished capture run records the total"),
+        )
     }
 
     #[test]
     fn never_arrives_from_a_usable_trace() {
+        // The trigger total recorded by one fault's finished capture run
+        // is per (input, pc): it answers a different fault at the same
+        // trigger whose occurrence also lies beyond the total.
+        use swifi_core::fault::{ErrorOp, Target};
         let (compiled, family, input, spec) = never_arriving_fault();
-        let (pc, _) = spec.fork_point().unwrap();
         let mut full = RunSession::new(&compiled, family);
-        let mut pruned = pruned_session(&compiled, family, pc);
-        assert_never_arrives(&mut pruned, &mut full, &input, &spec);
-        let s = pruned.stats();
-        assert_eq!(s.prune_trace_runs, 1, "{s:?}");
-        assert_eq!(s.prune_sample_checks, 1, "replays are sampled: {s:?}");
-        let trace = pruned.prefix.as_ref().unwrap().trace(&input);
-        assert!(matches!(trace, Some(Some(t)) if t.usable()));
+        let (mut session, total) = session_with_totals(&compiled, family, &input, &spec);
+        let other = FaultSpec {
+            what: ErrorOp::Replace(0),
+            target: Target::DataBusStore,
+            when: swifi_core::fault::Firing::Nth(total + 1),
+            ..spec
+        };
+        assert_never_arrives(&mut session, &mut full, &input, &other);
     }
 
     #[test]
     fn never_arrives_from_a_tainted_trace() {
-        // A self-modifying program taints its def-use trace; the
-        // trigger's arrival count is still exact and still replays.
+        // A self-modifying program: the capture run's arrival count at
+        // the entry point is still exact and still replays.
         use swifi_core::fault::{ErrorOp, Firing, Target, Trigger};
         let (mut compiled, family, input, _) = never_arriving_fault();
         compiled.image = swifi_vm::asm::assemble(
@@ -1526,10 +1364,9 @@ mod tests {
             when: Firing::Nth(2),
         };
         let mut full = RunSession::new(&compiled, family);
-        let mut pruned = pruned_session(&compiled, family, entry);
-        assert_never_arrives(&mut pruned, &mut full, &input, &spec);
-        let trace = pruned.prefix.as_ref().unwrap().trace(&input);
-        assert!(matches!(trace, Some(Some(t)) if !t.usable()));
+        let (mut session, total) = session_with_totals(&compiled, family, &input, &spec);
+        assert_eq!(total, 1);
+        assert_never_arrives(&mut session, &mut full, &input, &spec);
     }
 
     #[test]
@@ -1555,127 +1392,6 @@ mod tests {
         assert_eq!(sb.prefix_golden_hits, inputs.len() as u64);
         assert_eq!(sb.retired_instrs, 0, "memoized runs execute nothing");
         assert_eq!(sb.runs, inputs.len() as u64, "memoized runs still count");
-    }
-
-    #[test]
-    fn pruned_runs_match_full_runs_exactly() {
-        // The trace-guided pruning oracle at session granularity: every
-        // (fault, input) pair answered under pruning — never-arrives and
-        // dormancy-proof replays, trace fork verdicts — must match a
-        // prune-free session bit for bit, with the 100% sampling oracle
-        // double-checking every pruned answer against a full run.
-        use swifi_core::fault::Trigger;
-        let target = program("JB.team6").unwrap();
-        let compiled = compile(target.source_correct).unwrap();
-        let set = generate_error_set(&compiled.debug, 4, 4, 13);
-        let faults: Vec<_> = set.assign_faults.iter().chain(&set.check_faults).collect();
-        let inputs = target.family.test_case(3, 17);
-
-        let mut full = RunSession::new(&compiled, target.family);
-        let mut pruned = RunSession::new(&compiled, target.family);
-        let cache = crate::prefix::PrefixCache::shared();
-        cache.set_watch_pcs(
-            faults
-                .iter()
-                .filter_map(|f| match f.spec.trigger {
-                    Trigger::OpcodeFetch(pc) => Some(pc),
-                    _ => None,
-                })
-                .collect(),
-        );
-        pruned.set_prefix_cache(Some(cache));
-        pruned.set_prune(true, 100);
-
-        for (fi, fault) in faults.iter().enumerate() {
-            for (i, input) in inputs.iter().enumerate() {
-                let seed = (fi as u64) << 8 | i as u64;
-                let want = full.run(input, Some(&fault.spec), seed);
-                let want_retired = full.last_retired();
-                for pass in ["first", "repeat"] {
-                    let got = pruned.run(input, Some(&fault.spec), seed);
-                    assert_eq!(got, want, "fault {fi} input {i} ({pass})");
-                    assert_eq!(
-                        pruned.last_retired(),
-                        want_retired,
-                        "fault {fi} input {i} ({pass}) retired count"
-                    );
-                }
-            }
-        }
-        let s = pruned.stats();
-        assert_eq!(s.prune_sample_mispredicts, 0, "{s:?}");
-        assert!(s.prune_sample_checks > 0, "pruning must prune: {s:?}");
-        assert!(
-            s.prune_trace_runs as u64 <= inputs.len() as u64,
-            "one traced run per input at most: {s:?}"
-        );
-        assert_eq!(s.fired_runs + s.dormant_runs, s.injected_runs);
-        assert_eq!(s.runs, 2 * full.stats().runs);
-    }
-
-    #[test]
-    fn provable_dormancy_skips_identity_corruption() {
-        // An InstrBus corruption that reproduces the fetched word
-        // bit-exactly (xor 0) fires without any architectural effect:
-        // the planner proves it dormant from the def-use trace and the
-        // run is answered with the golden outcome, never executing.
-        use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
-        let target = program("JB.team11").unwrap();
-        let compiled = compile(target.source_correct).unwrap();
-        let input = &target.family.test_case(1, 29)[0];
-        let site = generate_error_set(&compiled.debug, 1, 0, 29).assign_faults[0].site_addr;
-        let spec = FaultSpec {
-            what: ErrorOp::Xor(0),
-            target: Target::InstrBus,
-            trigger: Trigger::OpcodeFetch(site),
-            when: Firing::First,
-        };
-
-        let mut full = RunSession::new(&compiled, target.family);
-        let want = full.run(input, Some(&spec), 3);
-
-        let mut pruned = RunSession::new(&compiled, target.family);
-        let cache = crate::prefix::PrefixCache::shared();
-        cache.set_watch_pcs(vec![site]);
-        pruned.set_prefix_cache(Some(cache));
-        pruned.set_prune(true, 100);
-        let got = pruned.run(input, Some(&spec), 3);
-        assert_eq!(got, want);
-        let s = pruned.stats();
-        assert_eq!(s.prune_trace_runs, 1, "{s:?}");
-        assert_eq!(s.prune_dormant_skips, 1, "{s:?}");
-        assert_eq!(s.prune_sample_checks, 1, "100% sampling: {s:?}");
-        assert_eq!(s.prune_sample_mispredicts, 0, "{s:?}");
-        assert_eq!(s.runs, 1, "the traced clean run is not a campaign run");
-        assert_eq!(pruned.last_retired(), full.last_retired());
-    }
-
-    #[test]
-    fn prune_without_watch_pcs_is_inert() {
-        // Enabling pruning without declared trigger PCs must change
-        // nothing: no traced runs, no skips, identical outcomes.
-        let target = program("JB.team11").unwrap();
-        let compiled = compile(target.source_correct).unwrap();
-        let set = generate_error_set(&compiled.debug, 2, 2, 7);
-        let inputs = target.family.test_case(2, 9);
-        let mut plain = RunSession::new(&compiled, target.family);
-        plain.set_prefix_cache(Some(crate::prefix::PrefixCache::shared()));
-        let mut pruned = RunSession::new(&compiled, target.family);
-        pruned.set_prefix_cache(Some(crate::prefix::PrefixCache::shared()));
-        pruned.set_prune(true, 100);
-        for fault in set.assign_faults.iter().chain(&set.check_faults) {
-            for (i, input) in inputs.iter().enumerate() {
-                let seed = 31 + i as u64;
-                assert_eq!(
-                    pruned.run(input, Some(&fault.spec), seed),
-                    plain.run(input, Some(&fault.spec), seed)
-                );
-            }
-        }
-        let s = pruned.stats();
-        assert_eq!(s.prune_trace_runs, 0);
-        assert_eq!(s.prune_dormant_skips, 0);
-        assert_eq!(s.prune_sample_checks, 0);
     }
 
     #[test]

@@ -58,11 +58,6 @@ CAMPAIGN OPTIONS:
                     reported results are identical either way)
   --no-block-cache  disable basic-block translation (predecoded line
                     cache only; reported results are identical either way)
-  --no-prune        disable trace-guided pruning (def-use dormancy proofs
-                    and fork-depth verdicts; reported results are
-                    identical either way)
-  --prune-sample N  re-run N% of replayed runs in full and check the
-                    predicted outcome (sampling oracle; default 0)
 
 TELEMETRY OPTIONS (campaign / source-campaign; reported results are
 identical with or without telemetry):
@@ -350,23 +345,15 @@ pub fn emulate(parsed: &ParsedArgs) -> CmdResult {
 
 /// Parse the robustness options shared by every campaign-style command
 /// (`--checkpoint/--resume`, `--watchdog-ms`, `--watchdog-poll`,
-/// `--chaos-panic`, `--no-prefix-fork`, `--no-block-cache`, `--no-prune`,
-/// `--prune-sample`).
+/// `--chaos-panic`, `--no-prefix-fork`, `--no-block-cache`).
 fn campaign_opts(parsed: &ParsedArgs) -> Result<CampaignOptions, String> {
     let mut opts = CampaignOptions {
         checkpoint: parsed.value_opt("checkpoint")?.map(Into::into),
         resume: parsed.flag("resume"),
         no_prefix_fork: parsed.flag("no-prefix-fork"),
         no_block_cache: parsed.flag("no-block-cache"),
-        no_prune: parsed.flag("no-prune"),
         ..CampaignOptions::default()
     };
-    if let Some(pct) = parsed.positive_int_opt("prune-sample")? {
-        if pct > 100 {
-            return Err("--prune-sample takes a percentage (0-100)".to_string());
-        }
-        opts.prune_sample = pct as u32;
-    }
     if opts.resume && opts.checkpoint.is_none() {
         return Err("--resume requires --checkpoint FILE".to_string());
     }
@@ -504,8 +491,7 @@ pub fn trace_validate_cmd(parsed: &ParsedArgs) -> CmdResult {
 }
 
 /// `swifi campaign NAME [--inputs N] [--seed N] [--checkpoint F [--resume]]
-/// [--watchdog-ms N] [--chaos-panic N] [--no-prefix-fork] [--no-block-cache]
-/// [--no-prune] [--prune-sample N]`
+/// [--watchdog-ms N] [--chaos-panic N] [--no-prefix-fork] [--no-block-cache]`
 pub fn campaign(parsed: &ParsedArgs) -> CmdResult {
     let name = parsed
         .positional

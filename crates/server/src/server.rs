@@ -3,8 +3,11 @@
 //! One connection carries one request. `ping` and `shutdown` are
 //! answered inline; a `submit` spawns a handler thread so a long
 //! campaign does not block further submissions (or the shutdown probe
-//! a supervisor sends to tear the daemon down). Shutdown is graceful:
-//! the loop stops accepting and joins every in-flight campaign before
+//! a supervisor sends to tear the daemon down). At most
+//! [`MAX_CONCURRENT_CAMPAIGNS`] campaigns run at once: a submit over the
+//! cap gets an `error` event, and finished campaigns' threads are
+//! reaped before each submit is admitted. Shutdown is graceful: the
+//! loop stops accepting and joins every in-flight campaign before
 //! returning.
 //!
 //! The request line is read inline too, so it is bounded in time
@@ -15,6 +18,7 @@
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::job::{run_campaign, JobConfig};
@@ -45,6 +49,15 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
                 break;
             }
             Ok(Request::Submit(req)) => {
+                campaigns.retain(|c: &JoinHandle<()>| !c.is_finished());
+                if campaigns.len() >= MAX_CONCURRENT_CAMPAIGNS {
+                    let message = format!(
+                        "server busy: {MAX_CONCURRENT_CAMPAIGNS} campaigns in flight (the limit); \
+                         resubmit when one finishes"
+                    );
+                    let _ = send(&stream, &Event::Error { message });
+                    continue;
+                }
                 let cfg = Arc::clone(&cfg);
                 campaigns.push(std::thread::spawn(move || {
                     let mut dead = false;
@@ -69,6 +82,11 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
     }
     Ok(())
 }
+
+/// Most campaigns one server runs at once. Each campaign already fans
+/// out over its own worker pool, so more would only oversubscribe the
+/// host and hold more campaign state in memory.
+pub const MAX_CONCURRENT_CAMPAIGNS: usize = 4;
 
 /// How long a read of the request line may wait for data.
 pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);

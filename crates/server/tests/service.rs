@@ -180,6 +180,50 @@ fn an_over_long_request_line_gets_an_error_event() {
 }
 
 #[test]
+fn a_submit_over_the_concurrency_cap_gets_an_error_event() {
+    use std::io::{BufRead, BufReader, Write};
+    use swifi_server::protocol::render_request;
+    use swifi_server::server::MAX_CONCURRENT_CAMPAIGNS;
+    let (addr, handle, workdir) = start_server("busy");
+    // C.team10's deep recursion keeps each campaign running for seconds,
+    // long after the last submit below has been answered. Each seed is
+    // its own campaign, with its own shard files in the workdir.
+    let long = |seed| CampaignRequest {
+        target: "C.team10".to_string(),
+        seed,
+        inputs: 1,
+        shards: 1,
+        pool: 1,
+        ..class_request(1)
+    };
+    let mut in_flight = Vec::new();
+    for seed in 0..MAX_CONCURRENT_CAMPAIGNS as u64 {
+        let line = render_request(&Request::Submit(long(seed)));
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut first = String::new();
+        reader.read_line(&mut first).unwrap();
+        let accepted = Event::parse(&first).unwrap();
+        assert!(matches!(accepted, Event::Accepted { .. }), "{accepted:?}");
+        in_flight.push(reader);
+    }
+
+    let err = submit(&addr, long(99)).unwrap_err();
+    assert!(err.contains("busy"), "{err}");
+
+    // Every admitted campaign still completes, and once they have, the
+    // finished ones are reaped and a submit is admitted again.
+    for reader in in_flight {
+        let last = reader.lines().map(Result::unwrap).last().unwrap();
+        assert_eq!(Event::parse(&last).unwrap(), Event::Done);
+    }
+    let events = submit(&addr, class_request(1)).unwrap();
+    assert_eq!(events.last(), Some(&Event::Done));
+    stop_server(&addr, handle, &workdir);
+}
+
+#[test]
 fn sharded_class_campaign_reports_byte_identically() {
     let direct = class_campaign_with(
         &swifi_programs::program("SOR").unwrap(),

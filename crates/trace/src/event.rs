@@ -161,10 +161,6 @@ pub const EVENT_NAMES: &[&str] = &[
     "fork_miss",
     "dormant_short_circuit",
     "golden_hit",
-    // Trace-guided pruning instants.
-    "trace_run",
-    "prune_dormant",
-    "prune_mispredict",
     // Block-translation instants.
     "block_translate",
     "block_invalidate",

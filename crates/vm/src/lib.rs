@@ -42,7 +42,6 @@
 
 pub mod asm;
 pub mod blocks;
-pub mod defuse;
 pub mod inspect;
 pub mod isa;
 pub mod machine;
@@ -50,7 +49,6 @@ pub mod mem;
 pub mod trace;
 
 pub use blocks::BlockCacheStats;
-pub use defuse::{DefUseRecorder, DefUseTrace, OccEvent, OccRecord, SiteTrace};
 pub use inspect::{FetchPolicy, Inspector, Noop};
 pub use isa::{decode, encode, Instr};
 pub use machine::{

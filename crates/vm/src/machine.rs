@@ -268,16 +268,6 @@ impl InputTape {
         self.bytes.push_back(b'\n');
         self
     }
-
-    /// Consume the next `read_int` value, mirroring the syscall order.
-    pub(crate) fn pop_int(&mut self) -> Option<i32> {
-        self.ints.pop_front()
-    }
-
-    /// Consume the next `read_byte` value, mirroring the syscall order.
-    pub(crate) fn pop_byte(&mut self) -> Option<u8> {
-        self.bytes.pop_front()
-    }
 }
 
 enum Progress {

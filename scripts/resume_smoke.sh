@@ -24,19 +24,16 @@ run() { "$BIN" campaign JB.team11 --inputs 3 --seed 7 "$@"; }
 
 # Strip the wall-clock- and cache-strategy-dependent lines; everything
 # else in the campaign report is seed-deterministic.
-report() { grep -v -e '^throughput:' -e '^icache:' -e '^prefix-fork:' -e '^blocks:' -e '^phases:' -e '^prune:'; }
+report() { grep -v -e '^throughput:' -e '^icache:' -e '^prefix-fork:' -e '^blocks:' -e '^phases:'; }
 
 run | report > "$TMP/reference.txt"
 
-# The prefix-fork and block caches and trace-guided pruning are
-# execution strategies, not semantic changes: disabling any of them
-# must leave the report untouched.
+# The prefix-fork and block caches are execution strategies, not
+# semantic changes: disabling either must leave the report untouched.
 run --no-prefix-fork | report > "$TMP/no-fork.txt"
 diff -u "$TMP/reference.txt" "$TMP/no-fork.txt"
 run --no-block-cache | report > "$TMP/no-blocks.txt"
 diff -u "$TMP/reference.txt" "$TMP/no-blocks.txt"
-run --no-prune | report > "$TMP/no-prune.txt"
-diff -u "$TMP/reference.txt" "$TMP/no-prune.txt"
 
 # Checkpointing must not perturb the report.
 run --checkpoint "$CKPT" | report > "$TMP/full.txt"
@@ -49,19 +46,16 @@ printf '{"phase":"assign","ind' >> "$TMP/torn.jsonl"
 mv "$TMP/torn.jsonl" "$CKPT"
 
 # Resume: recorded runs replay from disk, the rest re-run, and the
-# report must come out equal — with forking, block translation, and
-# trace-guided pruning each on (default) or off.
+# report must come out equal — with forking and block translation each
+# on (default) or off.
 cp "$CKPT" "$TMP/torn-copy.jsonl"
 cp "$CKPT" "$TMP/torn-copy2.jsonl"
-cp "$CKPT" "$TMP/torn-copy3.jsonl"
 run --checkpoint "$CKPT" --resume | report > "$TMP/resumed.txt"
 diff -u "$TMP/reference.txt" "$TMP/resumed.txt"
 run --checkpoint "$TMP/torn-copy.jsonl" --resume --no-prefix-fork | report > "$TMP/resumed-no-fork.txt"
 diff -u "$TMP/reference.txt" "$TMP/resumed-no-fork.txt"
 run --checkpoint "$TMP/torn-copy2.jsonl" --resume --no-block-cache | report > "$TMP/resumed-no-blocks.txt"
 diff -u "$TMP/reference.txt" "$TMP/resumed-no-blocks.txt"
-run --checkpoint "$TMP/torn-copy3.jsonl" --resume --no-prune | report > "$TMP/resumed-no-prune.txt"
-diff -u "$TMP/reference.txt" "$TMP/resumed-no-prune.txt"
 
 # A worker panic mid-campaign is one Abnormal record, not an abort.
 run --chaos-panic 2 > "$TMP/chaos.txt"

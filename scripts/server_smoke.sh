@@ -31,7 +31,7 @@ trap cleanup EXIT
 # and the client's artifact notices — neither is part of the report.
 report() {
   grep -v -e '^throughput:' -e '^icache:' -e '^prefix-fork:' -e '^blocks:' \
-          -e '^phases:' -e '^prune:' -e '^campaign on' -e '^metrics:' -e '^trace:'
+          -e '^phases:' -e '^campaign on' -e '^metrics:' -e '^trace:'
 }
 
 # The reference: the single-process CLI command.

@@ -17,6 +17,5 @@ cargo clippy --workspace --all-targets -- -D warnings
 ./scripts/resume_smoke.sh
 ./scripts/mutation_smoke.sh
 ./scripts/perf_smoke.sh equivalence
-./scripts/perf_smoke.sh prune
 ./scripts/trace_smoke.sh
 ./scripts/server_smoke.sh

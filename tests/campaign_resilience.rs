@@ -105,94 +105,6 @@ fn killed_campaign_resumes_to_an_equal_report() {
 }
 
 #[test]
-fn killed_campaign_resumes_equally_under_either_prune_flag() {
-    let target = program("JB.team11").unwrap();
-    let scale = CampaignScale {
-        inputs_per_fault: 2,
-    };
-    let seed = 43;
-
-    // The reference: pruning disabled, no checkpoint. Pruning is an
-    // execution strategy — every comparison below must fold to this.
-    let unpruned = CampaignOptions {
-        no_prune: true,
-        ..CampaignOptions::default()
-    };
-    let reference = class_campaign_with(&target, scale, seed, &unpruned).unwrap();
-
-    // Pruning on with the sampling oracle at 100%: every replayed run
-    // re-executes in full and checks the prediction.
-    let sampled = class_campaign_with(
-        &target,
-        scale,
-        seed,
-        &CampaignOptions {
-            prune_sample: 100,
-            ..CampaignOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(sampled, reference, "pruning must not perturb the report");
-    assert!(
-        sampled.throughput.prune_sample_checks > 0,
-        "oracle checked nothing"
-    );
-    assert_eq!(
-        sampled.throughput.prune_sample_mispredicts, 0,
-        "sampling oracle caught a misprediction"
-    );
-
-    // Kill+resume across the flag, both directions: the checkpoint
-    // records outcomes, never the execution strategy, so a campaign
-    // checkpointed with pruning on resumes equally with it off — and
-    // vice versa.
-    let path = temp_path("prune-resume");
-    let _ = class_campaign_with(
-        &target,
-        scale,
-        seed,
-        &CampaignOptions::with_checkpoint(&path, false),
-    )
-    .unwrap();
-    truncate_checkpoint(&path, 5);
-    let resumed_off = class_campaign_with(
-        &target,
-        scale,
-        seed,
-        &CampaignOptions {
-            no_prune: true,
-            ..CampaignOptions::with_checkpoint(&path, true)
-        },
-    )
-    .unwrap();
-    assert_eq!(resumed_off, reference, "pruned checkpoint, unpruned resume");
-
-    let mirror = temp_path("prune-resume-mirror");
-    let _ = class_campaign_with(
-        &target,
-        scale,
-        seed,
-        &CampaignOptions {
-            no_prune: true,
-            ..CampaignOptions::with_checkpoint(&mirror, false)
-        },
-    )
-    .unwrap();
-    truncate_checkpoint(&mirror, 5);
-    let resumed_on = class_campaign_with(
-        &target,
-        scale,
-        seed,
-        &CampaignOptions::with_checkpoint(&mirror, true),
-    )
-    .unwrap();
-    assert_eq!(resumed_on, reference, "unpruned checkpoint, pruned resume");
-
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&mirror).ok();
-}
-
-#[test]
 fn killed_source_campaign_resumes_to_an_equal_report() {
     // The same kill/resume contract holds for the source-mutation driver:
     // a campaign killed mid-append and resumed must report byte-equal to

@@ -311,53 +311,6 @@ proptest! {
         }
     }
 
-    /// The trace-guided pruning oracle: for arbitrary (fault, firing
-    /// policy, seed) triples, a pruning session — def-use watch list
-    /// armed, never-arrives and dormancy-proof replays live, sampling
-    /// oracle at 100% — classifies identically to an unpruned session,
-    /// with identical fired flags and retired counts. Each triple runs
-    /// twice on the pruned side: the first pass gathers the evidence
-    /// (traced clean run, prefix capture), the second answers from the
-    /// memoized plan (replay or fork). The
-    /// 100% sampling re-executes every skipped run in full and asserts
-    /// the predicted outcome, so a single misprediction fails the test.
-    #[test]
-    fn pruned_runs_match_unpruned_runs(
-        word_index in 0usize..600,
-        op in arb_error_op(),
-        target in arb_target(),
-        when in arb_firing(),
-        seed in any::<u64>(),
-    ) {
-        let p = program("JB.team11").unwrap();
-        let compiled = compile(p.source_correct).unwrap();
-        let addr = swifi_vm::CODE_BASE
-            + ((word_index % compiled.image.code.len()) as u32) * 4;
-        let spec = FaultSpec { what: op, target, trigger: Trigger::OpcodeFetch(addr), when };
-        let input = TestInput::JamesB { seed: 8, line: b"trace prune".to_vec() };
-
-        let mut plain = RunSession::new(&compiled, Family::JamesB);
-        plain.set_prefix_cache(Some(swifi_campaign::PrefixCache::shared()));
-        let cache = swifi_campaign::PrefixCache::shared();
-        cache.set_watch_pcs(vec![addr]);
-        let mut pruned = RunSession::new(&compiled, Family::JamesB);
-        pruned.set_prefix_cache(Some(cache));
-        pruned.set_prune(true, 100);
-
-        let want = plain.run(&input, Some(&spec), seed);
-        let want_retired = plain.last_retired();
-        for pass in ["evidence", "memoized"] {
-            let got = pruned.run(&input, Some(&spec), seed);
-            prop_assert_eq!(got, want, "{} pass diverged", pass);
-            prop_assert_eq!(
-                pruned.last_retired(), want_retired,
-                "{} pass retired-count diverged", pass
-            );
-        }
-        let stats = pruned.stats();
-        prop_assert_eq!(stats.prune_sample_mispredicts, 0, "sampling oracle misprediction");
-    }
-
     /// The generated error sets scale linearly with chosen locations: the
     /// §6.3 accounting identity (`faults = Σ applicable types`).
     #[test]
