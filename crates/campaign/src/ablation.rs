@@ -26,7 +26,6 @@ use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHe
 use crate::prefix::PrefixCache;
 use crate::runner::ModeCounts;
 use crate::section6::CampaignScale;
-use crate::session::RunSession;
 
 /// Results for one allocation strategy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,7 +111,6 @@ pub fn ablation_with(
         scale.inputs_per_fault as u64,
     );
     let mut engine = CampaignEngine::new(header, opts)?;
-    let mut chaos_base = 0u64;
     // Shared across all three strategies: they run the same program on
     // the same inputs, differing only in where the faults land.
     let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
@@ -157,33 +155,12 @@ pub fn ablation_with(
             (label, allocation, faults)
         })
         .map(|(label, allocation, faults)| {
-            let base = chaos_base;
-            chaos_base += faults.len() as u64;
             let (records, _sessions) = engine.run_phase(
                 &label,
                 &faults,
-                || {
-                    let mut s = RunSession::new(&compiled, target.family);
-                    opts.configure_session(&mut s);
-                    s.set_prefix_cache(prefix.clone());
-                    s.set_block_cache(!opts.no_block_cache);
-                    s
-                },
-                |session, i, fault| {
-                    if opts.chaos_panic == Some(base + i as u64) {
-                        panic!("chaos-panic injected at campaign item {}", base + i as u64);
-                    }
-                    let mut counts = ModeCounts::default();
-                    let mut dormant = 0u64;
-                    for (j, input) in inputs.iter().enumerate() {
-                        let (mode, fired) =
-                            session.run(input, Some(&fault.spec), seed.wrapping_add(j as u64));
-                        counts.add(mode);
-                        if !fired {
-                            dormant += 1;
-                        }
-                    }
-                    (counts, dormant)
+                || opts.session(&compiled, target.family, prefix.clone()),
+                |session, _, fault| {
+                    session.run_inputs(&inputs, &fault.spec, |j| seed.wrapping_add(j as u64))
                 },
                 |i, fault| format!("fault #{i} at {:#x}", fault.site_addr),
             )?;

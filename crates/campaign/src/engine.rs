@@ -389,15 +389,30 @@ impl CampaignOptions {
     }
 
     /// Apply the per-session knobs — watchdog deadline and poll interval,
-    /// worker telemetry lane — to a freshly built worker session. Every
-    /// driver's session-init closure funnels through here so a new knob
-    /// reaches all campaigns at once.
+    /// block cache, worker telemetry lane — to a freshly built worker
+    /// session. Every driver's session-init closure funnels through here
+    /// so a new knob reaches all campaigns at once.
     pub fn configure_session(&self, s: &mut crate::session::RunSession) {
         s.set_watchdog(self.watchdog);
+        s.set_block_cache(!self.no_block_cache);
         if let Some(poll) = self.watchdog_poll {
             s.set_watchdog_poll(poll);
         }
         s.set_telemetry(self.telemetry.as_ref().map(|t| t.worker()));
+    }
+
+    /// A worker session for `program`, configured by
+    /// [`CampaignOptions::configure_session`] and attached to `prefix`.
+    pub fn session(
+        &self,
+        program: &swifi_lang::Program,
+        family: swifi_programs::Family,
+        prefix: Option<Arc<crate::prefix::PrefixCache>>,
+    ) -> crate::session::RunSession {
+        let mut s = crate::session::RunSession::new(program, family);
+        self.configure_session(&mut s);
+        s.set_prefix_cache(prefix);
+        s
     }
 }
 
@@ -444,6 +459,10 @@ pub struct CampaignEngine {
     telemetry: Option<Arc<Telemetry>>,
     phase_times: Vec<PhaseTime>,
     shard: Option<crate::shard::Shard>,
+    chaos_panic: Option<u64>,
+    /// Items in the phases run so far: the global index of the next
+    /// phase's first item, which [`CampaignOptions::chaos_panic`] counts in.
+    chaos_base: u64,
 }
 
 impl CampaignEngine {
@@ -463,6 +482,8 @@ impl CampaignEngine {
             telemetry: opts.telemetry.clone(),
             phase_times: Vec::new(),
             shard: opts.shard,
+            chaos_panic: opts.chaos_panic,
+            chaos_base: 0,
         })
     }
 
@@ -488,7 +509,8 @@ impl CampaignEngine {
     /// `f(state, index, item)` produces the per-item value; `describe`
     /// labels the item for `Abnormal` records. Returns the phase's records
     /// in item order plus the worker states that actually ran (empty when
-    /// everything replayed).
+    /// everything replayed). The item [`CampaignOptions::chaos_panic`]
+    /// names, counted across phases in run order, panics before `f` runs.
     #[allow(clippy::type_complexity)]
     pub fn run_phase<T, S, R, I, F, D>(
         &mut self,
@@ -508,6 +530,8 @@ impl CampaignEngine {
     {
         let t0 = Instant::now();
         let span_start = self.telemetry.as_deref().map(Telemetry::now_us);
+        let (chaos, base) = (self.chaos_panic, self.chaos_base);
+        self.chaos_base += items.len() as u64;
         // In shard mode only this shard's contiguous slice executes;
         // recorded items replay regardless (a merged checkpoint may carry
         // records from every shard, and replay is what makes the final
@@ -539,7 +563,12 @@ impl CampaignEngine {
         let (caught, states) = parallel_map_resilient(
             &pending,
             &init,
-            |state, &(i, item)| f(state, i, item),
+            |state, &(i, item)| {
+                if chaos == Some(base + i as u64) {
+                    panic!("chaos-panic injected at campaign item {}", base + i as u64);
+                }
+                f(state, i, item)
+            },
             |j, run| {
                 let (i, item) = pending[j];
                 // Checkpoint on arrival so a mid-campaign kill keeps every

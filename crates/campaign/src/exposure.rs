@@ -20,7 +20,6 @@ use swifi_vm::machine::RunOutcome;
 
 use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
 use crate::prefix::PrefixCache;
-use crate::session::RunSession;
 
 /// Measured exposure chain for one real fault.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,7 +72,6 @@ pub fn estimate_exposure_with(
 ) -> Result<Vec<ExposureEstimate>, String> {
     let header = CheckpointHeader::new("exposure", seed, runs as u64);
     let mut engine = CampaignEngine::new(header, opts)?;
-    let mut chaos_base = 0u64;
     let mut out = Vec::new();
     for p in all_programs() {
         let Some(faulty_src) = p.source_faulty else {
@@ -89,25 +87,14 @@ pub fn estimate_exposure_with(
         };
         let addrs: Vec<u32> = diffs.iter().map(|d| d.addr).collect();
         let inputs = p.family.test_case(runs, seed);
-        let base = chaos_base;
-        chaos_base += inputs.len() as u64;
         // Profiled runs never fork (they carry an inspector), but the
         // shared cache still pools the per-input oracle memos.
         let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
         let (records, _sessions) = engine.run_phase(
             p.name,
             &inputs,
-            || {
-                let mut s = RunSession::new(&faulty, p.family);
-                opts.configure_session(&mut s);
-                s.set_prefix_cache(prefix.clone());
-                s.set_block_cache(!opts.no_block_cache);
-                s
-            },
-            |session, i, input| {
-                if opts.chaos_panic == Some(base + i as u64) {
-                    panic!("chaos-panic injected at campaign item {}", base + i as u64);
-                }
+            || opts.session(&faulty, p.family, prefix.clone()),
+            |session, _, input| {
                 let mut prof = Profiler::new();
                 let outcome = session.run_with(input, &mut prof);
                 let executed = addrs.iter().any(|&a| prof.executed(a));

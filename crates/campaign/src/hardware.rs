@@ -23,7 +23,6 @@ use swifi_programs::TargetProgram;
 use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
 use crate::runner::ModeCounts;
 use crate::section6::CampaignScale;
-use crate::session::RunSession;
 
 /// Hardware-fault flavours injected by [`hardware_campaign`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -146,36 +145,16 @@ pub fn hardware_campaign_with(
         scale.inputs_per_fault as u64,
     );
     let mut engine = CampaignEngine::new(header, opts)?;
-    let mut chaos_base = 0u64;
     HwFaultKind::ALL
         .iter()
         .map(|&kind| {
             let faults = random_hw_faults(kind, compiled.image.code.len(), faults_per_kind, seed);
-            let base = chaos_base;
-            chaos_base += faults.len() as u64;
             let (records, _sessions) = engine.run_phase(
                 kind.label(),
                 &faults,
-                || {
-                    let mut s = RunSession::new(&compiled, target.family);
-                    opts.configure_session(&mut s);
-                    s
-                },
-                |session, i, spec| {
-                    if opts.chaos_panic == Some(base + i as u64) {
-                        panic!("chaos-panic injected at campaign item {}", base + i as u64);
-                    }
-                    let mut counts = ModeCounts::default();
-                    let mut dormant = 0u64;
-                    for (j, input) in inputs.iter().enumerate() {
-                        let (mode, fired) =
-                            session.run(input, Some(spec), seed.wrapping_add(j as u64));
-                        counts.add(mode);
-                        if !fired {
-                            dormant += 1;
-                        }
-                    }
-                    (counts, dormant)
+                || opts.session(&compiled, target.family, None),
+                |session, _, spec| {
+                    session.run_inputs(&inputs, spec, |j| seed.wrapping_add(j as u64))
                 },
                 |i, spec| format!("{} fault #{i}: {:?}", kind.label(), spec.trigger),
             )?;

@@ -12,7 +12,6 @@ use swifi_programs::all_programs;
 use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
 use crate::prefix::PrefixCache;
 use crate::runner::{FailureMode, ModeCounts};
-use crate::session::RunSession;
 
 /// One row of Table 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,7 +59,6 @@ pub fn table1_with(
 ) -> Result<Vec<Table1Row>, String> {
     let header = CheckpointHeader::new("intensive", seed, runs as u64);
     let mut engine = CampaignEngine::new(header, opts)?;
-    let mut chaos_base = 0u64;
     let mut rows = Vec::new();
     for p in all_programs() {
         let Some(faulty_src) = p.source_faulty else {
@@ -68,25 +66,12 @@ pub fn table1_with(
         };
         let compiled = compile(faulty_src).expect("faulty source compiles");
         let inputs = p.family.test_case(runs, seed);
-        let base = chaos_base;
-        chaos_base += inputs.len() as u64;
         let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
         let (records, _sessions) = engine.run_phase(
             p.name,
             &inputs,
-            || {
-                let mut s = RunSession::new(&compiled, p.family);
-                opts.configure_session(&mut s);
-                s.set_prefix_cache(prefix.clone());
-                s.set_block_cache(!opts.no_block_cache);
-                s
-            },
-            |session, i, input| {
-                if opts.chaos_panic == Some(base + i as u64) {
-                    panic!("chaos-panic injected at campaign item {}", base + i as u64);
-                }
-                session.run(input, None, 0).0
-            },
+            || opts.session(&compiled, p.family, prefix.clone()),
+            |session, _, input| session.run(input, None, 0).0,
             |i, _| format!("{} input #{i}", p.name),
         )?;
         let (modes, abnormal) = split_records(records);

@@ -243,32 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_baseline_matches_session_execute() {
-        use swifi_core::locations::generate_error_set;
-        let p = swifi_programs::program("JB.team11").unwrap();
-        let compiled = compile(p.source_correct).unwrap();
-        let input = TestInput::JamesB {
-            seed: 2,
-            line: b"baseline".to_vec(),
-        };
-        let set = generate_error_set(&compiled.debug, 3, 3, 17);
-        let mut session = RunSession::new(&compiled, Family::JamesB);
-        for (i, f) in set
-            .assign_faults
-            .iter()
-            .chain(&set.check_faults)
-            .enumerate()
-        {
-            let (mode, fired) = session.run(&input, Some(&f.spec), i as u64);
-            let cold = execute_cold(&compiled, Family::JamesB, &input, Some(&f.spec), i as u64);
-            assert_eq!((mode, fired, session.last_retired()), cold, "fault {i}");
-        }
-        let (mode, fired) = session.run(&input, None, 0);
-        let cold = execute_cold(&compiled, Family::JamesB, &input, None, 0);
-        assert_eq!((mode, fired, session.last_retired()), cold);
-    }
-
-    #[test]
     fn injected_check_fault_flips_outcome() {
         use swifi_core::locations::generate_error_set;
         let p = swifi_programs::program("JB.team6").unwrap();

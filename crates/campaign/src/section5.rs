@@ -15,7 +15,6 @@ use swifi_programs::all_programs;
 
 use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
 use crate::prefix::PrefixCache;
-use crate::session::RunSession;
 
 /// One §5 result row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,7 +61,6 @@ pub fn section5_with(
 ) -> Result<Vec<Section5Row>, String> {
     let header = CheckpointHeader::new("section5", seed, inputs_per_fault as u64);
     let mut engine = CampaignEngine::new(header, opts)?;
-    let mut chaos_base = 0u64;
     let mut rows = Vec::new();
     for p in all_programs() {
         let Some(faulty_src) = p.source_faulty else {
@@ -93,8 +91,6 @@ pub fn section5_with(
             Some(trigger_mode) => {
                 let specs = emulation_faults(&diffs, EmulationStrategy::FetchCorruption);
                 let inputs = p.family.test_case(inputs_per_fault, seed);
-                let base = chaos_base;
-                chaos_base += inputs.len() as u64;
                 // Caches are per compiled binary: the corrected and the
                 // real faulty program each get their own.
                 let emulated_prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
@@ -106,20 +102,11 @@ pub fn section5_with(
                     p.name,
                     &inputs,
                     || {
-                        let mut emulated_s = RunSession::new(&corrected, p.family);
-                        let mut real_s = RunSession::new(&faulty, p.family);
-                        opts.configure_session(&mut emulated_s);
-                        opts.configure_session(&mut real_s);
-                        emulated_s.set_prefix_cache(emulated_prefix.clone());
-                        real_s.set_prefix_cache(real_prefix.clone());
-                        emulated_s.set_block_cache(!opts.no_block_cache);
-                        real_s.set_block_cache(!opts.no_block_cache);
-                        (emulated_s, real_s)
+                        let emulated = opts.session(&corrected, p.family, emulated_prefix.clone());
+                        let real = opts.session(&faulty, p.family, real_prefix.clone());
+                        (emulated, real)
                     },
-                    |(emulated_s, real_s), i, input| {
-                        if opts.chaos_panic == Some(base + i as u64) {
-                            panic!("chaos-panic injected at campaign item {}", base + i as u64);
-                        }
+                    |(emulated_s, real_s), _, input| {
                         // Emulated run: corrected binary + injected faults.
                         let (emulated, _) =
                             emulated_s.run_injected(input, &specs, trigger_mode, seed);

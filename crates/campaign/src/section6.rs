@@ -199,80 +199,35 @@ pub fn class_campaign_with(
 
     // One work item per fault: runs the whole shared test case. Each
     // worker thread owns a warm-reboot session reused across all the
-    // faults it processes (one session per worker, not per run);
-    // `chaos_base` makes `CampaignOptions::chaos_panic` a global item
-    // index across the two phases.
-    // One phase's outcome: the ok per-fault results plus the abnormal runs.
-    type PhaseBatch = (Vec<(ErrorClass, ModeCounts, u64)>, Vec<AbnormalRun>);
-    let mut run_batch =
-        |phase: &str, faults: &[GeneratedFault], chaos_base: u64| -> Result<PhaseBatch, String> {
-            let (records, mut batch_sessions) = engine.run_phase(
-                phase,
-                faults,
-                || {
-                    let mut s = RunSession::new(&compiled, target.family);
-                    opts.configure_session(&mut s);
-                    s.set_prefix_cache(prefix.clone());
-                    s.set_block_cache(!opts.no_block_cache);
-                    s
-                },
-                |session, i, fault| {
-                    if opts.chaos_panic == Some(chaos_base + i as u64) {
-                        panic!(
-                            "chaos-panic injected at campaign item {}",
-                            chaos_base + i as u64
-                        );
-                    }
-                    let mut counts = ModeCounts::default();
-                    let mut dormant = 0;
-                    for (j, input) in inputs.iter().enumerate() {
-                        let run_seed = seed
-                            .wrapping_mul(0x9E3779B97F4A7C15)
-                            .wrapping_add(fault.site_addr as u64)
-                            .wrapping_add(j as u64);
-                        let (mode, fired) = session.run(input, Some(&fault.spec), run_seed);
-                        counts.add(mode);
-                        if !fired {
-                            dormant += 1;
-                        }
-                    }
-                    (fault.error, counts, dormant)
-                },
-                |i, fault| {
-                    format!(
-                        "{phase} fault #{i}: {:?} at {:#x}",
-                        fault.error, fault.site_addr
-                    )
-                },
-            )?;
-            sessions.append(&mut batch_sessions);
-            let (ok, abnormal) = split_records(records);
-            Ok((ok.into_iter().map(|(_, r)| r).collect(), abnormal))
-        };
-
-    let (assign_results, assign_abnormal) = run_batch("assign", &assign_faults, 0)?;
-    let (check_results, check_abnormal) =
-        run_batch("check", &check_faults, assign_faults.len() as u64)?;
-    // `run_batch` captures `engine` mutably; end that borrow so the phase
-    // timings can be taken back out of the engine.
-    #[allow(clippy::drop_non_drop)]
-    drop(run_batch);
-    let phase_times = engine.take_phase_times();
-
-    // Fold the run totals from the records, not the live sessions: on
-    // resume the replayed faults never touch a session, and the totals
-    // must not depend on where the previous process died. Wall-clock and
-    // interpreter counters (ignored by `Throughput` equality) still come
-    // from the sessions that actually ran.
-    let mut throughput = Throughput::collect(&sessions, t0.elapsed());
-    throughput.runs = 0;
-    throughput.fired_runs = 0;
-    throughput.dormant_runs = 0;
-    for (_, counts, dormant) in assign_results.iter().chain(&check_results) {
-        throughput.runs += counts.total();
-        throughput.fired_runs += counts.total() - dormant;
-        throughput.dormant_runs += dormant;
+    // faults it processes (one session per worker, not per run).
+    let mut results: Vec<(ErrorClass, ModeCounts, u64)> = Vec::new();
+    let mut abnormal = Vec::new();
+    for (phase, faults) in [("assign", &assign_faults), ("check", &check_faults)] {
+        let (records, mut batch_sessions) = engine.run_phase(
+            phase,
+            faults,
+            || opts.session(&compiled, target.family, prefix.clone()),
+            |session, _, fault| {
+                let (counts, dormant) = session.run_inputs(&inputs, &fault.spec, |j| {
+                    seed.wrapping_mul(0x9E3779B97F4A7C15)
+                        .wrapping_add(fault.site_addr as u64)
+                        .wrapping_add(j as u64)
+                });
+                (fault.error, counts, dormant)
+            },
+            |i, fault| {
+                format!(
+                    "{phase} fault #{i}: {:?} at {:#x}",
+                    fault.error, fault.site_addr
+                )
+            },
+        )?;
+        sessions.append(&mut batch_sessions);
+        let (ok, phase_abnormal) = split_records(records);
+        results.extend(ok.into_iter().map(|(_, r)| r));
+        abnormal.extend(phase_abnormal);
     }
+    let phase_times = engine.take_phase_times();
 
     let mut out = ProgramCampaign {
         program: target.name.to_string(),
@@ -285,26 +240,32 @@ pub fn class_campaign_with(
         by_check_type: BTreeMap::new(),
         dormant_runs: 0,
         total_runs: 0,
-        throughput,
+        throughput: Throughput::collect(&sessions, t0.elapsed()),
         phase_times,
-        abnormal: assign_abnormal.into_iter().chain(check_abnormal).collect(),
+        abnormal,
     };
-    for (err, counts, dormant) in assign_results {
-        out.assign_modes.merge(&counts);
+    for (err, counts, dormant) in results {
         out.dormant_runs += dormant;
         out.total_runs += counts.total();
-        if let ErrorClass::Assign(t) = err {
-            out.by_assign_type.entry(t).or_default().merge(&counts);
+        match err {
+            ErrorClass::Assign(t) => {
+                out.assign_modes.merge(&counts);
+                out.by_assign_type.entry(t).or_default().merge(&counts);
+            }
+            ErrorClass::Check(t) => {
+                out.check_modes.merge(&counts);
+                out.by_check_type.entry(t).or_default().merge(&counts);
+            }
         }
     }
-    for (err, counts, dormant) in check_results {
-        out.check_modes.merge(&counts);
-        out.dormant_runs += dormant;
-        out.total_runs += counts.total();
-        if let ErrorClass::Check(t) = err {
-            out.by_check_type.entry(t).or_default().merge(&counts);
-        }
-    }
+    // The run totals come from the records, not the live sessions: on
+    // resume the replayed faults never touch a session, and the totals
+    // must not depend on where the previous process died. Wall-clock and
+    // interpreter counters (ignored by `Throughput` equality) still come
+    // from the sessions that actually ran.
+    out.throughput.runs = out.total_runs;
+    out.throughput.fired_runs = out.total_runs - out.dormant_runs;
+    out.throughput.dormant_runs = out.dormant_runs;
     // Worker telemetry drains on session drop; retire the sessions now so
     // a metrics-merge failure surfaces in this campaign's abnormal bucket
     // (a data point, like any other abnormal run) instead of being lost.

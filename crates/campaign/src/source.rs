@@ -330,10 +330,7 @@ pub fn source_campaign_with(
                 opts.telemetry.as_ref().map(|t| t.worker()),
             )
         },
-        |state, i, plan| {
-            if opts.chaos_panic == Some(i as u64) {
-                panic!("chaos-panic injected at campaign item {i}");
-            }
+        |state, _, plan| {
             let PreparedFault::Baked(program) = &plan.fault else {
                 panic!("source plans are baked mutants");
             };

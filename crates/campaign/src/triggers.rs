@@ -73,17 +73,7 @@ pub fn trigger_ablation(
                 |session, fault| {
                     let mut spec = fault.spec;
                     spec.when = when;
-                    let mut counts = ModeCounts::default();
-                    let mut dormant = 0u64;
-                    for (i, input) in inputs.iter().enumerate() {
-                        let (mode, fired) =
-                            session.run(input, Some(&spec), seed.wrapping_add(i as u64));
-                        counts.add(mode);
-                        if !fired {
-                            dormant += 1;
-                        }
-                    }
-                    (counts, dormant)
+                    session.run_inputs(&inputs, &spec, |i| seed.wrapping_add(i as u64))
                 },
                 |_, _| {},
             );

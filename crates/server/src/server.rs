@@ -6,18 +6,22 @@
 //! a supervisor sends to tear the daemon down). At most
 //! [`MAX_CONCURRENT_CAMPAIGNS`] campaigns run at once: a submit over the
 //! cap gets an `error` event, and finished campaigns' threads are
-//! reaped before each submit is admitted. Shutdown is graceful: the
-//! loop stops accepting and joins every in-flight campaign before
-//! returning.
+//! reaped before each submit is admitted. A submit of a campaign that is
+//! already in flight gets an `error` event too: both would share the
+//! shard files named by [`crate::protocol::CampaignRequest::tag`], and
+//! one could read the other's half-written checkpoint. Shutdown is
+//! graceful: the loop stops accepting and joins every in-flight campaign
+//! before returning.
 //!
 //! The request line is read inline too, so it is bounded in time
 //! ([`REQUEST_TIMEOUT`] per read) and size ([`MAX_REQUEST_BYTES`]): a
 //! silent or endless peer gets an `error` event instead of stalling
 //! every later connection.
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -33,6 +37,7 @@ use crate::protocol::{parse_request, Event, Request};
 pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
     let cfg = Arc::new(cfg);
     let mut campaigns = Vec::new();
+    let in_flight: Arc<Mutex<HashSet<String>>> = Arc::default();
     for conn in listener.incoming() {
         let stream = conn.map_err(|e| format!("accept failed: {e}"))?;
         match read_request(&stream) {
@@ -58,6 +63,18 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
                     let _ = send(&stream, &Event::Error { message });
                     continue;
                 }
+                let tag = req.tag();
+                if !in_flight
+                    .lock()
+                    .expect("no thread panics holding the in-flight set")
+                    .insert(tag.clone())
+                {
+                    let message =
+                        format!("campaign `{tag}` is already in flight; resubmit when it finishes");
+                    let _ = send(&stream, &Event::Error { message });
+                    continue;
+                }
+                let claim = InFlight(Arc::clone(&in_flight), tag);
                 let cfg = Arc::clone(&cfg);
                 campaigns.push(std::thread::spawn(move || {
                     let mut dead = false;
@@ -69,7 +86,11 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
                             dead = true;
                         }
                     };
-                    match run_campaign(&req, &cfg, &mut emit) {
+                    let result = run_campaign(&req, &cfg, &mut emit);
+                    // Release the tag before the final event, so a client
+                    // that resubmits on `done` is never refused.
+                    drop(claim);
+                    match result {
                         Ok(()) => emit(Event::Done),
                         Err(message) => emit(Event::Error { message }),
                     }
@@ -81,6 +102,18 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
         let _ = handle.join();
     }
     Ok(())
+}
+
+/// A campaign tag held in the server's in-flight set until dropped, which
+/// also happens when its campaign thread panics.
+struct InFlight(Arc<Mutex<HashSet<String>>>, String);
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        if let Ok(mut tags) = self.0.lock() {
+            tags.remove(&self.1);
+        }
+    }
 }
 
 /// Most campaigns one server runs at once. Each campaign already fans

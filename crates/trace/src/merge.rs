@@ -131,4 +131,41 @@ mod tests {
         let err = parse_chrome_trace("[{\"ph\":\"i\",\"ts\":1,\"tid\":0}]").unwrap_err();
         assert!(err.contains("event 0"), "{err}");
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// A valid exported trace, truncated at any byte (edit kind 0),
+        /// byte-flipped (1) or with a line duplicated (2), parses to `Ok`
+        /// or `Err` and never panics.
+        #[test]
+        fn parse_survives_damaged_traces(
+            edits in proptest::collection::vec(
+                (0u8..3, proptest::prelude::any::<usize>(), 1u8..=255),
+                1..4,
+            ),
+        ) {
+            let mut events = merge_shard_events(&[shard_events(0), shard_events(9)]);
+            events[1].args.push(crate::event::arg_str("mode", "Crash \"x\"\n\u{e9}"));
+            let mut bytes = render_events(events).into_bytes();
+            for &(kind, at, mask) in &edits {
+                let len = bytes.len();
+                match kind {
+                    0 => bytes.truncate(at % (len + 1)),
+                    1 if len > 0 => bytes[at % len] ^= mask,
+                    2 if len > 0 => {
+                        let newline = |b: &u8| *b == b'\n';
+                        let start = bytes[..at % len].iter().rposition(newline);
+                        let start = start.map_or(0, |i| i + 1);
+                        let end = bytes[start..].iter().position(newline);
+                        let end = end.map_or(len, |i| start + i + 1);
+                        let line = bytes[start..end].to_vec();
+                        bytes.splice(end..end, line);
+                    }
+                    _ => {}
+                }
+            }
+            let _ = parse_chrome_trace(&String::from_utf8_lossy(&bytes));
+        }
+    }
 }

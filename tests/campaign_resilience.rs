@@ -3,8 +3,12 @@
 //! panic-to-`Abnormal` recovery. The seed-determinism report equality
 //! (`ProgramCampaign`/`Throughput` `PartialEq`) is the oracle throughout:
 //! a resumed campaign must be indistinguishable from an uninterrupted one.
+//! Class-campaign kill/resume and shard splits under every tier
+//! combination are also drawn by the tier-matrix oracle in
+//! `tests/fault_injection_properties.rs`.
 
-use std::io::Write;
+mod common;
+
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -15,6 +19,8 @@ use swifi_campaign::source::{source_campaign_with, SourceScale};
 use swifi_campaign::{CampaignOptions, Shard};
 use swifi_programs::program;
 use swifi_trace::{Telemetry, TelemetryConfig};
+
+use common::{temp_path, truncate_checkpoint};
 
 /// Campaign options with every telemetry pillar live (trace events,
 /// metrics registry, guest-PC profiler) plus a non-default watchdog poll
@@ -30,30 +36,6 @@ fn instrumented() -> CampaignOptions {
         watchdog_poll: Some(16),
         ..CampaignOptions::default()
     }
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "swifi-resilience-{tag}-{}-{n}.jsonl",
-        std::process::id()
-    ))
-}
-
-/// Keep the checkpoint header plus the first `keep` records, then append a
-/// torn partial line — the on-disk state a `kill -9` mid-append leaves.
-fn truncate_checkpoint(path: &PathBuf, keep: usize) {
-    let text = std::fs::read_to_string(path).unwrap();
-    let mut lines = text.lines();
-    let header = lines.next().unwrap().to_string();
-    let kept: Vec<&str> = lines.take(keep).collect();
-    let mut f = std::fs::File::create(path).unwrap();
-    writeln!(f, "{header}").unwrap();
-    for l in kept {
-        writeln!(f, "{l}").unwrap();
-    }
-    write!(f, "{{\"phase\":\"assign\",\"ind").unwrap();
 }
 
 #[test]

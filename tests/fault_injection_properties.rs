@@ -1,14 +1,25 @@
 //! Property-based integration tests: the injection machinery is total,
-//! deterministic, and faithful under arbitrary fault specifications.
+//! deterministic, and faithful under arbitrary fault specifications, and
+//! every execution tier matches the cold reference run.
+
+mod common;
+
+use std::path::Path;
 
 use proptest::prelude::*;
-use swifi_campaign::runner::{execute, FailureMode};
-use swifi_campaign::RunSession;
+use proptest::{collection, TestRng};
+use swifi_campaign::report::class_campaign_report;
+use swifi_campaign::runner::{execute, execute_cold, FailureMode};
+use swifi_campaign::section6::{class_campaign_with, CampaignScale, ProgramCampaign};
+use swifi_campaign::shard::{merge_checkpoints, merged_path, run_sharded, shard_paths};
+use swifi_campaign::{CampaignOptions, PrefixCache, RunSession, SessionStats, Shard};
 use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
 use swifi_core::injector::{Injector, TriggerMode};
-use swifi_lang::compile;
-use swifi_programs::{program, Family, TestInput};
+use swifi_lang::{compile, Program};
+use swifi_programs::{program, Family, TargetProgram, TestInput};
 use swifi_vm::machine::{Machine, MachineConfig};
+
+use common::{temp_path, truncate_checkpoint};
 
 fn arb_error_op() -> impl Strategy<Value = ErrorOp> {
     prop_oneof![
@@ -332,4 +343,301 @@ proptest! {
             .sum();
         prop_assert_eq!(set.check_faults.len(), expected);
     }
+}
+
+/// The fetch pipeline a drawn session runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Blocks,
+    Line,
+    Reference,
+}
+
+/// How the drawn campaign reaches its report: directly; killed with
+/// `keep % (records + 1)` records and a torn line on disk, then resumed;
+/// or in `count` shards, losing shard `lose % count` and tearing the next
+/// one after its first record before the merge.
+#[derive(Debug, Clone, Copy)]
+enum Split {
+    Direct,
+    Resume { keep: usize },
+    Shards { count: u64, lose: Option<u64> },
+}
+
+/// One draw: a program (SOR is the multi-core one), a seed, 1–3 inputs,
+/// a tier configuration, a run schedule of `(fault, input index, run
+/// seed)` and a campaign split.
+#[derive(Debug, Clone)]
+struct Case {
+    program: &'static str,
+    seed: u64,
+    inputs: usize,
+    tier: Tier,
+    fork: bool,
+    schedule: Vec<(Option<FaultSpec>, usize, u64)>,
+    split: Split,
+}
+
+prop_compose! {
+    /// A fault whose trigger address is a placeholder for [`placed`].
+    /// `Nth(1..=6)` is drawn half the time: occurrences that land before,
+    /// on and past the fork boundary of a trigger inside a loop.
+    fn arb_fault()(
+        what in arb_error_op(),
+        target in arb_target(),
+        at in any::<u32>(),
+        when in prop_oneof![arb_firing(), (1u64..=6).prop_map(Firing::Nth)],
+    ) -> FaultSpec {
+        FaultSpec { what, target, trigger: Trigger::OpcodeFetch(at), when }
+    }
+}
+
+prop_compose! {
+    /// 3–6 runs: a clean run first, which warms every cache, then at
+    /// drawn positions 0–3 drawn faults, one `InstrMemory` fault and one
+    /// code patch. `InstrMemory` corrupts fetches; the patch is a
+    /// `Target::Memory` fault on a code word, which the injector pokes
+    /// before the run, so a stale line or block would replay the old word.
+    fn arb_case()(
+        program in prop_oneof![Just("JB.team6"), Just("JB.team11"), Just("SOR")],
+        seed in any::<u64>(),
+        inputs in 1usize..=3,
+        tier in prop_oneof![Just(Tier::Blocks), Just(Tier::Line), Just(Tier::Reference)],
+        fork in any::<bool>(),
+        faults in collection::vec(arb_fault(), 0..=3),
+        resident in arb_fault(),
+        patch in arb_fault(),
+        at in (any::<usize>(), any::<usize>()),
+        runs in collection::vec((any::<usize>(), any::<u64>()), 6),
+        split in prop_oneof![
+            Just(Split::Direct),
+            any::<usize>().prop_map(|keep| Split::Resume { keep }),
+            (2u64..=5, prop_oneof![Just(None), any::<u64>().prop_map(Some)])
+                .prop_map(|(count, lose)| Split::Shards { count, lose }),
+        ],
+    ) -> Case {
+        let mut faults: Vec<Option<FaultSpec>> = faults.into_iter().map(Some).collect();
+        let resident = FaultSpec { target: Target::InstrMemory, ..resident };
+        faults.insert(at.0 % (faults.len() + 1), Some(resident));
+        let patch = FaultSpec { target: Target::Memory(0), ..patch };
+        faults.insert(at.1 % (faults.len() + 1), Some(patch));
+        faults.insert(0, None);
+        let schedule = faults.into_iter().zip(runs).map(|(f, (i, s))| (f, i, s)).collect();
+        Case { program, seed, inputs, tier, fork, schedule, split }
+    }
+}
+
+/// Put a drawn fault into `program`: an even placeholder picks a
+/// statement start (code most inputs run), an odd one any code word. A
+/// `Target::Memory` fault patches the word it triggers on.
+fn placed(spec: FaultSpec, program: &Program) -> FaultSpec {
+    let (lines, words) = (&program.debug.line_map, program.image.code.len());
+    let addr = match spec.trigger {
+        Trigger::OpcodeFetch(n) if n % 2 == 0 => lines[n as usize / 2 % lines.len()].0,
+        Trigger::OpcodeFetch(n) => swifi_vm::CODE_BASE + (n as usize / 2 % words) as u32 * 4,
+        other => unreachable!("drawn faults trigger on a fetch, not {other:?}"),
+    };
+    let mut placed = FaultSpec {
+        trigger: Trigger::OpcodeFetch(addr),
+        ..spec
+    };
+    if let Target::Memory(patched) = &mut placed.target {
+        *patched = addr;
+    }
+    placed
+}
+
+/// The tier-matrix oracle. Every fast path (warm reboot, line cache,
+/// blocks, prefix fork, resume, sharding) must give the answer of the
+/// paper's one fault per freshly rebooted run. Each draw is checked twice:
+/// its runs against [`execute_cold`], and its campaign against the
+/// all-off campaign run directly. The case loop is written out so the
+/// tiers' own counters can be asserted over the whole case set: an oracle
+/// whose fork never forked or whose blocks never ran proves nothing.
+#[test]
+fn every_tier_combination_matches_the_cold_reference() {
+    let cases = ProptestConfig::with_cases(20).resolved_cases();
+    let mut rng = TestRng::deterministic("every_tier_combination_matches_the_cold_reference");
+    let (mut forked, mut block_instrs, mut decode_lines) = (0, 0, 0);
+    for i in 0..cases {
+        proptest::set_current_case(u64::from(i));
+        let case = arb_case().sample(&mut rng);
+        let target = program(case.program).unwrap();
+        let compiled = compile(target.source_correct).unwrap();
+        let stats = check_runs(&case, &compiled, target.family);
+        forked += u64::from(case.fork) * (stats.prefix_fork_hits + stats.prefix_snapshots_built);
+        block_instrs += stats.block_instrs;
+        decode_lines += u64::from(case.tier == Tier::Line) * stats.decode_lines_built;
+        check_campaign(&case, &target);
+    }
+    assert!(forked > 0 && block_instrs > 0 && decode_lines > 0);
+}
+
+/// Two warm sessions on the drawn tier, sharing one [`PrefixCache`] when
+/// fork is on (the way pool workers do), run every scheduled entry in
+/// turn: capture pass, then fork pass. Each run must equal the cold
+/// reference in failure mode, fired flag and retired instructions.
+/// Returns both sessions' counters summed.
+fn check_runs(case: &Case, compiled: &Program, family: Family) -> SessionStats {
+    // The class campaign's own test case, so both levels run the same inputs.
+    let inputs = family.test_case(case.inputs, case.seed ^ 0x5EED);
+    let cache = case.fork.then(PrefixCache::shared);
+    let mut sessions = [(); 2].map(|()| {
+        let mut s = RunSession::new(compiled, family);
+        s.set_block_cache(case.tier == Tier::Blocks);
+        s.set_reference_interp(case.tier == Tier::Reference);
+        s.set_prefix_cache(cache.clone());
+        s
+    });
+    for (i, &(fault, input, seed)) in case.schedule.iter().enumerate() {
+        let spec = fault.map(|f| placed(f, compiled));
+        let input = &inputs[input % inputs.len()];
+        let want = execute_cold(compiled, family, input, spec.as_ref(), seed);
+        for (pass, s) in ["capture", "fork"].into_iter().zip(&mut sessions) {
+            let before = s.stats();
+            let (mode, fired) = s.run(input, spec.as_ref(), seed);
+            let what = format!("run {i} ({pass} pass) of {spec:?}: {}", label(case));
+            assert_eq!((mode, fired, s.last_retired()), want, "{what}");
+            // The reference tier fetches each instruction it retires on the
+            // slow path; only a crash (one fetched, never retired) or a hang
+            // (deadlocked cores burn budget) may differ.
+            let (after, ended) = (
+                s.stats(),
+                matches!(mode, FailureMode::Crash | FailureMode::Hang),
+            );
+            let fetched = after.slow_fetches - before.slow_fetches;
+            let retired = after.retired_instrs - before.retired_instrs;
+            assert!(
+                case.tier != Tier::Reference || ended || fetched == retired,
+                "{what}"
+            );
+        }
+    }
+    let mut stats = SessionStats::default();
+    sessions.iter().for_each(|s| stats.merge(&s.stats()));
+    let blocks = stats.blocks_built + stats.block_instrs;
+    assert!(case.tier == Tier::Blocks || blocks == 0, "{}", label(case));
+    assert!(
+        case.tier != Tier::Reference || stats.decode_lines_built == 0,
+        "{}",
+        label(case)
+    );
+    stats
+}
+
+/// The drawn flags, killed and resumed or sharded as drawn, must fold to
+/// the report and checkpoint records of the all-off campaign run directly.
+fn check_campaign(case: &Case, target: &TargetProgram) {
+    let scale = CampaignScale {
+        inputs_per_fault: case.inputs,
+    };
+    let run = |opts: &CampaignOptions| class_campaign_with(target, scale, case.seed, opts).unwrap();
+    let dir = temp_path("oracle").with_extension("d");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (reference, merged, label) = (
+        dir.join("reference.jsonl"),
+        merged_path(&dir, "oracle"),
+        label(case),
+    );
+    let want = run(&CampaignOptions {
+        no_prefix_fork: true,
+        no_block_cache: true,
+        ..CampaignOptions::with_checkpoint(&reference, false)
+    });
+    let drawn = CampaignOptions {
+        no_prefix_fork: !case.fork,
+        no_block_cache: case.tier != Tier::Blocks,
+        ..CampaignOptions::default()
+    };
+    let logged = |path: &Path, resume: bool| CampaignOptions {
+        checkpoint: Some(path.to_path_buf()),
+        resume,
+        ..drawn.clone()
+    };
+    let (got, log) = match case.split {
+        Split::Direct => {
+            let log = dir.join("direct.jsonl");
+            (run(&logged(&log, false)), log)
+        }
+        Split::Resume { keep } => {
+            let log = dir.join("resume.jsonl");
+            assert_same_campaign(&run(&logged(&log, false)), &want, &label);
+            truncate_checkpoint(&log, keep % (records(&log).len() + 1));
+            (run(&logged(&log, true)), log)
+        }
+        Split::Shards { count, lose: None } => {
+            let (got, summary) =
+                run_sharded(&drawn, count, &dir, "oracle", |o| Ok(run(o))).unwrap();
+            assert!(
+                summary.shards_missing + summary.duplicates == 0,
+                "{summary:?} {label}"
+            );
+            (got, merged)
+        }
+        Split::Shards {
+            count,
+            lose: Some(lost),
+        } => {
+            // A worker killed before its first record leaves no shard
+            // file, one killed mid-append a torn tail; the final resume
+            // pass re-executes their items.
+            let paths = shard_paths(&dir, "oracle", count);
+            for (k, path) in paths.iter().enumerate() {
+                let shard = Some(Shard::new(k as u64, count).unwrap());
+                run(&CampaignOptions {
+                    shard,
+                    ..logged(path, false)
+                });
+            }
+            std::fs::remove_file(&paths[(lost % count) as usize]).unwrap();
+            truncate_checkpoint(&paths[((lost + 1) % count) as usize], 1);
+            let s = merge_checkpoints(&paths, &merged).unwrap();
+            let counts = (s.shards_missing, s.shards_read, s.duplicates);
+            assert_eq!(counts, (1, count as usize - 1, 0), "{label}");
+            (run(&logged(&merged, true)), merged)
+        }
+    };
+    assert_same_campaign(&got, &want, &label);
+    assert_eq!(
+        records(&log),
+        records(&reference),
+        "record streams differ: {label}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The failing draw, for assertion messages.
+fn label(case: &Case) -> String {
+    format!("case {} {case:?}", proptest::current_case())
+}
+
+/// Campaign equality: `PartialEq`, and the report text byte for byte
+/// once the wall-clock and cache-effectiveness lines are dropped.
+fn assert_same_campaign(got: &ProgramCampaign, want: &ProgramCampaign, label: &str) {
+    assert_eq!(got, want, "{label}");
+    let stable = |c: &ProgramCampaign| {
+        let report = class_campaign_report(c);
+        let volatile = ["throughput", "icache", "blocks", "prefix-fork", "phases"];
+        let kept = report
+            .lines()
+            .filter(|l| !volatile.contains(&l.split(':').next().unwrap()));
+        kept.collect::<Vec<_>>().join("\n")
+    };
+    assert_eq!(stable(got), stable(want), "{label}");
+}
+
+/// A checkpoint's records, sorted, each without its wall-clock
+/// `elapsed_micros`.
+fn records(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let strip = |line: &str| match serde_json::from_str(line).unwrap() {
+        serde::Value::Object(fields) => {
+            let kept = fields.into_iter().filter(|(k, _)| k != "elapsed_micros");
+            serde_json::to_string(&serde::Value::Object(kept.collect())).unwrap()
+        }
+        other => panic!("checkpoint record is not an object: {other:?}"),
+    };
+    let mut out: Vec<String> = text.lines().skip(1).map(strip).collect();
+    out.sort();
+    out
 }
