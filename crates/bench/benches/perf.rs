@@ -28,7 +28,9 @@ use std::time::Instant;
 
 use serde::Serialize;
 use swifi_campaign::section6::chosen_locations;
-use swifi_campaign::{execute_cold, FailureMode, PrefixCache, RunSession, SessionStats};
+use swifi_campaign::{
+    execute_cold, watch_pcs_of, FailureMode, PrefixCache, RunSession, SessionStats,
+};
 use swifi_core::fault::FaultSpec;
 use swifi_core::locations::generate_error_set;
 use swifi_lang::{compile, Program};
@@ -184,7 +186,11 @@ fn run_cell(rung: Rung, s: &Schedule) -> Sample {
         Rung::WarmReference => session.set_reference_interp(true),
         Rung::Line => session.set_block_cache(false),
         Rung::Default | Rung::DefaultTelemetry => {
-            session.set_prefix_cache(Some(PrefixCache::shared()));
+            // The watch list `swifi campaign` gives its cache: golden
+            // passes on.
+            let cache = PrefixCache::shared();
+            cache.set_watch_pcs(watch_pcs_of(s.faults.iter().map(|(spec, _)| spec)));
+            session.set_prefix_cache(Some(cache));
         }
         Rung::ColdReference | Rung::Blocks => {}
     }

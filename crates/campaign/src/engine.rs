@@ -316,6 +316,11 @@ impl CheckpointLog {
             .map_err(|e| format!("cannot append to checkpoint `{}`: {e}", self.path.display()))
     }
 
+    /// Whether a record for `(phase, index)` was loaded from disk.
+    pub fn has(&self, phase: &str, index: u64) -> bool {
+        self.loaded.contains_key(&(phase.to_string(), index))
+    }
+
     /// The record for `(phase, index)` loaded from disk, if any.
     pub fn recorded<R: Deserialize>(
         &self,
@@ -503,6 +508,19 @@ impl CampaignEngine {
         std::mem::take(&mut self.phase_times)
     }
 
+    /// Indices of a phase's `items` that [`CampaignEngine::run_phase`]
+    /// will execute in this process: its shard's slice, minus the items
+    /// the checkpoint already records.
+    pub fn executes(&self, phase: &str, items: usize) -> Vec<usize> {
+        let mine = self.shard.map_or(0..items, |s| s.range(items));
+        mine.filter(|&i| {
+            self.log
+                .as_ref()
+                .is_none_or(|log| !log.has(phase, i as u64))
+        })
+        .collect()
+    }
+
     /// Run one phase: every item either replays from the checkpoint or is
     /// executed on the resilient pool, recorded, and appended.
     ///
@@ -532,24 +550,19 @@ impl CampaignEngine {
         let span_start = self.telemetry.as_deref().map(Telemetry::now_us);
         let (chaos, base) = (self.chaos_panic, self.chaos_base);
         self.chaos_base += items.len() as u64;
-        // In shard mode only this shard's contiguous slice executes;
-        // recorded items replay regardless (a merged checkpoint may carry
-        // records from every shard, and replay is what makes the final
-        // resume pass reproduce the whole campaign).
-        let mine = self.shard.map_or(0..items.len(), |s| s.range(items.len()));
+        // Recorded items replay whatever the shard (a merged checkpoint
+        // may carry records from every shard, and replay is what makes the
+        // final resume pass reproduce the whole campaign); another shard's
+        // unrecorded items are neither run nor recorded.
         let mut records: Vec<Option<RunRecord<R>>> = (0..items.len()).map(|_| None).collect();
-        let mut pending: Vec<(usize, &T)> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            let recorded = match &self.log {
-                Some(log) => log.recorded::<R>(phase, i as u64)?,
-                None => None,
-            };
-            match recorded {
-                Some(rec) => records[i] = Some(rec),
-                None if mine.contains(&i) => pending.push((i, item)),
-                None => {} // another shard's item: neither run nor recorded
+        if let Some(log) = &self.log {
+            for (i, record) in records.iter_mut().enumerate() {
+                *record = log.recorded::<R>(phase, i as u64)?;
             }
         }
+        let pending: Vec<(usize, &T)> = (self.executes(phase, items.len()).into_iter())
+            .map(|i| (i, &items[i]))
+            .collect();
 
         if pending.is_empty() {
             let records = records.into_iter().flatten().collect();
@@ -796,6 +809,11 @@ mod tests {
         let opts = CampaignOptions::with_checkpoint(&path, true);
         let mut engine = CampaignEngine::new(header, &opts).unwrap();
         assert_eq!(engine.resumed_records(), 4);
+        assert_eq!(
+            engine.executes("p", items.len()),
+            (4..10).collect::<Vec<_>>()
+        );
+        assert_eq!(engine.executes("q", 2), [0, 1], "records are per phase");
         let executed = std::sync::atomic::AtomicU64::new(0);
         let (records, _) = engine
             .run_phase(
@@ -848,6 +866,7 @@ mod tests {
             ..CampaignOptions::default()
         };
         let mut engine = CampaignEngine::new(CheckpointHeader::new("s", 1, 1), &opts).unwrap();
+        assert_eq!(engine.executes("p", items.len()), [3, 4, 5]);
         let (records, _) = engine
             .run_phase(
                 "p",

@@ -5,23 +5,27 @@
 //! inject, run to the end), so a [`RunPlan`] only chooses *how* a run is
 //! answered, never *what* it answers:
 //!
+//! - **[`RunPlan::GoldenPass`]** — this run is the first to need an input
+//!   of a campaign with a watch list: make the input's golden pass first
+//!   (one clean run pausing at the first arrival of every watched trigger
+//!   PC, storing rungs), then plan again.
 //! - **[`RunPlan::NeverArrives`]** — the golden (clean) run reaches the
 //!   trigger fewer times than the fault's firing occurrence requires, so
 //!   the fault never fires and the session reports the golden outcome
-//!   without executing ([`never_arrives`]). The trigger totals come from
-//!   capture runs that finished without reaching the trigger: such a run
-//!   *is* the golden run, and it counted every arrival on the way.
-//! - **[`RunPlan::Fork`]** — a cached prefix snapshot at the trigger
-//!   occurrence exists: restore it and execute only the suffix.
-//! - **[`RunPlan::Capture`]** — no snapshot yet: run the clean prefix to
-//!   the trigger, snapshot it if [`worth_forking`] says the prefix is
-//!   deep enough, and continue as the injected run.
+//!   without executing ([`never_arrives`]).
+//! - **[`RunPlan::Fork`]** — a rung at the trigger occurrence exists:
+//!   restore it and execute only the suffix.
+//! - **[`RunPlan::Capture`]** — no rung yet: run the clean prefix to the
+//!   trigger, store a rung if [`worth_forking`] says it pays, and
+//!   continue as the injected run.
 //! - **[`RunPlan::Full`]** — execute the whole run from the warm
 //!   snapshot.
 //!
-//! The planner needs no instrumented run of its own: every verdict is
-//! read from evidence an ordinary run already left in the
-//! [`crate::prefix::PrefixCache`].
+//! The evidence comes from runs the campaign makes anyway, kept in the
+//! [`crate::prefix::PrefixCache`]: golden passes record the golden
+//! outcome, a zero trigger total for every watched PC they never reach
+//! and the rungs; capture runs that finish without reaching their
+//! trigger are golden runs too and record the same memos.
 
 use std::sync::Arc;
 
@@ -30,14 +34,16 @@ use swifi_vm::ForkSnapshot;
 /// How the session executes one injected run.
 #[derive(Debug, Clone)]
 pub enum RunPlan {
+    /// Make the input's golden pass, then plan the run again.
+    GoldenPass,
     /// Report the golden run's outcome and retired count without
     /// executing: the trigger occurrence the fault waits for never
     /// arrives, so the fault never fires.
     NeverArrives,
-    /// Restore this prefix snapshot, paused just before the trigger
-    /// occurrence, and execute only the suffix.
+    /// Restore this rung, paused just before the trigger occurrence, and
+    /// execute only the suffix.
     Fork(Arc<ForkSnapshot>),
-    /// Run the clean prefix to the trigger occurrence, snapshot it when
+    /// Run the clean prefix to the trigger occurrence, store a rung when
     /// [`worth_forking`] allows, and continue in place as the injected
     /// run.
     Capture,
@@ -45,28 +51,38 @@ pub enum RunPlan {
     Full,
 }
 
-/// Minimum retire depth of the fork occurrence for forking to pay:
-/// restoring a snapshot is not free, so shorter prefixes are re-executed.
-const MIN_FORK_DEPTH: u64 = 64;
+// What storing and restoring a rung costs, in guest instructions the
+// block interpreter retires in the same time. Measured once on a 2-vCPU
+// x86-64 host over the seed-7 first-arrival rungs of JB.team6, JB.team11,
+// C.team10 and C.team1, where the block interpreter retires an
+// instruction in 3.5–5.5 ns.
 
-/// A prefix must cover at least `1 / SHALLOW_DENOM` of the golden run to
-/// be forked. A quarter splits the measured field cleanly: JB.team11's
-/// regressing triggers sit at ~4% depth, the profitable JB.team6 /
-/// C.team10 prefixes at ~28% / ~49%.
-const SHALLOW_DENOM: u64 = 4;
+/// Capturing one page into a rung: 120–420 ns, or 20–50 instructions.
+const CAPTURE_PAGE: u64 = 48;
+/// Restoring one page of a rung: 100–200 ns per rung of 1–2 data pages,
+/// or 20–45 instructions a page.
+const RESTORE_PAGE: u64 = 32;
+/// Restoring a page that overlaps the code costs 1.1–1.3 µs more (250–300
+/// instructions): the restore compares it word by word to keep decoded
+/// lines and blocks coherent.
+const RESTORE_CODE_PAGE: u64 = 256;
+/// A restore's fixed work (cores, input tape, output; an empty warm
+/// restore takes 47–58 ns).
+const RESTORE_FIXED: u64 = 16;
 
-/// The fork-depth gate: whether a prefix of `depth` retired instructions
-/// is worth a snapshot, given the golden run's length when known.
+/// The cost rule: whether a rung `depth` retired instructions deep pays
+/// for itself over `uses` forks. It holds `pages` memory pages, of which
+/// `code_pages` overlap the code region.
 ///
-/// Forking saves the prefix's instructions but pays a
-/// [`swifi_vm::Machine::restore_fork`] (dirty-page copies) on every hit,
-/// so a shallow trigger saves almost nothing and still pays full price.
-/// A capture run applies the gate to its paused depth. Without a known
-/// golden length the fraction is unknowable and only the absolute floor
-/// applies.
-pub fn worth_forking(depth: u64, golden_retired: Option<u64>) -> bool {
-    depth >= MIN_FORK_DEPTH
-        && golden_retired.is_none_or(|g| depth.saturating_mul(SHALLOW_DENOM) >= g)
+/// Each fork saves the prefix's `depth` instructions. The rung costs one
+/// capture of its pages, and every fork restores them again. The rule is
+/// absolute: how long the rest of the run is plays no part. A rung no run
+/// will use never pays.
+pub fn worth_forking(depth: u64, pages: usize, code_pages: usize, uses: u32) -> bool {
+    let (pages, code_pages, uses) = (pages as u64, code_pages as u64, u64::from(uses));
+    let capture = CAPTURE_PAGE * pages;
+    let restore = RESTORE_FIXED + RESTORE_PAGE * pages + RESTORE_CODE_PAGE * code_pages;
+    depth.saturating_mul(uses) > capture + uses * restore
 }
 
 /// The never-arrives verdict: a fault waiting for trigger occurrence
@@ -94,16 +110,24 @@ mod tests {
 
     #[test]
     fn depth_gate_uses_measured_occurrence_depth() {
-        // Deep enough in both senses → fork.
-        assert!(worth_forking(900, Some(1000)));
-        assert!(worth_forking(250, Some(1000)));
-        // Shallow (fails the quarter-depth fraction) → no snapshot.
-        assert!(!worth_forking(100, Some(1000)));
-        // Deep fraction but tiny absolute depth (MIN_FORK_DEPTH).
-        assert!(!worth_forking(30, Some(40)));
-        // A capture run without a known golden length keeps only the
-        // absolute floor.
-        assert!(worth_forking(900, None));
-        assert!(!worth_forking(30, None));
+        // C.team10's deep rungs (8.6M instructions, 6 pages, one over the
+        // code) pay at one use, and so does its 1,690-instruction prefix
+        // over 3 pages.
+        assert!(worth_forking(8_604_304, 6, 1, 1));
+        assert!(worth_forking(1_690, 3, 1, 1));
+        // Its 65-instruction prefix over 2 data pages never pays.
+        assert!(!worth_forking(65, 2, 0, 4));
+        assert!(!worth_forking(65, 2, 0, 1_000));
+        // A JB.team11 prefix (259 instructions, 2 pages, one over the
+        // code) does not pay even for its site's four error types; a
+        // JB.team6 one (223 instructions, one data page) pays at one use.
+        assert!(!worth_forking(259, 2, 1, 4));
+        assert!(worth_forking(223, 1, 0, 1));
+        // Uses decide between the two sides: the capture is paid once.
+        assert!(!worth_forking(120, 2, 0, 1));
+        assert!(worth_forking(120, 2, 0, 4));
+        // No use never pays, however deep.
+        assert!(!worth_forking(8_604_304, 6, 1, 0));
+        assert!(!worth_forking(5, 0, 0, 0));
     }
 }

@@ -112,7 +112,8 @@ pub fn decode_cache_line(tp: &Throughput) -> String {
 
 /// One-line summary of the prefix-fork cache, e.g.
 /// `prefix-fork: 40 snapshots, 3960 fork hits, 120 dormant short-circuits,
-/// 6 golden hits, 12.3M instrs skipped (57.4% of total)`.
+/// 6 golden hits, 3 golden passes, 1.2 MiB peak retained, 12.3M instrs
+/// skipped (57.4% of total)`.
 pub fn prefix_fork_line(tp: &Throughput) -> String {
     let total = tp.retired_instrs + tp.prefix_instrs_skipped;
     let skipped_pct = if total > 0 {
@@ -121,11 +122,13 @@ pub fn prefix_fork_line(tp: &Throughput) -> String {
         0.0
     };
     format!(
-        "prefix-fork: {} snapshots, {} fork hits, {} dormant short-circuits, {} golden hits, {:.1}M instrs skipped ({:.1}% of total)",
+        "prefix-fork: {} snapshots, {} fork hits, {} dormant short-circuits, {} golden hits, {} golden passes, {:.1} MiB peak retained, {:.1}M instrs skipped ({:.1}% of total)",
         tp.prefix_snapshots_built,
         tp.prefix_fork_hits,
         tp.prefix_dormant_short_circuits,
         tp.prefix_golden_hits,
+        tp.prefix_golden_passes,
+        tp.prefix_peak_bytes as f64 / f64::from(1 << 20),
         tp.prefix_instrs_skipped as f64 / 1e6,
         skipped_pct,
     )
@@ -362,9 +365,13 @@ mod tests {
             prefix_instrs_skipped: 3_000_000,
             prefix_dormant_short_circuits: 120,
             prefix_golden_hits: 6,
+            prefix_golden_passes: 3,
+            prefix_peak_bytes: 3 << 19,
             ..Throughput::default()
         };
         let line = prefix_fork_line(&tp);
+        assert!(line.contains("3 golden passes"), "{line}");
+        assert!(line.contains("1.5 MiB peak retained"), "{line}");
         assert!(line.contains("40 snapshots"), "{line}");
         assert!(line.contains("3960 fork hits"), "{line}");
         assert!(line.contains("120 dormant short-circuits"), "{line}");

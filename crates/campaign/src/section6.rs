@@ -22,7 +22,7 @@ use swifi_trace::{Telemetry, TraceEvent, ENGINE_TID};
 use crate::engine::{
     split_records, AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, PhaseTime,
 };
-use crate::prefix::PrefixCache;
+use crate::prefix::{watch_pcs_of, PrefixCache};
 use crate::runner::ModeCounts;
 use crate::session::{RunSession, Throughput};
 
@@ -194,8 +194,17 @@ pub fn class_campaign_with(
     let mut sessions: Vec<RunSession> = Vec::new();
     // One prefix-fork cache per compiled program, shared by every worker
     // session of both phases: all runs of the campaign share the same
-    // input set, so each (input, trigger) golden prefix is paid for once.
+    // input set, so each input's golden pass is paid for once. It watches
+    // the triggers of the faults this process will execute.
     let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
+    if let Some(cache) = &prefix {
+        let phases = [("assign", &assign_faults), ("check", &check_faults)];
+        let executed = phases.iter().flat_map(|(phase, faults)| {
+            let pending = engine.executes(phase, faults.len());
+            pending.into_iter().map(|i| &faults[i].spec)
+        });
+        cache.set_watch_pcs(watch_pcs_of(executed));
+    }
 
     // One work item per fault: runs the whole shared test case. Each
     // worker thread owns a warm-reboot session reused across all the

@@ -36,7 +36,7 @@ use swifi_trace::event::{arg_str, arg_u64};
 use swifi_trace::metrics::names as metric_names;
 use swifi_trace::{ProfiledInspector, WorkerTelemetry};
 use swifi_vm::inspect::Inspector;
-use swifi_vm::machine::{FetchStop, Machine, MachineSnapshot, RunOutcome};
+use swifi_vm::machine::{FetchStop, FetchWatch, Machine, MachineSnapshot, RunOutcome};
 use swifi_vm::Noop;
 
 use crate::plan::{self, RunPlan};
@@ -68,7 +68,8 @@ pub struct SessionStats {
     /// Instructions that took the slow fetch→`on_fetch`→decode path
     /// (armed PCs, reference mode, PCs outside the cached code region).
     pub slow_fetches: u64,
-    /// Golden prefixes captured (paused runs snapshotted) by this session.
+    /// Rungs (fork snapshots) this session stored, at golden-pass pauses
+    /// and in capture runs.
     pub prefix_snapshots_built: u64,
     /// Injected runs resumed from a cached prefix snapshot.
     pub prefix_fork_hits: u64,
@@ -83,6 +84,9 @@ pub struct SessionStats {
     pub prefix_dormant_short_circuits: u64,
     /// Clean runs answered from the memoized golden run.
     pub prefix_golden_hits: u64,
+    /// Golden passes made: clean runs pausing at the first arrival of
+    /// every watched trigger PC to store rungs.
+    pub prefix_golden_passes: u64,
     /// Basic blocks translated by this session's machine.
     pub blocks_built: u64,
     /// Dispatches answered by executing a whole translated block.
@@ -123,6 +127,7 @@ impl SessionStats {
         self.prefix_instrs_skipped += other.prefix_instrs_skipped;
         self.prefix_dormant_short_circuits += other.prefix_dormant_short_circuits;
         self.prefix_golden_hits += other.prefix_golden_hits;
+        self.prefix_golden_passes += other.prefix_golden_passes;
         self.blocks_built += other.blocks_built;
         self.block_hits += other.block_hits;
         self.block_instrs += other.block_instrs;
@@ -160,7 +165,7 @@ pub struct Throughput {
     pub decode_invalidations: u64,
     /// Instructions executed via the slow fetch path across all sessions.
     pub slow_fetches: u64,
-    /// Golden prefixes captured across all sessions.
+    /// Rungs stored across all sessions.
     pub prefix_snapshots_built: u64,
     /// Injected runs resumed from a cached prefix snapshot.
     pub prefix_fork_hits: u64,
@@ -171,6 +176,10 @@ pub struct Throughput {
     pub prefix_dormant_short_circuits: u64,
     /// Clean runs answered from the memoized golden run.
     pub prefix_golden_hits: u64,
+    /// Golden passes made across all sessions.
+    pub prefix_golden_passes: u64,
+    /// The most bytes the prefix cache held at once (rungs and memos).
+    pub prefix_peak_bytes: u64,
     /// Basic blocks translated across all sessions.
     pub blocks_built: u64,
     /// Dispatches answered by executing a whole translated block.
@@ -229,6 +238,13 @@ impl Throughput {
             prefix_instrs_skipped: stats.prefix_instrs_skipped,
             prefix_dormant_short_circuits: stats.prefix_dormant_short_circuits,
             prefix_golden_hits: stats.prefix_golden_hits,
+            prefix_golden_passes: stats.prefix_golden_passes,
+            prefix_peak_bytes: sessions
+                .iter()
+                .filter_map(|s| s.prefix.as_ref())
+                .map(|cache| cache.peak_bytes() as u64)
+                .max()
+                .unwrap_or(0),
             blocks_built: stats.blocks_built,
             block_hits: stats.block_hits,
             block_instrs: stats.block_instrs,
@@ -273,6 +289,8 @@ impl Throughput {
         self.prefix_instrs_skipped += other.prefix_instrs_skipped;
         self.prefix_dormant_short_circuits += other.prefix_dormant_short_circuits;
         self.prefix_golden_hits += other.prefix_golden_hits;
+        self.prefix_golden_passes += other.prefix_golden_passes;
+        self.prefix_peak_bytes = self.prefix_peak_bytes.max(other.prefix_peak_bytes);
         self.blocks_built += other.blocks_built;
         self.block_hits += other.block_hits;
         self.block_instrs += other.block_instrs;
@@ -485,22 +503,22 @@ impl RunSession {
         }
     }
 
-    /// [`Machine::run_to_fetch`] with the same optional profiling wrap
-    /// as [`RunSession::machine_run`] (prefix capture runs execute real
-    /// guest instructions and should show up in profiles too).
-    fn machine_run_to_fetch(
+    /// [`Machine::run_to_watch`] with the same optional profiling wrap
+    /// as [`RunSession::machine_run`] (golden passes and capture runs
+    /// execute real guest instructions and should show up in profiles
+    /// too).
+    fn machine_run_to_watch(
         machine: &mut Machine,
         telemetry: &mut Option<WorkerTelemetry>,
-        pc: u32,
-        occ: u64,
-    ) -> (FetchStop, u64) {
+        watch: &mut FetchWatch,
+    ) -> FetchStop {
         match telemetry {
             Some(t) if t.profile_enabled() => {
                 let (hist, every) = t.profiler();
                 let mut noop = Noop;
-                machine.run_to_fetch(pc, occ, &mut ProfiledInspector::new(&mut noop, hist, every))
+                machine.run_to_watch(watch, &mut ProfiledInspector::new(&mut noop, hist, every))
             }
-            _ => machine.run_to_fetch(pc, occ, &mut Noop),
+            _ => machine.run_to_watch(watch, &mut Noop),
         }
     }
 
@@ -559,9 +577,17 @@ impl RunSession {
     }
 
     /// One fault-free run, answered from the shared golden memo when the
-    /// prefix cache already holds this input's fault-free run.
+    /// prefix cache already holds this input's fault-free run. The first
+    /// clean run of an input in a campaign with a watch list is its golden
+    /// pass.
     pub fn run_clean(&mut self, input: &TestInput) -> RunOutcome {
-        if let Some(cache) = &self.prefix {
+        if let Some(cache) = self.prefix.clone() {
+            if self.machine.num_cores() == 1 && cache.claim_pass(input) {
+                let (outcome, retired) = self.golden_pass(input, &cache);
+                self.stats.runs += 1;
+                self.last_retired = retired;
+                return outcome;
+            }
             if let Some(golden) = cache.golden(input) {
                 self.stats.runs += 1;
                 self.stats.prefix_golden_hits += 1;
@@ -581,16 +607,73 @@ impl RunSession {
         self.last_retired = retired;
         if let Some(cache) = &self.prefix {
             if self.golden_memoizable(&outcome) {
-                cache.record_golden(
-                    input,
-                    GoldenRun {
-                        outcome: outcome.clone(),
-                        retired,
-                    },
-                );
+                let outcome = outcome.clone();
+                cache.record_golden(input, GoldenRun { outcome, retired }, []);
             }
         }
         outcome
+    }
+
+    /// The golden pass for `input`: one clean run that pauses at the first
+    /// arrival of every watched trigger PC and stores a rung wherever
+    /// [`plan::worth_forking`] says it pays, then records the golden run
+    /// and a zero trigger total for every watched PC it never reached.
+    /// Returns the run's outcome and retired count.
+    fn golden_pass(&mut self, input: &TestInput, cache: &PrefixCache) -> (RunOutcome, u64) {
+        let span_start = self.telemetry.as_ref().map(WorkerTelemetry::now_us);
+        let watched = cache.watched();
+        let mut watch = FetchWatch::new(watched.iter().map(|&(pc, _)| pc), 1);
+        let (mut pauses, mut rungs) = (0, 0);
+        self.begin(input);
+        let outcome = loop {
+            match Self::machine_run_to_watch(&mut self.machine, &mut self.telemetry, &mut watch) {
+                FetchStop::Finished(outcome) => break outcome,
+                FetchStop::Hit(pc) => {
+                    pauses += 1;
+                    let uses = watched[watched.partition_point(|&(p, _)| p < pc)].1;
+                    rungs += u64::from(self.store_rung(cache, input, (pc, 1), Some(uses)));
+                }
+            }
+        };
+        let retired = self.machine.retired();
+        self.stats.retired_instrs += retired;
+        self.stats.prefix_golden_passes += 1;
+        self.stats.prefix_snapshots_built += rungs;
+        if self.golden_memoizable(&outcome) {
+            let run = GoldenRun {
+                outcome: outcome.clone(),
+                retired,
+            };
+            cache.record_golden(input, run, watch.pending());
+        }
+        if let (Some(t), Some(start)) = (self.telemetry.as_mut(), span_start) {
+            t.complete(
+                "golden_pass",
+                start,
+                vec![arg_u64("pauses", pauses), arg_u64("rungs", rungs)],
+            );
+        }
+        (outcome, retired)
+    }
+
+    /// Store a rung of the paused machine at fork point `at` if the cost
+    /// rule says it pays over `uses` forks (`None`: uncounted, judged as
+    /// one). Returns whether the cache took it.
+    fn store_rung(
+        &self,
+        cache: &PrefixCache,
+        input: &TestInput,
+        (pc, occ): (u32, u64),
+        uses: Option<u32>,
+    ) -> bool {
+        let m = &self.machine;
+        let pays = plan::worth_forking(
+            m.retired(),
+            m.dirty_pages(),
+            m.dirty_code_pages(),
+            uses.unwrap_or(1),
+        );
+        pays && cache.insert_snapshot(input, pc, occ, Arc::new(m.fork_snapshot()), uses)
     }
 
     /// Whether a fault-free outcome is safe to memoize: with a wall-clock
@@ -667,7 +750,8 @@ impl RunSession {
     /// Decide up front how to execute one injected run. Anything but
     /// [`RunPlan::Full`] needs a prefix cache, a single-core machine (a
     /// fetch breakpoint cannot pause a multi-core scheduler) and a single
-    /// fault with a [`FaultSpec::fork_point`].
+    /// fault with a [`FaultSpec::fork_point`]. A [`RunPlan::GoldenPass`]
+    /// verdict is acted on here, and the run planned again.
     fn plan(&mut self, input: &TestInput, specs: &[FaultSpec]) -> RunPlan {
         let single_core = self.machine.num_cores() == 1;
         let (Some(cache), [spec], true) = (self.prefix.clone(), specs, single_core) else {
@@ -676,11 +760,13 @@ impl RunSession {
         let Some((pc, occ)) = spec.fork_point() else {
             return RunPlan::Full;
         };
-        plan::never_arrives(occ, cache.total_occurrences(input, pc)).unwrap_or_else(|| {
-            cache
-                .snapshot(input, pc, occ)
-                .map_or(RunPlan::Capture, RunPlan::Fork)
-        })
+        match cache.plan(input, pc, occ) {
+            RunPlan::GoldenPass => {
+                self.golden_pass(input, &cache);
+                cache.plan(input, pc, occ)
+            }
+            plan => plan,
+        }
     }
 
     /// Execute one injected run as `plan` says. Touches no run counters
@@ -694,6 +780,7 @@ impl RunSession {
         seed: u64,
     ) -> Result<Ran, SessionError> {
         let (outcome, fired, skipped, capture) = match plan {
+            RunPlan::GoldenPass => unreachable!("the golden pass is made while planning"),
             RunPlan::NeverArrives => {
                 let golden = self.prefix.as_ref().and_then(|cache| cache.golden(input));
                 let golden = golden.expect("trigger totals are recorded with the golden run");
@@ -722,27 +809,29 @@ impl RunSession {
                 let cache = self.prefix.clone().expect("capture plans need a cache");
                 let (pc, occ) = fork_point(specs);
                 self.begin(input);
-                let (stop, seen) =
-                    Self::machine_run_to_fetch(&mut self.machine, &mut self.telemetry, pc, occ);
+                let mut watch = FetchWatch::new([pc], occ);
+                let stop =
+                    Self::machine_run_to_watch(&mut self.machine, &mut self.telemetry, &mut watch);
                 let retired = self.machine.retired();
                 match stop {
-                    // The trigger never arrived: this *is* the golden run.
+                    // The trigger never arrived: this *is* the golden run,
+                    // and it counted every arrival on the way.
                     FetchStop::Finished(outcome) => {
                         if self.golden_memoizable(&outcome) {
-                            let outcome = outcome.clone();
-                            cache.record_golden(input, GoldenRun { outcome, retired });
-                            cache.record_total(input, pc, seen);
+                            let run = GoldenRun {
+                                outcome: outcome.clone(),
+                                retired,
+                            };
+                            cache.record_golden(input, run, watch.pending());
                         }
                         (outcome, false, 0, "golden")
                     }
-                    // Paused exactly at the trigger, `retired` deep:
-                    // snapshot the prefix if it is deep enough, then
-                    // continue in place as this run.
-                    FetchStop::Hit => {
-                        let snapshot = || Arc::new(self.machine.fork_snapshot());
-                        let golden = cache.golden(input).map(|golden| golden.retired);
-                        let stored = plan::worth_forking(retired, golden)
-                            && cache.insert_snapshot(input, pc, occ, snapshot());
+                    // Paused exactly at the trigger, `retired` deep: store
+                    // a rung if the cost rule says it pays, then continue
+                    // in place as this run.
+                    FetchStop::Hit(_) => {
+                        let uses = cache.capture_uses(pc, occ);
+                        let stored = self.store_rung(&cache, input, (pc, occ), uses);
                         let (outcome, fired) = self.run_armed(specs, mode, seed, occ - 1)?;
                         let capture = if stored { "captured" } else { "vetoed" };
                         (outcome, fired, 0, capture)
@@ -800,7 +889,7 @@ impl RunSession {
         s.prefix_instrs_skipped += ran.retired - ran.executed;
         self.last_retired = ran.retired;
         let (event, extra) = match plan {
-            RunPlan::Full => return,
+            RunPlan::Full | RunPlan::GoldenPass => return,
             RunPlan::NeverArrives => {
                 s.prefix_dormant_short_circuits += 1;
                 ("dormant_short_circuit", None)
@@ -1215,11 +1304,45 @@ mod tests {
     }
 
     #[test]
+    fn golden_passes_fork_later_runs_and_drop_used_up_rungs() {
+        // With the campaign's watch list, each input's first run is its
+        // golden pass (a clean run's too), later runs at a stored rung
+        // fork, and every answer matches a fork-free session. Each fault
+        // runs each input once, so by the end every rung has served its
+        // last fork and been dropped.
+        let target = program("JB.team6").unwrap();
+        let compiled = compile(target.source_correct).unwrap();
+        let set = generate_error_set(&compiled.debug, 5, 5, 7);
+        let faults: Vec<_> = set.assign_faults.iter().chain(&set.check_faults).collect();
+        let inputs = target.family.test_case(3, 11);
+        let cache = crate::prefix::PrefixCache::shared();
+        cache.set_watch_pcs(crate::prefix::watch_pcs_of(faults.iter().map(|f| &f.spec)));
+        let mut full = RunSession::new(&compiled, target.family);
+        let mut forked = RunSession::new(&compiled, target.family);
+        forked.set_prefix_cache(Some(cache.clone()));
+
+        assert_eq!(forked.run_clean(&inputs[0]), full.run_clean(&inputs[0]));
+        assert_eq!(forked.last_retired(), full.last_retired());
+        assert_eq!(forked.stats().prefix_golden_passes, 1);
+        for (fi, fault) in faults.iter().enumerate() {
+            for input in &inputs {
+                let want = full.run(input, Some(&fault.spec), fi as u64);
+                assert_eq!(forked.run(input, Some(&fault.spec), fi as u64), want);
+                assert_eq!(forked.last_retired(), full.last_retired(), "fault {fi}");
+            }
+        }
+        let s = forked.stats();
+        assert_eq!(s.prefix_golden_passes, inputs.len() as u64, "{s:?}");
+        assert!(s.prefix_fork_hits > 0, "{s:?}");
+        assert_eq!(cache.snapshot_count(), 0, "used-up rungs are dropped");
+        assert!(cache.peak_bytes() > cache.retained_bytes());
+    }
+
+    #[test]
     fn shallow_triggers_skip_fork_capture_once_golden_is_known() {
-        // The JB.team11 fix: once the golden memo proves a trigger sits
-        // near the start of the run, no capture run snapshots it, however
-        // often the fault runs — and every run still matches a fork-free
-        // session exactly.
+        // A trigger at the start of the run has nothing to skip: the cost
+        // rule stores no rung for it, however often the fault runs — and
+        // every run still matches a fork-free session exactly.
         use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
         let target = program("JB.team11").unwrap();
         let compiled = compile(target.source_correct).unwrap();
@@ -1238,7 +1361,6 @@ mod tests {
         let cache = crate::prefix::PrefixCache::shared();
         forked.set_prefix_cache(Some(cache.clone()));
 
-        // Record the golden run so the gate has a depth to compare to.
         assert_eq!(forked.run_clean(input), full.run_clean(input));
 
         for seed in 5..8 {

@@ -429,6 +429,10 @@ fn export_telemetry(
         };
         hub.with_metrics(|m| {
             m.gauge_set(metric_names::PREFIX_HIT_RATE, prefix_rate);
+            m.gauge_set(
+                metric_names::PREFIX_CACHE_BYTES,
+                tp.prefix_peak_bytes as f64,
+            );
             m.gauge_set(metric_names::BLOCK_CACHE_HIT_RATE, block_rate);
         });
     }

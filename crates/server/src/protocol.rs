@@ -82,9 +82,13 @@ pub struct CampaignRequest {
 }
 
 impl CampaignRequest {
-    /// Human tag naming this campaign in paths and progress output.
+    /// Human tag naming this campaign in paths and progress output: the
+    /// driver, target, seed and input count. Two in-flight submissions
+    /// with equal tags would share shard files, so the server refuses the
+    /// second.
     pub fn tag(&self) -> String {
-        format!("{}-{}-s{}", self.driver.name(), self.target, self.seed)
+        let (driver, target) = (self.driver.name(), &self.target);
+        format!("{driver}-{target}-s{}-i{}", self.seed, self.inputs)
     }
 }
 

@@ -243,6 +243,27 @@ fn a_duplicate_in_flight_submit_gets_an_error_event() {
 }
 
 #[test]
+fn in_flight_submits_that_differ_only_in_inputs_both_run() {
+    // The input count is part of the campaign tag: the two submissions
+    // write different shard files, so neither is refused.
+    let (addr, handle, workdir) = start_server("inputs");
+    let first = submit_accepted(&addr, long(6));
+    let events = submit(
+        &addr,
+        CampaignRequest {
+            inputs: 2,
+            ..long(6)
+        },
+    )
+    .unwrap();
+    assert_eq!(events.last(), Some(&Event::Done));
+    let last = (first.map(|l| Event::parse(&l).unwrap()))
+        .find(|e| matches!(e, Event::Done | Event::Error { .. }));
+    assert_eq!(last, Some(Event::Done));
+    stop_server(&addr, handle, &workdir);
+}
+
+#[test]
 fn sharded_class_campaign_reports_byte_identically() {
     let direct = class_campaign_with(
         &swifi_programs::program("SOR").unwrap(),

@@ -152,6 +152,7 @@ pub const EVENT_NAMES: &[&str] = &[
     "campaign",
     "phase",
     "run",
+    "golden_pass",
     // Injection lifecycle instants.
     "fault_arm",
     "trigger_fire",

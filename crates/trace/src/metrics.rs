@@ -379,6 +379,9 @@ pub mod names {
     pub const RETIRED_INSTRS_PER_RUN: &str = "retired_instrs_per_run";
     /// Prefix-fork cache hit rate over injected runs (campaign gauge).
     pub const PREFIX_HIT_RATE: &str = "prefix_hit_rate";
+    /// Most bytes the prefix cache held at once: rungs plus golden,
+    /// trigger-total and expected-output memos (campaign gauge).
+    pub const PREFIX_CACHE_BYTES: &str = "prefix_cache_bytes";
     /// Block-cache hit rate over block dispatches (campaign gauge).
     pub const BLOCK_CACHE_HIT_RATE: &str = "block_cache_hit_rate";
 }

@@ -52,6 +52,7 @@ pub use blocks::BlockCacheStats;
 pub use inspect::{FetchPolicy, Inspector, Noop};
 pub use isa::{decode, encode, Instr};
 pub use machine::{
-    FetchStop, ForkSnapshot, InputTape, Machine, MachineConfig, MachineSnapshot, RunOutcome, Trap,
+    FetchStop, FetchWatch, ForkSnapshot, InputTape, Machine, MachineConfig, MachineSnapshot,
+    RunOutcome, Trap,
 };
 pub use mem::{DecodeCacheStats, Image, MemoryDelta, MemorySnapshot, CODE_BASE, PAGE_SIZE};

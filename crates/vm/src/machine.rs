@@ -290,27 +290,70 @@ enum RunControl {
     Break,
 }
 
-/// An armed fetch breakpoint: pause the machine the `nth` time `pc` is
-/// about to be fetched. Only meaningful through [`Machine::run_to_fetch`].
-#[derive(Debug, Clone, Copy)]
-struct FetchBreak {
-    pc: u32,
+/// A sorted set of fetch breakpoints for [`Machine::run_to_watch`]: the
+/// machine pauses the `nth` time any watched PC is about to be fetched.
+///
+/// A PC that pauses the machine leaves the set and is unpinned, so calling
+/// [`Machine::run_to_watch`] again continues the same run to the next
+/// watched arrival. With `nth = 1` one clean run thus pauses at the first
+/// arrival of every watched PC, and the rest of the run stays in blocks.
+#[derive(Debug, Clone, Default)]
+pub struct FetchWatch {
+    /// Watched PCs not hit yet, sorted and deduplicated.
+    pcs: Vec<u32>,
+    /// Arrivals observed at each PC of `pcs`, in the same order (the
+    /// would-be trigger occurrence count of an `OpcodeFetch` fault there).
+    seen: Vec<u64>,
+    /// Whether each PC of `pcs` was pinned by this watch rather than by
+    /// the inspector's fetch policy, so a hit unpins only its own pins.
+    owned: Vec<bool>,
+    /// The 1-based arrival to pause at.
     nth: u64,
-    /// Arrivals at `pc` observed so far (equals the would-be trigger
-    /// occurrence count of an `OpcodeFetch` fault at `pc`).
-    seen: u64,
+    /// Set by the first [`Machine::run_to_watch`], which installs the
+    /// run's fetch policy and pins the watched PCs; later calls continue.
+    armed: bool,
 }
 
-/// Result of [`Machine::run_to_fetch`].
+impl FetchWatch {
+    /// Watch `pcs`, pausing at each one's `nth` arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nth == 0` (occurrence counts are 1-based).
+    pub fn new(pcs: impl IntoIterator<Item = u32>, nth: u64) -> FetchWatch {
+        assert!(nth >= 1, "occurrence counts are 1-based");
+        let mut pcs: Vec<u32> = pcs.into_iter().collect();
+        pcs.sort_unstable();
+        pcs.dedup();
+        FetchWatch {
+            seen: vec![0; pcs.len()],
+            owned: vec![false; pcs.len()],
+            pcs,
+            nth,
+            armed: false,
+        }
+    }
+
+    /// The watched PCs that have not paused the machine, each with the
+    /// arrivals observed there. After [`FetchStop::Finished`] these are
+    /// the run's *total* arrival counts, which prove later occurrences
+    /// never come.
+    pub fn pending(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.pcs.iter().copied().zip(self.seen.iter().copied())
+    }
+}
+
+/// Result of [`Machine::run_to_watch`] and [`Machine::run_to_fetch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FetchStop {
-    /// The breakpoint PC was about to be fetched for the `nth` time. The
+    /// This watched PC was about to be fetched for the `nth` time. The
     /// machine is paused exactly *before* that fetch: the instruction has
     /// not executed, no fetch hook has seen it, and `Machine::retired` has
     /// not advanced past the prefix.
-    Hit,
-    /// The run finished (or hung/trapped) before `pc` was fetched `nth`
-    /// times — the outcome is exactly that of an ordinary [`Machine::run`].
+    Hit(u32),
+    /// The run finished (or hung/trapped) before a watched PC was fetched
+    /// `nth` times — the outcome is exactly that of an ordinary
+    /// [`Machine::run`].
     Finished(RunOutcome),
 }
 
@@ -425,9 +468,9 @@ pub struct Machine {
     /// [`Machine::set_watchdog_poll`]); only consulted while a deadline
     /// is armed.
     watchdog_poll: u32,
-    /// Armed fetch breakpoint for the current [`Machine::run_to_fetch`]
+    /// Fetch breakpoints armed for the current [`Machine::run_to_watch`]
     /// call; always `None` outside it, so ordinary runs pay nothing.
-    fetch_break: Option<FetchBreak>,
+    fetch_break: Option<FetchWatch>,
 }
 
 /// Default scheduler rounds between watchdog deadline polls.
@@ -621,6 +664,12 @@ impl Machine {
         self.mem.dirty_pages()
     }
 
+    /// How many of [`Machine::dirty_pages`] overlap the code region, where
+    /// a restore also compares words to keep decoded lines coherent.
+    pub fn dirty_code_pages(&self) -> usize {
+        self.mem.dirty_code_pages()
+    }
+
     /// Replace the input tape (before running).
     pub fn set_input(&mut self, input: InputTape) {
         self.input = input;
@@ -760,61 +809,98 @@ impl Machine {
         self.apply_fetch_policy(inspector.fetch_policy());
         match self.run_inner(inspector) {
             RunControl::Done(outcome) => outcome,
-            // No breakpoint is armed outside `run_to_fetch`.
-            RunControl::Break => unreachable!("fetch breakpoint outside run_to_fetch"),
+            // No breakpoint is armed outside `run_to_watch`.
+            RunControl::Break => unreachable!("fetch breakpoint outside run_to_watch"),
         }
     }
 
     /// Execute until `pc` is about to be fetched for the `nth` time (a
-    /// trigger-point breakpoint), or until the run ends first.
+    /// trigger-point breakpoint), or until the run ends first: a
+    /// [`Machine::run_to_watch`] with one watched PC.
     ///
-    /// On [`FetchStop::Hit`] the machine is paused *before* the fetch:
-    /// the instruction at `pc` has not executed, no fetch hook has seen
-    /// it, and an `OpcodeFetch`-triggered fault resumed from here observes
-    /// its `nth` occurrence on the very next fetch. The second return
-    /// value is the number of arrivals at `pc` observed — on
+    /// On [`FetchStop::Hit`] an `OpcodeFetch`-triggered fault resumed from
+    /// here observes its `nth` occurrence on the very next fetch. The
+    /// second return value is the number of arrivals at `pc` observed — on
     /// [`FetchStop::Finished`] this is the run's *total* occurrence count
     /// for the trigger, which is what proves later faults dormant.
     ///
-    /// The break PC is pinned to the slow fetch path for this run (and
-    /// unpinned when the next run installs its policy) so the cached
-    /// interpreter funnels every arrival through the step path where the
-    /// breakpoint is checked.
-    ///
     /// # Panics
     ///
-    /// Panics if no image is loaded, if `nth == 0`, or on a multi-core
-    /// machine — a mid-quantum pause cannot capture the scheduler position
-    /// of the other cores, so prefix forking is single-core only.
+    /// As [`Machine::run_to_watch`], and if `nth == 0`.
     pub fn run_to_fetch<I: Inspector>(
         &mut self,
         pc: u32,
         nth: u64,
         inspector: &mut I,
     ) -> (FetchStop, u64) {
+        let mut watch = FetchWatch::new([pc], nth);
+        let stop = self.run_to_watch(&mut watch, inspector);
+        let seen = watch.pending().next().map_or(nth, |(_, seen)| seen);
+        (stop, seen)
+    }
+
+    /// Execute until a PC of `watch` is about to be fetched for its `nth`
+    /// time, or until the run ends first.
+    ///
+    /// The first call installs `inspector`'s fetch policy and pins every
+    /// watched PC to the slow fetch path, so the cached interpreter funnels
+    /// each arrival through the step path where the breakpoints are
+    /// checked. A hit removes its PC from `watch` and unpins it; calling
+    /// again with the same watch and inspector continues the paused run.
+    /// Pins left at the end are dropped when the next run installs its
+    /// policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no image is loaded, or on a multi-core machine — a
+    /// mid-quantum pause cannot capture the scheduler position of the
+    /// other cores, so prefix forking is single-core only.
+    pub fn run_to_watch<I: Inspector>(
+        &mut self,
+        watch: &mut FetchWatch,
+        inspector: &mut I,
+    ) -> FetchStop {
         assert!(self.loaded, "Machine::load must be called before run");
-        assert!(nth >= 1, "occurrence counts are 1-based");
         assert_eq!(
             self.cores.len(),
             1,
             "fetch breakpoints require a single-core machine"
         );
-        self.apply_fetch_policy(inspector.fetch_policy());
-        self.mem.pin_fetch_slow(pc);
-        if !self.pinned_pcs.contains(&pc) {
-            self.pinned_pcs.push(pc);
+        if !watch.armed {
+            self.apply_fetch_policy(inspector.fetch_policy());
+            for (&pc, owned) in watch.pcs.iter().zip(&mut watch.owned) {
+                if !self.pinned_pcs.contains(&pc) {
+                    self.mem.pin_fetch_slow(pc);
+                    self.pinned_pcs.push(pc);
+                    *owned = true;
+                }
+            }
+            watch.armed = true;
         }
-        self.fetch_break = Some(FetchBreak { pc, nth, seen: 0 });
+        self.fetch_break = Some(std::mem::take(watch));
         let control = self.run_inner(inspector);
-        let seen = self.fetch_break.take().map_or(0, |fb| fb.seen);
+        *watch = self.fetch_break.take().expect("armed above");
         match control {
-            RunControl::Break => (FetchStop::Hit, seen),
-            RunControl::Done(outcome) => (FetchStop::Finished(outcome), seen),
+            RunControl::Done(outcome) => FetchStop::Finished(outcome),
+            RunControl::Break => {
+                let pc = self.cores[0].pc;
+                let i = watch
+                    .pcs
+                    .binary_search(&pc)
+                    .expect("paused at a watched pc");
+                watch.pcs.remove(i);
+                watch.seen.remove(i);
+                if watch.owned.remove(i) {
+                    self.mem.unpin_fetch(pc);
+                    self.pinned_pcs.retain(|&p| p != pc);
+                }
+                FetchStop::Hit(pc)
+            }
         }
     }
 
     /// The scheduler loop shared by [`Machine::run`] and
-    /// [`Machine::run_to_fetch`]; the fetch policy is already applied.
+    /// [`Machine::run_to_watch`]; the fetch policy is already applied.
     fn run_inner<I: Inspector>(&mut self, inspector: &mut I) -> RunControl {
         // The cached interpreter runs whole quanta through the tight
         // split-borrow executor; reference mode and `FetchPolicy::All`
@@ -1869,14 +1955,14 @@ impl Machine {
 
     fn step<I: Inspector>(&mut self, c: usize, insp: &mut I) -> Result<Progress, (Trap, u32)> {
         let pc = self.cores[c].pc;
-        // Fetch breakpoint (`run_to_fetch`): checked before the fetch so a
-        // hit pauses the machine with the trigger instruction unexecuted
-        // and unobserved. The break PC is pinned, so in cached mode every
+        // Fetch breakpoints (`run_to_watch`): checked before the fetch so
+        // a hit pauses the machine with the trigger instruction unexecuted
+        // and unobserved. Watched PCs are pinned, so in cached mode every
         // arrival funnels through this step path.
-        if let Some(fb) = &mut self.fetch_break {
-            if pc == fb.pc {
-                fb.seen += 1;
-                if fb.seen >= fb.nth {
+        if let Some(watch) = &mut self.fetch_break {
+            if let Ok(i) = watch.pcs.binary_search(&pc) {
+                watch.seen[i] += 1;
+                if watch.seen[i] >= watch.nth {
                     return Ok(Progress::Breakpoint);
                 }
             }
@@ -2814,7 +2900,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::default());
         m.load(&image);
         let (stop, seen) = m.run_to_fetch(body, 3, &mut Noop);
-        assert_eq!(stop, FetchStop::Hit);
+        assert_eq!(stop, FetchStop::Hit(body));
         assert_eq!(seen, 3);
         assert_eq!(m.core(0).pc, body, "paused at the break pc");
 
@@ -2856,7 +2942,7 @@ mod tests {
             m.set_reference_interp(reference);
             m.load(&image);
             let (stop, seen) = m.run_to_fetch(body, 4, &mut Noop);
-            assert_eq!(stop, FetchStop::Hit, "reference={reference}");
+            assert_eq!(stop, FetchStop::Hit(body), "reference={reference}");
             assert_eq!(seen, 4);
             let out = m.run(&mut Noop);
             assert_eq!(out.output(), b".....", "reference={reference}");
@@ -2897,7 +2983,7 @@ mod tests {
         // Capture at the 2nd loop read (10 printed, 20 unread), resume.
         m.restore(&base);
         let (stop, _) = m.run_to_fetch(body, 2, &mut Noop);
-        assert_eq!(stop, FetchStop::Hit);
+        assert_eq!(stop, FetchStop::Hit(body));
         let fork = m.fork_snapshot();
         assert!(fork.retired() > 0 && fork.retired() < full_retired);
         assert!(fork.delta_pages() > 0);
@@ -2987,6 +3073,77 @@ mod tests {
         let blocked = run_mode(true, false);
         assert_eq!(blocked, run_mode(false, false));
         assert_eq!(blocked, run_mode(false, true));
+    }
+
+    #[test]
+    fn watch_set_pauses_at_every_first_arrival_and_finishes_like_run() {
+        // Watch every code word plus one PC outside the code: pausing at
+        // each first arrival and then finishing must be one plain run, on
+        // every tier, and each pause must sit where a single-PC breakpoint
+        // on a fresh machine pauses.
+        let src = "
+            addi r5, r0, 10
+            cmpi cr0, r5, 0
+            bc cr0.eq, 1, 6
+            addi r3, r5, 0
+            sc print_int
+            bl 3
+            addi r5, r5, -1
+            b -6
+            addi r3, r0, 0
+            halt
+            addi r6, r6, 1
+            blr";
+        let image = assemble(src).unwrap();
+        let never = 0xF000;
+        let watched: Vec<u32> = (0..image.code.len() as u32)
+            .map(|i| CODE_BASE + 4 * i)
+            .chain([never])
+            .collect();
+        for (blocks, reference) in [(true, false), (false, false), (false, true)] {
+            let fresh = || {
+                let mut m = Machine::new(MachineConfig::default());
+                m.set_block_interp(blocks);
+                m.set_reference_interp(reference);
+                m.load(&image);
+                m
+            };
+            let mut plain = fresh();
+            let want = (plain.run(&mut Noop), plain.retired());
+
+            let mut m = fresh();
+            let base = m.snapshot();
+            let mut watch = FetchWatch::new(watched.iter().copied(), 1);
+            let mut pauses = Vec::new();
+            let outcome = loop {
+                match m.run_to_watch(&mut watch, &mut Noop) {
+                    FetchStop::Hit(pc) => {
+                        assert_eq!(m.core(0).pc, pc, "paused at the hit pc");
+                        pauses.push(pc);
+                        let mut single = fresh();
+                        let (stop, seen) = single.run_to_fetch(pc, 1, &mut Noop);
+                        assert_eq!((stop, seen), (FetchStop::Hit(pc), 1));
+                        assert_eq!(m.retired(), single.retired(), "pause at {pc:#x}");
+                    }
+                    FetchStop::Finished(outcome) => break outcome,
+                }
+            };
+            let tier = format!("blocks={blocks} reference={reference}");
+            assert_eq!((outcome, m.retired()), want, "{tier}");
+            // Every watched PC either paused once or was never fetched.
+            let pending: Vec<(u32, u64)> = watch.pending().collect();
+            assert!(pending.iter().all(|&(_, seen)| seen == 0), "{tier}");
+            assert!(pending.contains(&(never, 0)) && pauses.len() > 6, "{tier}");
+            assert_eq!(pauses.len() + pending.len(), watched.len(), "{tier}");
+            if blocks {
+                let before = m.block_cache_stats().block_hits;
+                // Hit PCs are unpinned, so the pass's tail ran in blocks;
+                // the next plain run drops the last pin too.
+                m.restore(&base);
+                assert_eq!(m.run(&mut Noop).output(), want.0.output());
+                assert!(m.block_cache_stats().block_hits > before, "{tier}");
+            }
+        }
     }
 
     #[test]
@@ -3094,7 +3251,7 @@ mod tests {
 
         m.restore(&snap);
         let (stop, seen) = m.run_to_fetch(body, 3, &mut Noop);
-        assert_eq!(stop, FetchStop::Hit);
+        assert_eq!(stop, FetchStop::Hit(body));
         assert_eq!(seen, 3);
         assert_eq!(m.core(0).pc, body);
         let resumed = m.run(&mut Noop);

@@ -415,6 +415,15 @@ impl Memory {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// How many of the dirty pages overlap the cached code region: a
+    /// restore compares those word by word to keep decoded lines coherent.
+    pub fn dirty_code_pages(&self) -> usize {
+        let pages = self.icache.limit.div_ceil(PAGE_SIZE) as usize;
+        (0..pages)
+            .filter(|&p| self.dirty[p / 64] >> (p % 64) & 1 == 1)
+            .count()
+    }
+
     /// (Re)initialise the predecoded translation cache over
     /// `[CODE_BASE, code_end)`, clearing all lines, pins, and statistics.
     ///

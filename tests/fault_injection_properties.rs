@@ -12,7 +12,7 @@ use swifi_campaign::report::class_campaign_report;
 use swifi_campaign::runner::{execute, execute_cold, FailureMode};
 use swifi_campaign::section6::{class_campaign_with, CampaignScale, ProgramCampaign};
 use swifi_campaign::shard::{merge_checkpoints, merged_path, run_sharded, shard_paths};
-use swifi_campaign::{CampaignOptions, PrefixCache, RunSession, SessionStats, Shard};
+use swifi_campaign::{watch_pcs_of, CampaignOptions, PrefixCache, RunSession, SessionStats, Shard};
 use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
 use swifi_core::injector::{Injector, TriggerMode};
 use swifi_lang::{compile, Program};
@@ -365,8 +365,9 @@ enum Split {
 }
 
 /// One draw: a program (SOR is the multi-core one), a seed, 1–3 inputs,
-/// a tier configuration, a run schedule of `(fault, input index, run
-/// seed)` and a campaign split.
+/// a tier configuration, whether the prefix cache gets the schedule's
+/// watch list (golden passes), a run schedule of `(fault, input index,
+/// run seed)` and a campaign split.
 #[derive(Debug, Clone)]
 struct Case {
     program: &'static str,
@@ -374,6 +375,7 @@ struct Case {
     inputs: usize,
     tier: Tier,
     fork: bool,
+    watch: bool,
     schedule: Vec<(Option<FaultSpec>, usize, u64)>,
     split: Split,
 }
@@ -404,6 +406,7 @@ prop_compose! {
         inputs in 1usize..=3,
         tier in prop_oneof![Just(Tier::Blocks), Just(Tier::Line), Just(Tier::Reference)],
         fork in any::<bool>(),
+        watch in any::<bool>(),
         faults in collection::vec(arb_fault(), 0..=3),
         resident in arb_fault(),
         patch in arb_fault(),
@@ -423,7 +426,7 @@ prop_compose! {
         faults.insert(at.1 % (faults.len() + 1), Some(patch));
         faults.insert(0, None);
         let schedule = faults.into_iter().zip(runs).map(|(f, (i, s))| (f, i, s)).collect();
-        Case { program, seed, inputs, tier, fork, schedule, split }
+        Case { program, seed, inputs, tier, fork, watch, schedule, split }
     }
 }
 
@@ -448,40 +451,54 @@ fn placed(spec: FaultSpec, program: &Program) -> FaultSpec {
 }
 
 /// The tier-matrix oracle. Every fast path (warm reboot, line cache,
-/// blocks, prefix fork, resume, sharding) must give the answer of the
-/// paper's one fault per freshly rebooted run. Each draw is checked twice:
-/// its runs against [`execute_cold`], and its campaign against the
-/// all-off campaign run directly. The case loop is written out so the
-/// tiers' own counters can be asserted over the whole case set: an oracle
-/// whose fork never forked or whose blocks never ran proves nothing.
+/// blocks, prefix fork, golden passes, resume, sharding) must give the
+/// answer of the paper's one fault per freshly rebooted run. Each draw is
+/// checked twice: its runs against [`execute_cold`], and its campaign
+/// against the all-off campaign run directly. The case loop is written
+/// out so the tiers' own counters can be asserted over the whole case
+/// set: an oracle whose fork never forked, whose golden passes stored no
+/// rung a run forked from, or whose blocks never ran proves nothing.
 #[test]
 fn every_tier_combination_matches_the_cold_reference() {
     let cases = ProptestConfig::with_cases(20).resolved_cases();
     let mut rng = TestRng::deterministic("every_tier_combination_matches_the_cold_reference");
-    let (mut forked, mut block_instrs, mut decode_lines) = (0, 0, 0);
+    let (mut forked, mut pass_forks, mut block_instrs, mut decode_lines) = (0, 0, 0, 0);
     for i in 0..cases {
         proptest::set_current_case(u64::from(i));
         let case = arb_case().sample(&mut rng);
         let target = program(case.program).unwrap();
         let compiled = compile(target.source_correct).unwrap();
-        let stats = check_runs(&case, &compiled, target.family);
+        let (stats, from_passes) = check_runs(&case, &compiled, target.family);
         forked += u64::from(case.fork) * (stats.prefix_fork_hits + stats.prefix_snapshots_built);
+        pass_forks += from_passes;
         block_instrs += stats.block_instrs;
         decode_lines += u64::from(case.tier == Tier::Line) * stats.decode_lines_built;
         check_campaign(&case, &target);
     }
     assert!(forked > 0 && block_instrs > 0 && decode_lines > 0);
+    assert!(pass_forks > 0, "no run forked from a golden-pass rung");
 }
 
 /// Two warm sessions on the drawn tier, sharing one [`PrefixCache`] when
 /// fork is on (the way pool workers do), run every scheduled entry in
-/// turn: capture pass, then fork pass. Each run must equal the cold
-/// reference in failure mode, fired flag and retired instructions.
-/// Returns both sessions' counters summed.
-fn check_runs(case: &Case, compiled: &Program, family: Family) -> SessionStats {
+/// turn: capture pass, then fork pass. With the watch list drawn, the
+/// cache watches every scheduled fault once per session, so each input's
+/// first run is its golden pass. Each run must equal the cold reference
+/// in failure mode, fired flag and retired instructions. Returns both
+/// sessions' counters summed, and the fork hits from golden-pass rungs:
+/// forks at a first-arrival key no capture run stored a rung for.
+fn check_runs(case: &Case, compiled: &Program, family: Family) -> (SessionStats, u64) {
     // The class campaign's own test case, so both levels run the same inputs.
     let inputs = family.test_case(case.inputs, case.seed ^ 0x5EED);
     let cache = case.fork.then(PrefixCache::shared);
+    if let (Some(cache), true) = (&cache, case.watch) {
+        let specs: Vec<FaultSpec> = (case.schedule.iter())
+            .filter_map(|&(fault, _, _)| fault.map(|f| placed(f, compiled)))
+            .collect();
+        cache.set_watch_pcs(watch_pcs_of(specs.iter().chain(&specs)));
+    }
+    let mut captured = std::collections::HashSet::new();
+    let mut pass_forks = 0;
     let mut sessions = [(); 2].map(|()| {
         let mut s = RunSession::new(compiled, family);
         s.set_block_cache(case.tier == Tier::Blocks);
@@ -491,6 +508,9 @@ fn check_runs(case: &Case, compiled: &Program, family: Family) -> SessionStats {
     });
     for (i, &(fault, input, seed)) in case.schedule.iter().enumerate() {
         let spec = fault.map(|f| placed(f, compiled));
+        let key = spec
+            .and_then(|s| s.fork_point())
+            .map(|at| (input % inputs.len(), at));
         let input = &inputs[input % inputs.len()];
         let want = execute_cold(compiled, family, input, spec.as_ref(), seed);
         for (pass, s) in ["capture", "fork"].into_iter().zip(&mut sessions) {
@@ -511,6 +531,19 @@ fn check_runs(case: &Case, compiled: &Program, family: Family) -> SessionStats {
                 case.tier != Tier::Reference || ended || fetched == retired,
                 "{what}"
             );
+            // A pass before a first-arrival run stores the only rungs of
+            // that run: a capture after it would have the same depth and
+            // fewer uses left, so the cost rule declines it too.
+            if let Some(key @ (_, (_, occ))) = key {
+                let passed = after.prefix_golden_passes > before.prefix_golden_passes;
+                if after.prefix_snapshots_built > before.prefix_snapshots_built
+                    && (!passed || occ != 1)
+                {
+                    captured.insert(key);
+                }
+                let forked = after.prefix_fork_hits > before.prefix_fork_hits;
+                pass_forks += u64::from(forked && occ == 1 && !captured.contains(&key));
+            }
         }
     }
     let mut stats = SessionStats::default();
@@ -522,7 +555,7 @@ fn check_runs(case: &Case, compiled: &Program, family: Family) -> SessionStats {
         "{}",
         label(case)
     );
-    stats
+    (stats, pass_forks)
 }
 
 /// The drawn flags, killed and resumed or sharded as drawn, must fold to
