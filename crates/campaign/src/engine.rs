@@ -30,11 +30,16 @@
 //! {"phase":"assign","index":5,"elapsed_micros":44,"status":{"Abnormal":{"message":"...","detail":"..."}}}
 //! ```
 //!
-//! Records appear in completion order (workers race); resume keys them by
-//! `(phase, index)`. A torn final line — the kill arrived mid-write — is
-//! ignored on load; a torn *middle* line is corruption and errors.
+//! Records appear in completion order (workers race) and key by
+//! `(phase, index)`. Each line is written with its newline in one
+//! `write_all`, and a line counts only once its newline is on disk: an
+//! unterminated final line is the torn tail of a kill mid-write and is
+//! dropped (its item reruns), while a malformed terminated line anywhere
+//! is corruption and errors. [`CheckpointLog::resume`] and
+//! [`crate::shard::merge_checkpoints`] both read through
+//! [`read_checkpoint`], so they agree on every file.
 
-use std::collections::HashMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -169,15 +174,123 @@ impl CheckpointHeader {
             version: 1,
         }
     }
+
+    /// Require the checkpoint at `path`, whose header is `found`, to
+    /// belong to this campaign.
+    pub(crate) fn require(&self, found: &CheckpointHeader, path: &Path) -> Result<(), String> {
+        if found == self {
+            return Ok(());
+        }
+        let id = |h: &CheckpointHeader| format!("{}/seed {}/scale {}", h.campaign, h.seed, h.scale);
+        Err(format!(
+            "checkpoint `{}` belongs to a different campaign: found {}, expected {}",
+            path.display(),
+            id(found),
+            id(self),
+        ))
+    }
+}
+
+/// Records keyed by `(phase, index)`, as raw JSON trees (drivers
+/// deserialize their own record type on lookup).
+pub(crate) type Records = BTreeMap<(String, u64), Value>;
+
+/// A checkpoint file as [`read_checkpoint`] found it.
+pub(crate) struct Checkpoint {
+    pub(crate) header: CheckpointHeader,
+    pub(crate) records: Records,
+    /// Records whose key an earlier line already held (the first wins).
+    pub(crate) duplicates: usize,
+    /// Bytes of newline-terminated lines; anything past is a torn tail.
+    pub(crate) valid_len: u64,
+}
+
+impl Checkpoint {
+    /// Add a record unless an earlier one holds its key: the first wins
+    /// and the duplicate is counted.
+    pub(crate) fn insert(&mut self, key: (String, u64), v: Value) {
+        match self.records.entry(key) {
+            Entry::Occupied(_) => self.duplicates += 1,
+            Entry::Vacant(slot) => {
+                slot.insert(v);
+            }
+        }
+    }
+
+    /// Write the header, then the records in key order, to `path` in one
+    /// write.
+    pub(crate) fn write(&self, path: &Path) -> Result<(), String> {
+        let mut text = line_of(&self.header)?;
+        for v in self.records.values() {
+            text.push_str(&line_of(v)?);
+        }
+        std::fs::write(path, text)
+            .map_err(|e| format!("cannot write checkpoint `{}`: {e}", path.display()))
+    }
+}
+
+/// The fields of a record line that key it.
+#[derive(Deserialize)]
+struct RecordKey {
+    phase: String,
+    index: u64,
+}
+
+/// Read a checkpoint file: `Ok(None)` when it is missing, empty, or its
+/// header line lacks a newline (a kill before the header reached disk).
+/// Only newline-terminated lines count, so an unterminated final line is
+/// a torn tail even when it parses; a malformed terminated line is
+/// corruption, named by file and line.
+pub(crate) fn read_checkpoint(path: &Path) -> Result<Option<Checkpoint>, String> {
+    let file = path.display();
+    let bytes = match std::fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        read => read.map_err(|e| format!("cannot read checkpoint `{file}`: {e}"))?,
+    };
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+    let Some(head) = lines.next().and_then(|l| l.strip_suffix(b"\n")) else {
+        return Ok(None);
+    };
+    let header = parse(head).map_err(|e| format!("checkpoint `{file}` has a bad header: {e}"))?;
+    let mut cp = Checkpoint {
+        header,
+        records: Records::new(),
+        duplicates: 0,
+        valid_len: head.len() as u64 + 1,
+    };
+    for (n, line) in lines.enumerate() {
+        let Some(line) = line.strip_suffix(b"\n") else {
+            break; // the torn tail
+        };
+        let (key, v) = parse(line)
+            .and_then(|v| Ok((RecordKey::from_value(&v).map_err(|e| e.to_string())?, v)))
+            .map_err(|e| format!("checkpoint `{file}` line {} is corrupt: {e}", n + 2))?;
+        cp.insert((key.phase, key.index), v);
+        cp.valid_len += line.len() as u64 + 1;
+    }
+    Ok(Some(cp))
+}
+
+/// One checkpoint line's JSON as a `T`.
+fn parse<T: Deserialize>(line: &[u8]) -> Result<T, String> {
+    let text = std::str::from_utf8(line).map_err(|e| e.to_string())?;
+    serde_json::from_str(text).map_err(|e| e.to_string())
+}
+
+/// One checkpoint line, newline included: written with one `write_all`,
+/// a kill leaves either the whole line or an unterminated torn tail.
+fn line_of(v: &impl Serialize) -> Result<String, String> {
+    let mut line = serde_json::to_string(v).map_err(|e| e.to_string())?;
+    line.push('\n');
+    Ok(line)
 }
 
 /// Append-only JSONL checkpoint of completed [`RunRecord`]s.
 pub struct CheckpointLog {
     path: PathBuf,
     file: std::fs::File,
-    /// Records loaded on resume, keyed by `(phase, index)`; values are the
-    /// raw JSON trees, deserialized per-driver on lookup.
-    loaded: HashMap<(String, u64), Value>,
+    /// Records loaded on resume.
+    loaded: Records,
 }
 
 impl std::fmt::Debug for CheckpointLog {
@@ -194,112 +307,33 @@ impl CheckpointLog {
     pub fn create(path: &Path, header: &CheckpointHeader) -> Result<CheckpointLog, String> {
         let mut file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create checkpoint `{}`: {e}", path.display()))?;
-        let line = serde_json::to_string(header).map_err(|e| e.to_string())?;
-        writeln!(file, "{line}")
-            .and_then(|()| file.flush())
+        file.write_all(line_of(header)?.as_bytes())
             .map_err(|e| format!("cannot write checkpoint header: {e}"))?;
         Ok(CheckpointLog {
             path: path.to_path_buf(),
             file,
-            loaded: HashMap::new(),
+            loaded: Records::new(),
         })
     }
 
-    /// Resume from an existing checkpoint (or start fresh when `path` does
-    /// not exist yet). The stored header must match `header` exactly.
-    ///
-    /// A torn trailing line (the previous process died mid-append) is
-    /// dropped *and truncated away*, so subsequent appends start on a
-    /// clean line boundary; malformed lines anywhere else are corruption
-    /// and error.
+    /// Resume from an existing checkpoint, or start fresh where
+    /// [`read_checkpoint`] finds none. The stored header must match
+    /// `header` exactly. A torn tail is truncated away, so appends start
+    /// on a clean line boundary.
     pub fn resume(path: &Path, header: &CheckpointHeader) -> Result<CheckpointLog, String> {
-        if !path.exists() {
+        let Some(cp) = read_checkpoint(path)? else {
             return CheckpointLog::create(path, header);
-        }
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read checkpoint `{}`: {e}", path.display()))?;
-        if text.is_empty() {
-            // A kill between `File::create` and the header write leaves a
-            // zero-byte file; that is the missing-file fresh start, not
-            // corruption.
-            return CheckpointLog::create(path, header);
-        }
-        // Walk the file by byte offset so the valid prefix length is known
-        // exactly: everything past the last well-formed line is a torn
-        // tail to truncate before appending.
-        let line_end =
-            |pos: usize| -> usize { text[pos..].find('\n').map_or(text.len(), |i| pos + i + 1) };
-        let mut pos = line_end(0);
-        let head_line = text[..pos].trim_end();
-        let stored: CheckpointHeader = serde_json::from_str(head_line)
-            .map_err(|e| format!("checkpoint `{}` has a bad header: {e}", path.display()))?;
-        if &stored != header {
-            return Err(format!(
-                "checkpoint `{}` belongs to a different campaign: \
-                 found {}/seed {}/scale {}, expected {}/seed {}/scale {}",
-                path.display(),
-                stored.campaign,
-                stored.seed,
-                stored.scale,
-                header.campaign,
-                header.seed,
-                header.scale,
-            ));
-        }
-        let mut valid_len = pos;
-        let mut loaded = HashMap::new();
-        let mut line_no = 1;
-        while pos < text.len() {
-            let end = line_end(pos);
-            let line = text[pos..end].trim_end();
-            line_no += 1;
-            if !line.is_empty() {
-                match serde_json::from_str::<Value>(line) {
-                    Ok(v) => {
-                        let obj = v.as_object().ok_or_else(|| {
-                            format!("checkpoint record at line {line_no} is not an object")
-                        })?;
-                        let phase = String::from_value(
-                            serde::field(obj, "phase").map_err(|e| e.to_string())?,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        let index =
-                            u64::from_value(serde::field(obj, "index").map_err(|e| e.to_string())?)
-                                .map_err(|e| e.to_string())?;
-                        loaded.insert((phase, index), v);
-                        valid_len = end;
-                    }
-                    Err(e) if end == text.len() => {
-                        // Torn final line: the kill arrived mid-append. The
-                        // item reruns; the tail is truncated below.
-                        let _ = e;
-                    }
-                    Err(e) => {
-                        return Err(format!(
-                            "checkpoint `{}` line {line_no} is corrupt: {e}",
-                            path.display(),
-                        ));
-                    }
-                }
-            }
-            pos = end;
-        }
+        };
+        header.require(&cp.header, path)?;
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(path)
+            .and_then(|f| f.set_len(cp.valid_len).map(|()| f))
             .map_err(|e| format!("cannot append to checkpoint `{}`: {e}", path.display()))?;
-        if valid_len < text.len() {
-            file.set_len(valid_len as u64).map_err(|e| {
-                format!(
-                    "cannot truncate torn checkpoint tail in `{}`: {e}",
-                    path.display()
-                )
-            })?;
-        }
         Ok(CheckpointLog {
             path: path.to_path_buf(),
             file,
-            loaded,
+            loaded: cp.records,
         })
     }
 
@@ -308,11 +342,10 @@ impl CheckpointLog {
         self.loaded.len()
     }
 
-    /// Append one completed record and flush it to disk.
+    /// Append one completed record.
     pub fn append<R: Serialize>(&mut self, record: &RunRecord<R>) -> Result<(), String> {
-        let line = serde_json::to_string(record).map_err(|e| e.to_string())?;
-        writeln!(self.file, "{line}")
-            .and_then(|()| self.file.flush())
+        self.file
+            .write_all(line_of(record)?.as_bytes())
             .map_err(|e| format!("cannot append to checkpoint `{}`: {e}", self.path.display()))
     }
 
@@ -933,6 +966,45 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    fn record(index: u64) -> RunRecord<u32> {
+        RunRecord {
+            phase: "p".to_string(),
+            index,
+            elapsed_micros: 1,
+            status: RunStatus::Ok(index as u32),
+        }
+    }
+
+    #[test]
+    fn unterminated_final_record_reruns_instead_of_gluing_appends() {
+        // A kill between a record and its newline leaves a complete but
+        // unterminated line: it is a torn tail, so resume drops it and
+        // later appends start on a fresh line.
+        let path = temp_path("unterminated");
+        let header = CheckpointHeader::new("u", 1, 1);
+        {
+            let mut log = CheckpointLog::create(&path, &header).unwrap();
+            log.append(&record(0)).unwrap();
+            log.append(&record(1)).unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.pop(), Some(b'\n'));
+        std::fs::write(&path, bytes).unwrap();
+        {
+            let mut log = CheckpointLog::resume(&path, &header).unwrap();
+            assert_eq!(log.loaded_records(), 1, "record 1 reruns");
+            log.append(&record(1)).unwrap();
+            log.append(&record(2)).unwrap();
+        }
+        let log = CheckpointLog::resume(&path, &header).unwrap();
+        assert_eq!(log.loaded_records(), 3);
+        let out = temp_path("unterminated-merged");
+        let summary = crate::shard::merge_checkpoints(std::slice::from_ref(&path), &out).unwrap();
+        assert_eq!((summary.records, summary.duplicates), (3, 0));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&out).ok();
+    }
+
     /// One way to damage a valid checkpoint file.
     #[derive(Debug, Clone)]
     enum Damage {
@@ -954,7 +1026,9 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// Resume on a truncated, bit-flipped or line-duplicated
-        /// checkpoint returns `Ok` or `Err` and never panics.
+        /// checkpoint returns `Ok` or `Err` and never panics; merging the
+        /// same bytes agrees with it, and a successful resume keeps
+        /// appending cleanly.
         #[test]
         fn resume_survives_corrupt_checkpoints(damage in arb_damage()) {
             let path = temp_path("fuzz");
@@ -1001,10 +1075,41 @@ mod tests {
                 }
             }
             std::fs::write(&path, &bytes).unwrap();
-            if let Ok(log) = CheckpointLog::resume(&path, &header) {
-                proptest::prop_assert!(log.loaded_records() <= 4, "{damage:?}");
+            let keys = |log: CheckpointLog| log.loaded.into_keys().collect::<Vec<_>>();
+            // A shard with no checkpoint merges as missing, where resume
+            // starts fresh; otherwise the merged file must resume to the
+            // same records.
+            let out = temp_path("fuzz-merged");
+            let merged = match read_checkpoint(&path) {
+                Ok(None) => Ok(Vec::new()),
+                _ => crate::shard::merge_checkpoints(std::slice::from_ref(&path), &out)
+                    .and_then(|_| CheckpointLog::resume(&out, &header))
+                    .map(keys),
+            };
+            let resumed = CheckpointLog::resume(&path, &header);
+            match (&resumed, &merged) {
+                (Ok(log), Ok(merged)) => {
+                    proptest::prop_assert!(log.loaded_records() <= 4, "{damage:?}");
+                    let resumed_keys: Vec<_> = log.loaded.keys().cloned().collect();
+                    proptest::prop_assert_eq!(&resumed_keys, merged, "{:?}", damage);
+                }
+                (Err(_), Err(_)) => {}
+                _ => proptest::prop_assert!(false, "{damage:?}: {resumed:?} vs {merged:?}"),
+            }
+            if let Ok(mut log) = resumed {
+                let before = log.loaded_records();
+                log.append(&record(1000)).unwrap();
+                drop(log);
+                let again = CheckpointLog::resume(&path, &header);
+                proptest::prop_assert_eq!(
+                    again.map(|l| l.loaded_records()),
+                    Ok(before + 1),
+                    "{:?}",
+                    damage
+                );
             }
             std::fs::remove_file(&path).ok();
+            std::fs::remove_file(&out).ok();
         }
     }
 

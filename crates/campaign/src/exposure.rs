@@ -19,7 +19,6 @@ use swifi_vm::inspect::Profiler;
 use swifi_vm::machine::RunOutcome;
 
 use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
-use crate::prefix::PrefixCache;
 
 /// Measured exposure chain for one real fault.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,13 +86,10 @@ pub fn estimate_exposure_with(
         };
         let addrs: Vec<u32> = diffs.iter().map(|d| d.addr).collect();
         let inputs = p.family.test_case(runs, seed);
-        // Profiled runs never fork (they carry an inspector), but the
-        // shared cache still pools the per-input oracle memos.
-        let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
         let (records, _sessions) = engine.run_phase(
             p.name,
             &inputs,
-            || opts.session(&faulty, p.family, prefix.clone()),
+            || opts.session(&faulty, p.family, None),
             |session, _, input| {
                 let mut prof = Profiler::new();
                 let outcome = session.run_with(input, &mut prof);

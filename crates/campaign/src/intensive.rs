@@ -10,7 +10,6 @@ use swifi_lang::compile;
 use swifi_programs::all_programs;
 
 use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
-use crate::prefix::PrefixCache;
 use crate::runner::{FailureMode, ModeCounts};
 
 /// One row of Table 1.
@@ -66,11 +65,10 @@ pub fn table1_with(
         };
         let compiled = compile(faulty_src).expect("faulty source compiles");
         let inputs = p.family.test_case(runs, seed);
-        let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
         let (records, _sessions) = engine.run_phase(
             p.name,
             &inputs,
-            || opts.session(&compiled, p.family, prefix.clone()),
+            || opts.session(&compiled, p.family, None),
             |session, _, input| session.run(input, None, 0).0,
             |i, _| format!("{} input #{i}", p.name),
         )?;

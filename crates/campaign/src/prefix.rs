@@ -136,6 +136,41 @@ impl Inner {
         true
     }
 
+    /// Store a rung unless it serves no fork, its key is taken, or it
+    /// does not fit the budget.
+    fn insert(
+        &mut self,
+        key: SnapKey,
+        snapshot: Arc<ForkSnapshot>,
+        uses: Option<u32>,
+        budget: usize,
+    ) -> bool {
+        if uses == Some(0)
+            || self.rungs.contains_key(&key)
+            || !self.charge(rung_bytes(&snapshot), budget)
+        {
+            return false;
+        }
+        self.rungs.insert(key, Rung { snapshot, uses });
+        true
+    }
+
+    /// Spend one use of the rung at `key`, dropping it after its last,
+    /// and return its snapshot.
+    fn spend(&mut self, key: SnapKey) -> Option<Arc<ForkSnapshot>> {
+        let rung = self.rungs.get_mut(&key)?;
+        let snapshot = rung.snapshot.clone();
+        let spent = rung.uses.as_mut().is_some_and(|uses| {
+            *uses = uses.saturating_sub(1);
+            *uses == 0
+        });
+        if spent {
+            self.rungs.remove(&key);
+            self.bytes -= rung_bytes(&snapshot);
+        }
+        Some(snapshot)
+    }
+
     /// Forks each `(input, pc, 1)` rung serves per the watch list.
     fn watched_uses(&self, pc: u32) -> Option<u32> {
         let i = self.watch.binary_search_by_key(&pc, |&(p, _)| p).ok()?;
@@ -254,20 +289,9 @@ impl PrefixCache {
                 return plan;
             }
         }
-        let key = (id, pc, occ);
-        let Some(rung) = inner.rungs.get_mut(&key) else {
-            return RunPlan::Capture;
-        };
-        let snapshot = rung.snapshot.clone();
-        let spent = rung.uses.as_mut().is_some_and(|uses| {
-            *uses = uses.saturating_sub(1);
-            *uses == 0
-        });
-        if spent {
-            inner.rungs.remove(&key);
-            inner.bytes -= rung_bytes(&snapshot);
-        }
-        RunPlan::Fork(snapshot)
+        inner
+            .spend((id, pc, occ))
+            .map_or(RunPlan::Capture, RunPlan::Fork)
     }
 
     /// The forks a rung stored at `(pc, occ)` by a capture run would still
@@ -301,16 +325,30 @@ impl PrefixCache {
         uses: Option<u32>,
     ) -> bool {
         let mut inner = self.lock();
-        let id = inner.intern(input);
-        let key = (id, pc, occ);
-        if uses == Some(0)
-            || inner.rungs.contains_key(&key)
-            || !inner.charge(rung_bytes(&snapshot), self.budget)
-        {
+        let key = (inner.intern(input), pc, occ);
+        inner.insert(key, snapshot, uses, self.budget)
+    }
+
+    /// Store a capture run's rung ([`PrefixCache::insert_snapshot`];
+    /// `None` when the cost rule vetoed one). The capture run is one of
+    /// the rung's uses, so when another run stored the key after this
+    /// one was planned — a golden pass that claimed the input first, or
+    /// a racing capture — this run spends a use of that rung instead and
+    /// nothing is stored.
+    pub fn insert_capture(
+        &self,
+        input: &TestInput,
+        pc: u32,
+        occ: u64,
+        snapshot: Option<Arc<ForkSnapshot>>,
+        uses: Option<u32>,
+    ) -> bool {
+        let mut inner = self.lock();
+        let key = (inner.intern(input), pc, occ);
+        if inner.spend(key).is_some() {
             return false;
         }
-        inner.rungs.insert(key, Rung { snapshot, uses });
-        true
+        snapshot.is_some_and(|s| inner.insert(key, s, uses, self.budget))
     }
 
     /// The memoized fault-free run for `input`, if one was recorded.
@@ -467,6 +505,37 @@ mod tests {
         empty.record_golden(&inputs[0], hang(1), [(0x100, 3)]);
         assert!(empty.golden(&inputs[0]).is_none());
         assert!(empty.total_occurrences(&inputs[0], 0x100).is_none());
+    }
+
+    #[test]
+    fn a_capture_that_loses_the_race_to_the_pass_spends_its_use() {
+        let target = program("JB.team11").unwrap();
+        let input = &target.family.test_case(1, 1)[0];
+        let snap = Arc::new(tiny_fork("li r3, 0\nhalt"));
+        let cache = PrefixCache::new();
+        cache.set_watch_pcs(vec![0x100, 0x100]);
+        // Another worker claims the pass; this run is planned a capture.
+        assert!(cache.claim_pass(input));
+        assert!(matches!(cache.plan(input, 0x100, 1), RunPlan::Capture));
+        // The pass stores the rung for both faults before the capture
+        // arrives at the trigger.
+        assert!(cache.insert_snapshot(input, 0x100, 1, snap.clone(), Some(2)));
+        let uses = cache.capture_uses(0x100, 1);
+        assert!(!cache.insert_capture(input, 0x100, 1, Some(snap.clone()), uses));
+        assert!(matches!(cache.plan(input, 0x100, 1), RunPlan::Fork(_)));
+        assert_eq!(cache.snapshot_count(), 0, "the rung's last use is spent");
+        assert_eq!(cache.retained_bytes(), 0);
+
+        // A capture the cost rule vetoed spends its use all the same; a
+        // pass's refused insert spends none.
+        assert!(cache.insert_snapshot(input, 0x100, 2, snap.clone(), Some(2)));
+        assert!(!cache.insert_snapshot(input, 0x100, 2, snap.clone(), Some(2)));
+        assert!(!cache.insert_capture(input, 0x100, 2, None, None));
+        assert!(matches!(cache.plan(input, 0x100, 2), RunPlan::Fork(_)));
+        assert_eq!(cache.snapshot_count(), 0);
+        // With no rung to lose to, a capture stores its own.
+        assert!(cache.insert_capture(input, 0x100, 3, Some(snap), Some(1)));
+        assert_eq!(cache.snapshot_count(), 1);
     }
 
     #[test]

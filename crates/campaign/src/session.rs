@@ -37,7 +37,7 @@ use swifi_trace::metrics::names as metric_names;
 use swifi_trace::{ProfiledInspector, WorkerTelemetry};
 use swifi_vm::inspect::Inspector;
 use swifi_vm::machine::{FetchStop, FetchWatch, Machine, MachineSnapshot, RunOutcome};
-use swifi_vm::Noop;
+use swifi_vm::{ForkSnapshot, Noop};
 
 use crate::plan::{self, RunPlan};
 use crate::prefix::{GoldenRun, PrefixCache};
@@ -631,7 +631,10 @@ impl RunSession {
                 FetchStop::Hit(pc) => {
                     pauses += 1;
                     let uses = watched[watched.partition_point(|&(p, _)| p < pc)].1;
-                    rungs += u64::from(self.store_rung(cache, input, (pc, 1), Some(uses)));
+                    let stored = self
+                        .rung(Some(uses))
+                        .is_some_and(|r| cache.insert_snapshot(input, pc, 1, r, Some(uses)));
+                    rungs += u64::from(stored);
                 }
             }
         };
@@ -656,16 +659,9 @@ impl RunSession {
         (outcome, retired)
     }
 
-    /// Store a rung of the paused machine at fork point `at` if the cost
-    /// rule says it pays over `uses` forks (`None`: uncounted, judged as
-    /// one). Returns whether the cache took it.
-    fn store_rung(
-        &self,
-        cache: &PrefixCache,
-        input: &TestInput,
-        (pc, occ): (u32, u64),
-        uses: Option<u32>,
-    ) -> bool {
+    /// A rung of the paused machine, if the cost rule says it pays over
+    /// `uses` forks (`None`: uncounted, judged as one).
+    fn rung(&self, uses: Option<u32>) -> Option<Arc<ForkSnapshot>> {
         let m = &self.machine;
         let pays = plan::worth_forking(
             m.retired(),
@@ -673,7 +669,7 @@ impl RunSession {
             m.dirty_code_pages(),
             uses.unwrap_or(1),
         );
-        pays && cache.insert_snapshot(input, pc, occ, Arc::new(m.fork_snapshot()), uses)
+        pays.then(|| Arc::new(m.fork_snapshot()))
     }
 
     /// Whether a fault-free outcome is safe to memoize: with a wall-clock
@@ -831,7 +827,7 @@ impl RunSession {
                     // in place as this run.
                     FetchStop::Hit(_) => {
                         let uses = cache.capture_uses(pc, occ);
-                        let stored = self.store_rung(&cache, input, (pc, occ), uses);
+                        let stored = cache.insert_capture(input, pc, occ, self.rung(uses), uses);
                         let (outcome, fired) = self.run_armed(specs, mode, seed, occ - 1)?;
                         let capture = if stored { "captured" } else { "vetoed" };
                         (outcome, fired, 0, capture)

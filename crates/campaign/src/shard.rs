@@ -16,9 +16,7 @@
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use serde::Value;
-
-use crate::engine::{CampaignOptions, CheckpointHeader};
+use crate::engine::{read_checkpoint, CampaignOptions, Checkpoint};
 
 /// One shard's identity: `index` of `count` contiguous slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,170 +74,63 @@ impl Shard {
 pub struct MergeSummary {
     /// Shard checkpoint files read.
     pub shards_read: usize,
-    /// Shard paths that did not exist (killed before the header write);
-    /// their records are executed by the final resume pass instead.
+    /// Shards with no checkpoint: missing, empty, or killed before the
+    /// header's newline reached disk. Their records are executed by the
+    /// final resume pass instead.
     pub shards_missing: usize,
     /// Distinct `(phase, index)` records written to the merged file.
     pub records: usize,
-    /// Records seen in more than one shard file (first occurrence wins;
-    /// duplicates only arise when shard ranges overlapped, e.g. after a
+    /// Records seen more than once (first occurrence wins; duplicates
+    /// only arise when shard ranges overlapped, e.g. after a
     /// resubmission with a different shard count).
     pub duplicates: usize,
+    /// Merged records per phase, in phase-name order. The server streams
+    /// these as `phase` progress events.
+    pub phases: Vec<(String, u64)>,
 }
 
 /// Union shard checkpoint files into one merged checkpoint at `out`.
 ///
-/// The header is taken from the first shard file present and every other
-/// shard must carry the identical header (same campaign, seed, scale) —
-/// mixing shards of different campaigns is refused, not silently merged.
-/// A torn final line in a shard (the worker was killed mid-append) is
-/// dropped exactly as `CheckpointLog::resume` drops it; a malformed line
-/// anywhere else is corruption and errors naming the file.
+/// Every shard is read as [`crate::engine::CheckpointLog::resume`]
+/// reads it (a torn tail is dropped, a malformed terminated line errors
+/// naming the file and line), and every shard present must carry the
+/// same header — mixing shards of different campaigns is refused, not
+/// silently merged.
 ///
 /// # Errors
 ///
 /// Rejects an empty shard list, mismatched headers, unreadable or
 /// corrupt shard files, and I/O failures writing `out`.
 pub fn merge_checkpoints(shards: &[PathBuf], out: &Path) -> Result<MergeSummary, String> {
-    if shards.is_empty() {
-        return Err("no shard checkpoints to merge".to_string());
-    }
     let mut summary = MergeSummary::default();
-    let mut header: Option<CheckpointHeader> = None;
-    let mut merged: std::collections::BTreeMap<(String, u64), Value> =
-        std::collections::BTreeMap::new();
+    let mut merged: Option<Checkpoint> = None;
     for path in shards {
-        if !path.exists() {
+        let Some(shard) = read_checkpoint(path)? else {
             summary.shards_missing += 1;
             continue;
-        }
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read shard checkpoint `{}`: {e}", path.display()))?;
-        if text.is_empty() {
-            // Zero-byte shard: killed before the header write; same as
-            // missing for merge purposes.
-            summary.shards_missing += 1;
-            continue;
-        }
+        };
         summary.shards_read += 1;
-        let line_end =
-            |pos: usize| -> usize { text[pos..].find('\n').map_or(text.len(), |i| pos + i + 1) };
-        let mut pos = line_end(0);
-        let stored: CheckpointHeader = serde_json::from_str(text[..pos].trim_end())
-            .map_err(|e| format!("shard `{}` has a bad header: {e}", path.display()))?;
-        match &header {
-            None => header = Some(stored),
-            Some(h) if *h == stored => {}
-            Some(h) => {
-                return Err(format!(
-                    "shard `{}` belongs to a different campaign: \
-                     found {}/seed {}/scale {}, expected {}/seed {}/scale {}",
-                    path.display(),
-                    stored.campaign,
-                    stored.seed,
-                    stored.scale,
-                    h.campaign,
-                    h.seed,
-                    h.scale,
-                ));
-            }
-        }
-        let mut line_no = 1;
-        while pos < text.len() {
-            let end = line_end(pos);
-            let line = text[pos..end].trim_end();
-            line_no += 1;
-            if !line.is_empty() {
-                match serde_json::from_str::<Value>(line) {
-                    Ok(v) => {
-                        let key = record_key(&v).map_err(|e| {
-                            format!("shard `{}` line {line_no}: {e}", path.display())
-                        })?;
-                        match merged.entry(key) {
-                            std::collections::btree_map::Entry::Occupied(_) => {
-                                summary.duplicates += 1;
-                            }
-                            std::collections::btree_map::Entry::Vacant(slot) => {
-                                slot.insert(v);
-                            }
-                        }
-                    }
-                    Err(e) if end == text.len() => {
-                        // Torn tail from a mid-append kill; the final
-                        // resume pass reruns the item.
-                        let _ = e;
-                    }
-                    Err(e) => {
-                        return Err(format!(
-                            "shard `{}` line {line_no} is corrupt: {e}",
-                            path.display(),
-                        ));
-                    }
-                }
-            }
-            pos = end;
-        }
-    }
-    let header = header.ok_or("no shard checkpoint produced a header (all missing or empty)")?;
-    summary.records = merged.len();
-    let mut text = serde_json::to_string(&header).map_err(|e| e.to_string())?;
-    text.push('\n');
-    for v in merged.values() {
-        text.push_str(&serde_json::to_string(v).map_err(|e| e.to_string())?);
-        text.push('\n');
-    }
-    std::fs::write(out, text)
-        .map_err(|e| format!("cannot write merged checkpoint `{}`: {e}", out.display()))?;
-    Ok(summary)
-}
-
-/// Run records per phase in a checkpoint file, in phase-name order.
-/// The server streams these as `phase` progress events after a merge.
-///
-/// # Errors
-///
-/// Rejects an unreadable file, a bad header, or corrupt record lines
-/// (a torn final line is dropped, as everywhere else).
-pub fn phase_counts(path: &Path) -> Result<Vec<(String, u64)>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read checkpoint `{}`: {e}", path.display()))?;
-    let mut counts: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or("");
-    serde_json::from_str::<CheckpointHeader>(header)
-        .map_err(|e| format!("checkpoint `{}` has a bad header: {e}", path.display()))?;
-    let mut rest = lines.peekable();
-    while let Some(line) = rest.next() {
-        if line.trim().is_empty() {
+        let Some(m) = &mut merged else {
+            merged = Some(shard);
             continue;
-        }
-        match serde_json::from_str::<Value>(line) {
-            Ok(v) => {
-                let (phase, _) =
-                    record_key(&v).map_err(|e| format!("checkpoint `{}`: {e}", path.display()))?;
-                *counts.entry(phase).or_default() += 1;
-            }
-            Err(_) if rest.peek().is_none() && !text.ends_with('\n') => {} // torn tail
-            Err(e) => {
-                return Err(format!("checkpoint `{}` is corrupt: {e}", path.display()));
-            }
+        };
+        m.header.require(&shard.header, path)?;
+        m.duplicates += shard.duplicates;
+        for (key, v) in shard.records {
+            m.insert(key, v);
         }
     }
-    Ok(counts.into_iter().collect())
-}
-
-fn record_key(v: &Value) -> Result<(String, u64), String> {
-    let obj = v.as_object().ok_or("checkpoint record is not an object")?;
-    let phase = match serde::field(obj, "phase") {
-        Ok(Value::Str(s)) => s.clone(),
-        _ => return Err("checkpoint record has no string `phase`".to_string()),
-    };
-    let index = match serde::field(obj, "index") {
-        Ok(Value::U64(u)) => *u,
-        Ok(Value::I64(i)) if *i >= 0 => *i as u64,
-        _ => return Err("checkpoint record has no integer `index`".to_string()),
-    };
-    Ok((phase, index))
+    let m = merged.ok_or("no shard checkpoint to merge (all missing or empty)")?;
+    m.write(out)?;
+    summary.records = m.records.len();
+    summary.duplicates = m.duplicates;
+    for (phase, _) in m.records.keys() {
+        match summary.phases.last_mut() {
+            Some((last, n)) if last == phase => *n += 1,
+            _ => summary.phases.push((phase.clone(), 1)),
+        }
+    }
+    Ok(summary)
 }
 
 /// Run one campaign sharded `count` ways entirely in this process: each
@@ -299,7 +190,7 @@ pub fn merged_path(dir: &Path, tag: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CampaignEngine, RunRecord, RunStatus};
+    use crate::engine::{CampaignEngine, CheckpointHeader, CheckpointLog, RunRecord, RunStatus};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -402,24 +293,34 @@ mod tests {
     }
 
     #[test]
-    fn phase_counts_fold_the_merged_checkpoint() {
+    fn merge_summary_counts_records_per_phase() {
         let dir = temp_dir("phases");
-        let path = dir.join("c.jsonl");
         let header = CheckpointHeader::new("p", 1, 1);
-        let mut log = crate::engine::CheckpointLog::create(&path, &header).unwrap();
-        for (phase, index) in [("assign", 0u64), ("assign", 1), ("check", 0)] {
-            log.append(&RunRecord {
-                phase: phase.to_string(),
-                index,
-                elapsed_micros: 1,
-                status: RunStatus::Ok(0),
-            })
-            .unwrap();
+        let a = dir.join("a.jsonl");
+        let b = dir.join("b.jsonl");
+        let shards = [
+            (&a, vec![("check", 0u64), ("assign", 1)]),
+            (&b, vec![("assign", 0), ("assign", 1)]),
+        ];
+        for (path, keys) in shards {
+            let mut log = CheckpointLog::create(path, &header).unwrap();
+            for (phase, index) in keys {
+                log.append(&RunRecord {
+                    phase: phase.to_string(),
+                    index,
+                    elapsed_micros: 1,
+                    status: RunStatus::Ok(0),
+                })
+                .unwrap();
+            }
         }
+        // The duplicate `assign#1` counts once.
+        let summary = merge_checkpoints(&[a, b], &dir.join("out.jsonl")).unwrap();
         assert_eq!(
-            phase_counts(&path).unwrap(),
+            summary.phases,
             vec![("assign".to_string(), 2), ("check".to_string(), 1)]
         );
+        assert_eq!(summary.duplicates, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -428,8 +329,8 @@ mod tests {
         let dir = temp_dir("mismatch");
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
-        crate::engine::CheckpointLog::create(&a, &CheckpointHeader::new("x", 1, 1)).unwrap();
-        crate::engine::CheckpointLog::create(&b, &CheckpointHeader::new("x", 2, 1)).unwrap();
+        CheckpointLog::create(&a, &CheckpointHeader::new("x", 1, 1)).unwrap();
+        CheckpointLog::create(&b, &CheckpointHeader::new("x", 2, 1)).unwrap();
         let err = merge_checkpoints(&[a, b], &dir.join("out.jsonl")).unwrap_err();
         assert!(err.contains("different campaign"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -442,7 +343,7 @@ mod tests {
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
         for (path, indices) in [(&a, vec![0u64, 1]), (&b, vec![1u64, 2])] {
-            let mut log = crate::engine::CheckpointLog::create(path, &header).unwrap();
+            let mut log = CheckpointLog::create(path, &header).unwrap();
             for i in indices {
                 log.append(&RunRecord {
                     phase: "p".to_string(),
@@ -465,7 +366,7 @@ mod tests {
         assert_eq!(summary.records, 3);
         assert_eq!(summary.duplicates, 1);
         // The merged file resumes cleanly with all three records.
-        let log = crate::engine::CheckpointLog::resume(&out, &header).unwrap();
+        let log = CheckpointLog::resume(&out, &header).unwrap();
         assert_eq!(log.loaded_records(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -480,7 +381,7 @@ mod tests {
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
         {
-            let mut log = crate::engine::CheckpointLog::create(&a, &header).unwrap();
+            let mut log = CheckpointLog::create(&a, &header).unwrap();
             log.append(&RunRecord {
                 phase: "p".to_string(),
                 index: 0,
@@ -489,14 +390,14 @@ mod tests {
             })
             .unwrap();
         }
-        crate::engine::CheckpointLog::create(&b, &header).unwrap();
+        CheckpointLog::create(&b, &header).unwrap();
         let out = dir.join("out.jsonl");
         let summary = merge_checkpoints(&[a, b], &out).unwrap();
         assert_eq!(summary.shards_read, 2);
         assert_eq!(summary.shards_missing, 0);
         assert_eq!(summary.records, 1);
         assert_eq!(summary.duplicates, 0);
-        let log = crate::engine::CheckpointLog::resume(&out, &header).unwrap();
+        let log = CheckpointLog::resume(&out, &header).unwrap();
         assert_eq!(log.loaded_records(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -506,7 +407,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let a = dir.join("a.jsonl");
         let header = CheckpointHeader::new("c", 1, 1);
-        crate::engine::CheckpointLog::create(&a, &header).unwrap();
+        CheckpointLog::create(&a, &header).unwrap();
         {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new().append(true).open(&a).unwrap();

@@ -18,7 +18,7 @@ use std::process::{Child, Command, Stdio};
 use swifi_campaign::engine::AbnormalRun;
 use swifi_campaign::report::{class_campaign_report, source_campaign_report};
 use swifi_campaign::section6::{class_campaign_with, CampaignScale};
-use swifi_campaign::shard::{merged_path, phase_counts, shard_paths};
+use swifi_campaign::shard::{merged_path, shard_paths};
 use swifi_campaign::source::{source_campaign_with, SourceScale};
 use swifi_campaign::{merge_checkpoints, CampaignOptions, Shard};
 use swifi_trace::metrics::MetricsRegistry;
@@ -105,7 +105,7 @@ pub fn run_campaign(
     let merged = merged_path(&cfg.workdir, &tag);
     let summary = merge_checkpoints(&paths, &merged)?;
     emit(Event::merged(&summary));
-    for (name, runs) in phase_counts(&merged)? {
+    for (name, runs) in summary.phases {
         emit(Event::Phase { name, runs });
     }
 

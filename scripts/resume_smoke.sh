@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Resume smoke test: run a campaign to a JSONL checkpoint, simulate a
 # mid-campaign kill by truncating the checkpoint (keeping a torn final
-# line, exactly what a kill -9 mid-append leaves), resume, and require
-# the resumed report to equal the uninterrupted one. Also checks that a
-# deliberately injected worker panic surfaces as one Abnormal record
-# instead of aborting the campaign.
+# line, exactly what a kill -9 mid-append leaves; or a final record
+# without its newline), resume, and require the resumed report to equal
+# the uninterrupted one. Also checks that a deliberately injected worker
+# panic surfaces as one Abnormal record instead of aborting the campaign.
 #
 # tests/campaign_resilience.rs pins the same invariants in-process; this
 # script exercises them end-to-end through the CLI and the real files.
@@ -38,6 +38,15 @@ diff -u "$TMP/reference.txt" "$TMP/no-blocks.txt"
 # Checkpointing must not perturb the report.
 run --checkpoint "$CKPT" | report > "$TMP/full.txt"
 diff -u "$TMP/reference.txt" "$TMP/full.txt"
+
+# A kill between a record and its newline leaves a complete record
+# without its newline. Resume must rerun that item instead of gluing
+# later appends onto it, and a second resume must replay cleanly.
+head -n 6 "$CKPT" | head -c -1 > "$TMP/unterminated.jsonl"
+run --checkpoint "$TMP/unterminated.jsonl" --resume | report > "$TMP/unterminated-1.txt"
+diff -u "$TMP/reference.txt" "$TMP/unterminated-1.txt"
+run --checkpoint "$TMP/unterminated.jsonl" --resume | report > "$TMP/unterminated-2.txt"
+diff -u "$TMP/reference.txt" "$TMP/unterminated-2.txt"
 
 # Simulate the kill: keep the header plus the first 5 records, then a
 # torn partial line.

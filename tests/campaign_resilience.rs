@@ -3,20 +3,18 @@
 //! panic-to-`Abnormal` recovery. The seed-determinism report equality
 //! (`ProgramCampaign`/`Throughput` `PartialEq`) is the oracle throughout:
 //! a resumed campaign must be indistinguishable from an uninterrupted one.
-//! Class-campaign kill/resume and shard splits under every tier
-//! combination are also drawn by the tier-matrix oracle in
-//! `tests/fault_injection_properties.rs`.
+//! Class-campaign kill/resume under every tier combination is also drawn
+//! by the tier-matrix oracle in `tests/fault_injection_properties.rs`,
+//! which alone checks shard splits (whole, and with one shard lost and
+//! another torn) against the direct run.
 
 mod common;
 
-use std::path::PathBuf;
 use std::time::Duration;
 
-use proptest::prelude::*;
 use swifi_campaign::section6::{class_campaign_with, CampaignScale};
-use swifi_campaign::shard::{merge_checkpoints, merged_path, run_sharded, shard_paths};
 use swifi_campaign::source::{source_campaign_with, SourceScale};
-use swifi_campaign::{CampaignOptions, Shard};
+use swifi_campaign::CampaignOptions;
 use swifi_programs::program;
 use swifi_trace::{Telemetry, TelemetryConfig};
 
@@ -354,87 +352,4 @@ fn resume_under_tracing_matches_uninterrupted_run() {
     assert!(hub.event_count() > 0, "resume still traces re-run items");
 
     std::fs::remove_file(&path).ok();
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = temp_path(tag).with_extension("d");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The shard-equality oracle under arbitrary (seed, shard count):
-    /// splitting a class campaign into N shard passes and folding the
-    /// merged checkpoint reports *equal* — everything `PartialEq`
-    /// covers — to the uninterrupted single-process run. This is the
-    /// same oracle `scripts/server_smoke.sh` checks across real worker
-    /// processes.
-    #[test]
-    fn sharded_campaigns_fold_to_the_direct_report(
-        seed in 0u64..1_000_000,
-        count in 1u64..6,
-    ) {
-        let target = program("JB.team11").unwrap();
-        let scale = CampaignScale { inputs_per_fault: 1 };
-        let direct =
-            class_campaign_with(&target, scale, seed, &CampaignOptions::default()).unwrap();
-        let dir = temp_dir("shard-prop");
-        let (sharded, summary) = run_sharded(
-            &CampaignOptions::default(),
-            count,
-            &dir,
-            "prop",
-            |opts| class_campaign_with(&target, scale, seed, opts),
-        )
-        .unwrap();
-        prop_assert_eq!(&sharded, &direct, "seed {} x {} shards", seed, count);
-        prop_assert_eq!(summary.duplicates, 0);
-        prop_assert_eq!(summary.shards_missing, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn killed_shard_campaign_recovers_through_merge_and_resume() {
-    // The server's worker-loss story, driven at the library layer: of
-    // three shard passes one is "killed" (its checkpoint deleted) and
-    // another is torn mid-append. The merge tolerates both, and the
-    // final resume pass re-executes exactly the lost work — the report
-    // is equal to an uninterrupted run's.
-    let target = program("JB.team11").unwrap();
-    let scale = CampaignScale {
-        inputs_per_fault: 2,
-    };
-    let seed = 61;
-    let direct = class_campaign_with(&target, scale, seed, &CampaignOptions::default()).unwrap();
-
-    let dir = temp_dir("shard-kill");
-    let paths = shard_paths(&dir, "kill", 3);
-    for (k, path) in paths.iter().enumerate() {
-        let opts = CampaignOptions {
-            checkpoint: Some(path.clone()),
-            shard: Some(Shard::new(k as u64, 3).unwrap()),
-            ..CampaignOptions::default()
-        };
-        class_campaign_with(&target, scale, seed, &opts).unwrap();
-    }
-    std::fs::remove_file(&paths[1]).unwrap();
-    truncate_checkpoint(&paths[2], 1);
-
-    let merged = merged_path(&dir, "kill");
-    let summary = merge_checkpoints(&paths, &merged).unwrap();
-    assert_eq!(summary.shards_missing, 1, "the killed shard");
-    assert_eq!(summary.shards_read, 2);
-
-    let resumed = class_campaign_with(
-        &target,
-        scale,
-        seed,
-        &CampaignOptions::with_checkpoint(&merged, true),
-    )
-    .unwrap();
-    assert_eq!(resumed, direct, "lost shards must cost nothing but time");
-    std::fs::remove_dir_all(&dir).ok();
 }
