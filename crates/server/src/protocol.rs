@@ -83,12 +83,16 @@ pub struct CampaignRequest {
 
 impl CampaignRequest {
     /// Human tag naming this campaign in paths and progress output: the
-    /// driver, target, seed and input count. Two in-flight submissions
-    /// with equal tags would share shard files, so the server refuses the
-    /// second.
+    /// driver, target, seed and input count, and for a source campaign
+    /// the mutant budget. Two in-flight submissions with equal tags would
+    /// share shard files, so the server refuses the second.
     pub fn tag(&self) -> String {
         let (driver, target) = (self.driver.name(), &self.target);
-        format!("{driver}-{target}-s{}-i{}", self.seed, self.inputs)
+        let tag = format!("{driver}-{target}-s{}-i{}", self.seed, self.inputs);
+        match self.driver {
+            Driver::Class => tag,
+            Driver::Source => format!("{tag}-m{}", self.mutants),
+        }
     }
 }
 

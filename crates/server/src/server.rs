@@ -14,16 +14,16 @@
 //! before returning.
 //!
 //! The request line is read inline too, so it is bounded in time
-//! ([`REQUEST_TIMEOUT`] per read) and size ([`MAX_REQUEST_BYTES`]): a
-//! silent or endless peer gets an `error` event instead of stalling
-//! every later connection.
+//! ([`REQUEST_TIMEOUT`] for the whole line) and size
+//! ([`MAX_REQUEST_BYTES`]): a silent, trickling or endless peer gets an
+//! `error` event instead of stalling every later connection.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::job::{run_campaign, JobConfig};
 use crate::protocol::{parse_request, Event, Request};
@@ -121,21 +121,18 @@ impl Drop for InFlight {
 /// host and hold more campaign state in memory.
 pub const MAX_CONCURRENT_CAMPAIGNS: usize = 4;
 
-/// How long a read of the request line may wait for data.
+/// How long the whole request line may take to arrive, however the peer
+/// paces its bytes.
 pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Longest request line accepted, newline included.
 pub const MAX_REQUEST_BYTES: u64 = 64 << 10;
 
 fn read_request(stream: &TcpStream) -> Result<Request, String> {
-    stream
-        .set_read_timeout(Some(REQUEST_TIMEOUT))
-        .map_err(|e| format!("cannot set request timeout: {e}"))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| format!("cannot clone connection: {e}"))?,
-    )
+    let mut reader = BufReader::new(Deadline {
+        stream,
+        at: Instant::now() + REQUEST_TIMEOUT,
+    })
     .take(MAX_REQUEST_BYTES);
     let mut line = String::new();
     reader.read_line(&mut line).map_err(|e| match e.kind() {
@@ -153,6 +150,26 @@ fn read_request(stream: &TcpStream) -> Result<Request, String> {
         return Err("empty request".to_string());
     }
     parse_request(&line)
+}
+
+/// A connection whose reads all end by one instant: each read waits at
+/// most the time left, so a peer that sends a byte just inside every
+/// timeout still runs out of time.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
 }
 
 fn send(mut stream: &TcpStream, event: &Event) -> std::io::Result<()> {

@@ -165,6 +165,42 @@ fn an_idle_connection_delays_a_ping_by_at_most_the_request_timeout() {
 }
 
 #[test]
+fn a_trickling_connection_delays_a_ping_by_at_most_the_request_timeout() {
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+    use swifi_server::server::REQUEST_TIMEOUT;
+    let (addr, handle, workdir) = start_server("trickle");
+    // One byte every 300 ms and never a newline: each byte arrives well
+    // inside any per-read timeout, so only a deadline on the whole line
+    // frees the accept loop. The trickle stops on its own well past the
+    // deadline, or once the server hangs up.
+    let trickler = TcpStream::connect(&addr).unwrap();
+    let t0 = Instant::now();
+    let mut writer = trickler.try_clone().unwrap();
+    let trickle = std::thread::spawn(move || {
+        while t0.elapsed() < REQUEST_TIMEOUT * 3 && writer.write_all(b"{").is_ok() {
+            std::thread::sleep(Duration::from_millis(300));
+        }
+    });
+    let ping_addr = addr.clone();
+    let ping = std::thread::spawn(move || {
+        let mut events = Vec::new();
+        request(&ping_addr, &Request::Ping, |e| events.push(e.clone())).unwrap();
+        (events, t0.elapsed())
+    });
+    let bound = REQUEST_TIMEOUT + Duration::from_secs(1);
+    let message = error_event(trickler);
+    let refused = t0.elapsed();
+    assert!(message.contains("no request line"), "{message}");
+    assert!(refused < bound, "trickler refused after {refused:?}");
+    let (events, pinged) = ping.join().unwrap();
+    assert_eq!(events, vec![Event::Pong]);
+    assert!(pinged < bound, "ping waited {pinged:?}");
+    trickle.join().unwrap();
+    stop_server(&addr, handle, &workdir);
+}
+
+#[test]
 fn an_over_long_request_line_gets_an_error_event() {
     use std::io::Write;
     use swifi_server::server::MAX_REQUEST_BYTES;
@@ -256,6 +292,25 @@ fn in_flight_submits_that_differ_only_in_inputs_both_run() {
         },
     )
     .unwrap();
+    assert_eq!(events.last(), Some(&Event::Done));
+    let last = (first.map(|l| Event::parse(&l).unwrap()))
+        .find(|e| matches!(e, Event::Done | Event::Error { .. }));
+    assert_eq!(last, Some(Event::Done));
+    stop_server(&addr, handle, &workdir);
+}
+
+#[test]
+fn in_flight_source_submits_that_differ_only_in_mutants_both_run() {
+    // The mutant budget is part of a source campaign's tag: the two
+    // submissions write different shard files, so neither is refused.
+    let source = |mutants| CampaignRequest {
+        driver: Driver::Source,
+        mutants,
+        ..long(8)
+    };
+    let (addr, handle, workdir) = start_server("mutants");
+    let first = submit_accepted(&addr, source(2));
+    let events = submit(&addr, source(1)).unwrap();
     assert_eq!(events.last(), Some(&Event::Done));
     let last = (first.map(|l| Event::parse(&l).unwrap()))
         .find(|e| matches!(e, Event::Done | Event::Error { .. }));

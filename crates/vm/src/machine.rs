@@ -49,7 +49,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
 
-use crate::blocks::{BlockCache, BlockCacheStats, Step, Term};
+use crate::blocks::{Block, BlockCache, BlockCacheStats, Step, Term};
 use crate::inspect::{FetchPolicy, Inspector};
 use crate::isa::{self, AluOp, CrBit, Instr, Syscall};
 use crate::mem::{
@@ -940,9 +940,9 @@ impl Machine {
                 any_running = true;
                 if cached {
                     let progress = if use_blocks {
-                        self.run_quantum_blocks(c, inspector)
+                        self.run_quantum_body::<I, true>(c, inspector)
                     } else {
-                        self.run_quantum_cached(c, inspector)
+                        self.run_quantum_body::<I, false>(c, inspector)
                     };
                     match progress {
                         Ok(Progress::Continue | Progress::StateChange) => {}
@@ -1028,44 +1028,30 @@ impl Machine {
     }
 
     /// Execute up to one scheduling quantum on core `c` straight from the
-    /// decoded line cache — the cached interpreter's hot loop.
+    /// decoded line cache and, with `BLOCKS`, from translated basic blocks
+    /// — the cached interpreter's hot loop.
     ///
     /// The machine's borrows are split once per tight segment (`cores` /
     /// `mem` / `retired`), the program counter lives in a register, and
     /// register indices are masked to elide bounds checks; the segment runs
     /// until something needs the full machine: a slow fetch (pinned PC,
-    /// missing/illegal line, PC outside the cache), a syscall, or a halt.
-    /// Those fall back to [`Machine::step`] — the seed interpreter — for
-    /// exactly one instruction, so every observable (traps, hook order,
-    /// `on_fetch` corruption, output) is produced by the same code on both
-    /// interpreters. The differential property suite pins the equivalence.
-    fn run_quantum_cached<I: Inspector>(
-        &mut self,
-        c: usize,
-        insp: &mut I,
-    ) -> Result<Progress, (Trap, u32)> {
-        self.run_quantum_body::<I, false>(c, insp)
-    }
-
-    /// [`Machine::run_quantum_cached`] with basic-block dispatch on top:
-    /// before each per-instruction dispatch the executor first tries to run
-    /// a whole translated block (see [`crate::blocks`]). Anything a block
-    /// cannot represent — pinned PCs, syscalls, halts, illegal words, PCs
-    /// outside the cache, a block that would overrun the quantum or budget
-    /// countdown — falls through to the identical per-instruction code, so
-    /// observables and accounting are byte-for-byte the same.
-    fn run_quantum_blocks<I: Inspector>(
-        &mut self,
-        c: usize,
-        insp: &mut I,
-    ) -> Result<Progress, (Trap, u32)> {
-        self.run_quantum_body::<I, true>(c, insp)
-    }
-
-    /// Shared executor behind [`Machine::run_quantum_cached`] (`BLOCKS =
-    /// false`) and [`Machine::run_quantum_blocks`] (`BLOCKS = true`); the
-    /// const generic lets each mode compile to its own specialised loop
-    /// with zero dynamic dispatch in the hot path.
+    /// missing/illegal line, PC outside the cache), an exit or barrier
+    /// syscall, or a halt. Those fall back to [`Machine::step`] — the
+    /// reference interpreter — for exactly one instruction. Every data
+    /// instruction on the line and block paths runs through [`exec_data`];
+    /// the differential property suite pins both paths to `step`.
+    ///
+    /// With `BLOCKS`, each dispatch first tries a whole translated block
+    /// (see [`crate::blocks`] and [`run_block`]). Anything a block cannot
+    /// represent — pinned PCs, syscalls, halts, illegal words, PCs outside
+    /// the cache, a block that would overrun the quantum or budget
+    /// countdown — falls through to the per-instruction code, so
+    /// observables and accounting are byte-for-byte the same. The const
+    /// generic compiles each mode to its own loop with no dynamic dispatch,
+    /// and keeping the body out of line gives each its own function, so
+    /// neither shares register allocation with the other or with the
+    /// scheduler loop in `run_inner`.
+    #[inline(never)]
     fn run_quantum_body<I: Inspector, const BLOCKS: bool>(
         &mut self,
         c: usize,
@@ -1141,17 +1127,6 @@ impl Machine {
                         core.regs[($r & 31) as usize]
                     };
                 }
-                macro_rules! set_reg {
-                    ($rd:expr, $val:expr) => {{
-                        let mut v: u32 = $val;
-                        insp.on_reg_write(c, pc, $rd, &mut v);
-                        reg!($rd) = v;
-                        if $rd == 1 && v < core.stack_floor {
-                            commit!();
-                            return Err((Trap::StackOverflow, pc));
-                        }
-                    }};
-                }
                 while left > 0 {
                     if BLOCKS {
                         // Apply pending code writes (injector pokes, guest
@@ -1174,547 +1149,23 @@ impl Machine {
                             if cost <= left {
                                 blk_stats.block_hits += 1;
                                 left -= cost;
-                                if insp.block_quiescent(c, pc, blk.last_pc()) {
-                                    // Hook-free fast body: the inspector
-                                    // has vouched (see
-                                    // `Inspector::block_quiescent`) that
-                                    // every per-instruction hook over this
-                                    // range is a no-op and that retires
-                                    // may be batched, so each sub-op is
-                                    // just its architectural work. Trap
-                                    // PCs are reconstructed as
-                                    // `bstart + 4·done_ops` — block ops
-                                    // are contiguous by construction.
-                                    let bstart = pc;
-                                    let mut done_ops: u32 = 0;
-                                    let mut store_abort = false;
-                                    macro_rules! qtrap {
-                                        ($t:expr) => {{
-                                            let bpc = bstart.wrapping_add(done_ops.wrapping_mul(4));
-                                            insp.on_block_retire(c, bstart, done_ops);
-                                            blk_stats.block_instrs += u64::from(done_ops);
-                                            left += cost - u64::from(done_ops);
-                                            pc = bpc;
-                                            commit!();
-                                            return Err(($t, bpc));
-                                        }};
-                                    }
-                                    macro_rules! qmem_op {
-                                        ($e:expr) => {
-                                            match $e {
-                                                Ok(v) => v,
-                                                Err(t) => qtrap!(t),
-                                            }
-                                        };
-                                    }
-                                    macro_rules! qset_reg {
-                                        ($rd:expr, $val:expr) => {{
-                                            let v: u32 = $val;
-                                            reg!($rd) = v;
-                                            if $rd == 1 && v < core.stack_floor {
-                                                qtrap!(Trap::StackOverflow);
-                                            }
-                                        }};
-                                    }
-                                    'qbody: for step in blk.body.iter() {
-                                        match *step {
-                                            Step::Op(instr) => {
-                                                match instr {
-                                                    Instr::Addi { rd, ra, imm } => {
-                                                        qset_reg!(
-                                                            rd,
-                                                            reg!(ra)
-                                                                .wrapping_add(imm as i32 as u32)
-                                                        );
-                                                    }
-                                                    Instr::Addis { rd, ra, imm } => {
-                                                        qset_reg!(
-                                                            rd,
-                                                            reg!(ra).wrapping_add(
-                                                                (imm as i32 as u32) << 16
-                                                            )
-                                                        );
-                                                    }
-                                                    Instr::Andi { rd, ra, imm } => {
-                                                        qset_reg!(rd, reg!(ra) & imm as u32);
-                                                    }
-                                                    Instr::Ori { rd, ra, imm } => {
-                                                        qset_reg!(rd, reg!(ra) | imm as u32);
-                                                    }
-                                                    Instr::Xori { rd, ra, imm } => {
-                                                        qset_reg!(rd, reg!(ra) ^ imm as u32);
-                                                    }
-                                                    Instr::Cmpi { crf, ra, imm } => {
-                                                        let a = reg!(ra) as i32;
-                                                        let b = imm as i32;
-                                                        core.set_cr_field(
-                                                            crf,
-                                                            a < b,
-                                                            a > b,
-                                                            a == b,
-                                                        );
-                                                    }
-                                                    Instr::Cmp { crf, ra, rb } => {
-                                                        let a = reg!(ra) as i32;
-                                                        let b = reg!(rb) as i32;
-                                                        core.set_cr_field(
-                                                            crf,
-                                                            a < b,
-                                                            a > b,
-                                                            a == b,
-                                                        );
-                                                    }
-                                                    Instr::Alu { op, rd, ra, rb } => {
-                                                        let a = reg!(ra);
-                                                        let b = reg!(rb);
-                                                        let v = match op {
-                                                            AluOp::Add => a.wrapping_add(b),
-                                                            AluOp::Sub => a.wrapping_sub(b),
-                                                            AluOp::Mullw => (a as i32)
-                                                                .wrapping_mul(b as i32)
-                                                                as u32,
-                                                            AluOp::Divw => {
-                                                                if b == 0 {
-                                                                    qtrap!(Trap::DivideByZero);
-                                                                }
-                                                                (a as i32).wrapping_div(b as i32)
-                                                                    as u32
-                                                            }
-                                                            AluOp::Divwu => {
-                                                                if b == 0 {
-                                                                    qtrap!(Trap::DivideByZero);
-                                                                }
-                                                                a / b
-                                                            }
-                                                            AluOp::Remw => {
-                                                                if b == 0 {
-                                                                    qtrap!(Trap::DivideByZero);
-                                                                }
-                                                                (a as i32).wrapping_rem(b as i32)
-                                                                    as u32
-                                                            }
-                                                            AluOp::And => a & b,
-                                                            AluOp::Or => a | b,
-                                                            AluOp::Xor => a ^ b,
-                                                            AluOp::Nand => !(a & b),
-                                                            AluOp::Nor => !(a | b),
-                                                            AluOp::Slw => a.wrapping_shl(b & 31),
-                                                            AluOp::Srw => a.wrapping_shr(b & 31),
-                                                            AluOp::Sraw => {
-                                                                ((a as i32).wrapping_shr(b & 31))
-                                                                    as u32
-                                                            }
-                                                            AluOp::Neg => {
-                                                                (a as i32).wrapping_neg() as u32
-                                                            }
-                                                            AluOp::Not => !a,
-                                                        };
-                                                        qset_reg!(rd, v);
-                                                    }
-                                                    Instr::Lwz { rd, ra, d } => {
-                                                        let addr =
-                                                            reg!(ra).wrapping_add(d as i32 as u32);
-                                                        let v = qmem_op!(mem.read_u32(addr));
-                                                        qset_reg!(rd, v);
-                                                    }
-                                                    Instr::Lbz { rd, ra, d } => {
-                                                        let addr =
-                                                            reg!(ra).wrapping_add(d as i32 as u32);
-                                                        let v = qmem_op!(mem.read_u8(addr));
-                                                        qset_reg!(rd, v as u32);
-                                                    }
-                                                    Instr::Stw { rs, ra, d } => {
-                                                        let addr =
-                                                            reg!(ra).wrapping_add(d as i32 as u32);
-                                                        qmem_op!(mem.write_u32(addr, reg!(rs)));
-                                                        if mem.has_code_writes() {
-                                                            done_ops += 1;
-                                                            store_abort = true;
-                                                            break 'qbody;
-                                                        }
-                                                    }
-                                                    Instr::Stb { rs, ra, d } => {
-                                                        let addr =
-                                                            reg!(ra).wrapping_add(d as i32 as u32);
-                                                        qmem_op!(mem.write_u8(
-                                                            addr,
-                                                            (reg!(rs) & 0xFF) as u8
-                                                        ));
-                                                        if mem.has_code_writes() {
-                                                            done_ops += 1;
-                                                            store_abort = true;
-                                                            break 'qbody;
-                                                        }
-                                                    }
-                                                    Instr::Mflr { rd } => {
-                                                        qset_reg!(rd, core.lr);
-                                                    }
-                                                    Instr::Mtlr { ra } => {
-                                                        core.lr = reg!(ra);
-                                                    }
-                                                    Instr::B { .. }
-                                                    | Instr::Bl { .. }
-                                                    | Instr::Bc { .. }
-                                                    | Instr::Blr
-                                                    | Instr::Sc { .. }
-                                                    | Instr::Halt => {
-                                                        unreachable!(
-                                                            "control transfer in block body"
-                                                        )
-                                                    }
-                                                }
-                                                done_ops += 1;
-                                            }
-                                            Step::Addi2 {
-                                                rd1,
-                                                ra1,
-                                                imm1,
-                                                rd2,
-                                                ra2,
-                                                imm2,
-                                            } => {
-                                                qset_reg!(
-                                                    rd1,
-                                                    reg!(ra1).wrapping_add(imm1 as i32 as u32)
-                                                );
-                                                done_ops += 1;
-                                                qset_reg!(
-                                                    rd2,
-                                                    reg!(ra2).wrapping_add(imm2 as i32 as u32)
-                                                );
-                                                done_ops += 1;
-                                            }
-                                        }
-                                    }
-                                    if store_abort {
-                                        insp.on_block_retire(c, bstart, done_ops);
-                                        blk_stats.block_instrs += u64::from(done_ops);
-                                        left += cost - u64::from(done_ops);
-                                        pc = bstart.wrapping_add(done_ops.wrapping_mul(4));
-                                        continue;
-                                    }
-                                    match blk.term {
-                                        Term::Jump { target } => pc = target,
-                                        Term::Call { target, link } => {
-                                            core.lr = link;
-                                            pc = target;
-                                        }
-                                        Term::CondJump {
-                                            crf,
-                                            bit,
-                                            expect,
-                                            taken,
-                                            fallthrough,
-                                        } => {
-                                            pc = if core.cr_bit(crf, bit) == expect {
-                                                taken
-                                            } else {
-                                                fallthrough
-                                            };
-                                        }
-                                        Term::CmpiCondJump {
-                                            ra,
-                                            imm,
-                                            crf,
-                                            bit,
-                                            expect,
-                                            taken,
-                                            fallthrough,
-                                        } => {
-                                            let a = reg!(ra) as i32;
-                                            let b = imm as i32;
-                                            core.set_cr_field(crf, a < b, a > b, a == b);
-                                            pc = if core.cr_bit(crf, bit) == expect {
-                                                taken
-                                            } else {
-                                                fallthrough
-                                            };
-                                        }
-                                        Term::Return => pc = core.lr,
-                                        Term::Fallthrough { next } => pc = next,
-                                    }
-                                    debug_assert!(u64::from(done_ops) <= cost);
-                                    insp.on_block_retire(c, bstart, blk.cost);
-                                    blk_stats.block_instrs += cost;
-                                    continue;
-                                }
-                                // `bpc` tracks the architectural PC of the
-                                // in-flight sub-op; `done_ops` counts those
-                                // retired so far, so a mid-block trap or
-                                // store-abort can settle the countdown and
-                                // stats exactly.
-                                let mut bpc = pc;
-                                let mut done_ops: u64 = 0;
-                                let mut store_abort = false;
-                                macro_rules! bsettle {
-                                    () => {{
-                                        blk_stats.block_instrs += done_ops;
-                                        left += cost - done_ops;
-                                        pc = bpc;
-                                    }};
-                                }
-                                macro_rules! btrap {
-                                    ($t:expr) => {{
-                                        bsettle!();
+                                let ran = if insp.block_quiescent(c, pc, blk.last_pc()) {
+                                    run_block::<I, false>(
+                                        core, mem, insp, c, pc, blk, blk_stats, &mut left,
+                                    )
+                                } else {
+                                    run_block::<I, true>(
+                                        core, mem, insp, c, pc, blk, blk_stats, &mut left,
+                                    )
+                                };
+                                match ran {
+                                    Ok(next) => pc = next,
+                                    Err((t, at)) => {
+                                        pc = at;
                                         commit!();
-                                        return Err(($t, bpc));
-                                    }};
-                                }
-                                macro_rules! bmem_op {
-                                    ($e:expr) => {
-                                        match $e {
-                                            Ok(v) => v,
-                                            Err(t) => btrap!(t),
-                                        }
-                                    };
-                                }
-                                macro_rules! bset_reg {
-                                    ($rd:expr, $val:expr) => {{
-                                        let mut v: u32 = $val;
-                                        insp.on_reg_write(c, bpc, $rd, &mut v);
-                                        reg!($rd) = v;
-                                        if $rd == 1 && v < core.stack_floor {
-                                            btrap!(Trap::StackOverflow);
-                                        }
-                                    }};
-                                }
-                                macro_rules! bretire {
-                                    () => {{
-                                        done_ops += 1;
-                                        insp.on_retire(c, bpc);
-                                        bpc = bpc.wrapping_add(4);
-                                    }};
-                                }
-                                'body: for step in blk.body.iter() {
-                                    match *step {
-                                        Step::Op(instr) => {
-                                            match instr {
-                                                Instr::Addi { rd, ra, imm } => {
-                                                    bset_reg!(
-                                                        rd,
-                                                        reg!(ra).wrapping_add(imm as i32 as u32)
-                                                    );
-                                                }
-                                                Instr::Addis { rd, ra, imm } => {
-                                                    bset_reg!(
-                                                        rd,
-                                                        reg!(ra).wrapping_add(
-                                                            (imm as i32 as u32) << 16
-                                                        )
-                                                    );
-                                                }
-                                                Instr::Andi { rd, ra, imm } => {
-                                                    bset_reg!(rd, reg!(ra) & imm as u32);
-                                                }
-                                                Instr::Ori { rd, ra, imm } => {
-                                                    bset_reg!(rd, reg!(ra) | imm as u32);
-                                                }
-                                                Instr::Xori { rd, ra, imm } => {
-                                                    bset_reg!(rd, reg!(ra) ^ imm as u32);
-                                                }
-                                                Instr::Cmpi { crf, ra, imm } => {
-                                                    let a = reg!(ra) as i32;
-                                                    let b = imm as i32;
-                                                    core.set_cr_field(crf, a < b, a > b, a == b);
-                                                }
-                                                Instr::Cmp { crf, ra, rb } => {
-                                                    let a = reg!(ra) as i32;
-                                                    let b = reg!(rb) as i32;
-                                                    core.set_cr_field(crf, a < b, a > b, a == b);
-                                                }
-                                                Instr::Alu { op, rd, ra, rb } => {
-                                                    let a = reg!(ra);
-                                                    let b = reg!(rb);
-                                                    let v = match op {
-                                                        AluOp::Add => a.wrapping_add(b),
-                                                        AluOp::Sub => a.wrapping_sub(b),
-                                                        AluOp::Mullw => {
-                                                            (a as i32).wrapping_mul(b as i32) as u32
-                                                        }
-                                                        AluOp::Divw => {
-                                                            if b == 0 {
-                                                                btrap!(Trap::DivideByZero);
-                                                            }
-                                                            (a as i32).wrapping_div(b as i32) as u32
-                                                        }
-                                                        AluOp::Divwu => {
-                                                            if b == 0 {
-                                                                btrap!(Trap::DivideByZero);
-                                                            }
-                                                            a / b
-                                                        }
-                                                        AluOp::Remw => {
-                                                            if b == 0 {
-                                                                btrap!(Trap::DivideByZero);
-                                                            }
-                                                            (a as i32).wrapping_rem(b as i32) as u32
-                                                        }
-                                                        AluOp::And => a & b,
-                                                        AluOp::Or => a | b,
-                                                        AluOp::Xor => a ^ b,
-                                                        AluOp::Nand => !(a & b),
-                                                        AluOp::Nor => !(a | b),
-                                                        AluOp::Slw => a.wrapping_shl(b & 31),
-                                                        AluOp::Srw => a.wrapping_shr(b & 31),
-                                                        AluOp::Sraw => {
-                                                            ((a as i32).wrapping_shr(b & 31)) as u32
-                                                        }
-                                                        AluOp::Neg => {
-                                                            (a as i32).wrapping_neg() as u32
-                                                        }
-                                                        AluOp::Not => !a,
-                                                    };
-                                                    bset_reg!(rd, v);
-                                                }
-                                                Instr::Lwz { rd, ra, d } => {
-                                                    let mut addr =
-                                                        reg!(ra).wrapping_add(d as i32 as u32);
-                                                    insp.on_load_addr(c, bpc, &mut addr);
-                                                    let mut v = bmem_op!(mem.read_u32(addr));
-                                                    insp.on_load_value(c, bpc, addr, &mut v);
-                                                    bset_reg!(rd, v);
-                                                }
-                                                Instr::Lbz { rd, ra, d } => {
-                                                    let mut addr =
-                                                        reg!(ra).wrapping_add(d as i32 as u32);
-                                                    insp.on_load_addr(c, bpc, &mut addr);
-                                                    let mut v = bmem_op!(mem.read_u8(addr)) as u32;
-                                                    insp.on_load_value(c, bpc, addr, &mut v);
-                                                    bset_reg!(rd, v);
-                                                }
-                                                Instr::Stw { rs, ra, d } => {
-                                                    let mut addr =
-                                                        reg!(ra).wrapping_add(d as i32 as u32);
-                                                    insp.on_store_addr(c, bpc, &mut addr);
-                                                    let mut v = reg!(rs);
-                                                    insp.on_store_value(c, bpc, addr, &mut v);
-                                                    bmem_op!(mem.write_u32(addr, v));
-                                                    if mem.has_code_writes() {
-                                                        // Self-modifying store:
-                                                        // retire it, then leave
-                                                        // the block so the next
-                                                        // dispatch re-reads the
-                                                        // patched code.
-                                                        bretire!();
-                                                        store_abort = true;
-                                                        break 'body;
-                                                    }
-                                                }
-                                                Instr::Stb { rs, ra, d } => {
-                                                    let mut addr =
-                                                        reg!(ra).wrapping_add(d as i32 as u32);
-                                                    insp.on_store_addr(c, bpc, &mut addr);
-                                                    let mut v = reg!(rs) & 0xFF;
-                                                    insp.on_store_value(c, bpc, addr, &mut v);
-                                                    bmem_op!(mem.write_u8(addr, v as u8));
-                                                    if mem.has_code_writes() {
-                                                        bretire!();
-                                                        store_abort = true;
-                                                        break 'body;
-                                                    }
-                                                }
-                                                Instr::Mflr { rd } => {
-                                                    bset_reg!(rd, core.lr);
-                                                }
-                                                Instr::Mtlr { ra } => {
-                                                    core.lr = reg!(ra);
-                                                }
-                                                Instr::B { .. }
-                                                | Instr::Bl { .. }
-                                                | Instr::Bc { .. }
-                                                | Instr::Blr
-                                                | Instr::Sc { .. }
-                                                | Instr::Halt => {
-                                                    unreachable!("control transfer in block body")
-                                                }
-                                            }
-                                            bretire!();
-                                        }
-                                        Step::Addi2 {
-                                            rd1,
-                                            ra1,
-                                            imm1,
-                                            rd2,
-                                            ra2,
-                                            imm2,
-                                        } => {
-                                            bset_reg!(
-                                                rd1,
-                                                reg!(ra1).wrapping_add(imm1 as i32 as u32)
-                                            );
-                                            bretire!();
-                                            bset_reg!(
-                                                rd2,
-                                                reg!(ra2).wrapping_add(imm2 as i32 as u32)
-                                            );
-                                            bretire!();
-                                        }
+                                        return Err((t, at));
                                     }
                                 }
-                                if store_abort {
-                                    bsettle!();
-                                    continue;
-                                }
-                                match blk.term {
-                                    Term::Jump { target } => {
-                                        insp.on_retire(c, bpc);
-                                        done_ops += 1;
-                                        pc = target;
-                                    }
-                                    Term::Call { target, link } => {
-                                        core.lr = link;
-                                        insp.on_retire(c, bpc);
-                                        done_ops += 1;
-                                        pc = target;
-                                    }
-                                    Term::CondJump {
-                                        crf,
-                                        bit,
-                                        expect,
-                                        taken,
-                                        fallthrough,
-                                    } => {
-                                        pc = if core.cr_bit(crf, bit) == expect {
-                                            taken
-                                        } else {
-                                            fallthrough
-                                        };
-                                        insp.on_retire(c, bpc);
-                                        done_ops += 1;
-                                    }
-                                    Term::CmpiCondJump {
-                                        ra,
-                                        imm,
-                                        crf,
-                                        bit,
-                                        expect,
-                                        taken,
-                                        fallthrough,
-                                    } => {
-                                        let a = reg!(ra) as i32;
-                                        let b = imm as i32;
-                                        core.set_cr_field(crf, a < b, a > b, a == b);
-                                        insp.on_retire(c, bpc);
-                                        bpc = bpc.wrapping_add(4);
-                                        pc = if core.cr_bit(crf, bit) == expect {
-                                            taken
-                                        } else {
-                                            fallthrough
-                                        };
-                                        insp.on_retire(c, bpc);
-                                        done_ops += 2;
-                                    }
-                                    Term::Return => {
-                                        pc = core.lr;
-                                        insp.on_retire(c, bpc);
-                                        done_ops += 1;
-                                    }
-                                    Term::Fallthrough { next } => {
-                                        pc = next;
-                                    }
-                                }
-                                debug_assert_eq!(done_ops, cost);
-                                blk_stats.block_instrs += cost;
                                 continue;
                             }
                         }
@@ -1731,100 +1182,6 @@ impl Machine {
                     };
                     let mut next_pc = pc.wrapping_add(4);
                     match instr {
-                        Instr::Addi { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra).wrapping_add(imm as i32 as u32));
-                        }
-                        Instr::Addis { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra).wrapping_add((imm as i32 as u32) << 16));
-                        }
-                        Instr::Andi { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra) & imm as u32);
-                        }
-                        Instr::Ori { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra) | imm as u32);
-                        }
-                        Instr::Xori { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra) ^ imm as u32);
-                        }
-                        Instr::Cmpi { crf, ra, imm } => {
-                            let a = reg!(ra) as i32;
-                            let b = imm as i32;
-                            core.set_cr_field(crf, a < b, a > b, a == b);
-                        }
-                        Instr::Cmp { crf, ra, rb } => {
-                            let a = reg!(ra) as i32;
-                            let b = reg!(rb) as i32;
-                            core.set_cr_field(crf, a < b, a > b, a == b);
-                        }
-                        Instr::Alu { op, rd, ra, rb } => {
-                            let a = reg!(ra);
-                            let b = reg!(rb);
-                            let v = match op {
-                                AluOp::Add => a.wrapping_add(b),
-                                AluOp::Sub => a.wrapping_sub(b),
-                                AluOp::Mullw => (a as i32).wrapping_mul(b as i32) as u32,
-                                AluOp::Divw => {
-                                    if b == 0 {
-                                        commit!();
-                                        return Err((Trap::DivideByZero, pc));
-                                    }
-                                    (a as i32).wrapping_div(b as i32) as u32
-                                }
-                                AluOp::Divwu => {
-                                    if b == 0 {
-                                        commit!();
-                                        return Err((Trap::DivideByZero, pc));
-                                    }
-                                    a / b
-                                }
-                                AluOp::Remw => {
-                                    if b == 0 {
-                                        commit!();
-                                        return Err((Trap::DivideByZero, pc));
-                                    }
-                                    (a as i32).wrapping_rem(b as i32) as u32
-                                }
-                                AluOp::And => a & b,
-                                AluOp::Or => a | b,
-                                AluOp::Xor => a ^ b,
-                                AluOp::Nand => !(a & b),
-                                AluOp::Nor => !(a | b),
-                                AluOp::Slw => a.wrapping_shl(b & 31),
-                                AluOp::Srw => a.wrapping_shr(b & 31),
-                                AluOp::Sraw => ((a as i32).wrapping_shr(b & 31)) as u32,
-                                AluOp::Neg => (a as i32).wrapping_neg() as u32,
-                                AluOp::Not => !a,
-                            };
-                            set_reg!(rd, v);
-                        }
-                        Instr::Lwz { rd, ra, d } => {
-                            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
-                            insp.on_load_addr(c, pc, &mut addr);
-                            let mut v = mem_op!(mem.read_u32(addr));
-                            insp.on_load_value(c, pc, addr, &mut v);
-                            set_reg!(rd, v);
-                        }
-                        Instr::Lbz { rd, ra, d } => {
-                            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
-                            insp.on_load_addr(c, pc, &mut addr);
-                            let mut v = mem_op!(mem.read_u8(addr)) as u32;
-                            insp.on_load_value(c, pc, addr, &mut v);
-                            set_reg!(rd, v);
-                        }
-                        Instr::Stw { rs, ra, d } => {
-                            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
-                            insp.on_store_addr(c, pc, &mut addr);
-                            let mut v = reg!(rs);
-                            insp.on_store_value(c, pc, addr, &mut v);
-                            mem_op!(mem.write_u32(addr, v));
-                        }
-                        Instr::Stb { rs, ra, d } => {
-                            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
-                            insp.on_store_addr(c, pc, &mut addr);
-                            let mut v = reg!(rs) & 0xFF;
-                            insp.on_store_value(c, pc, addr, &mut v);
-                            mem_op!(mem.write_u8(addr, v as u8));
-                        }
                         Instr::B { off } => {
                             next_pc = pc.wrapping_add((off as u32).wrapping_mul(4));
                         }
@@ -1844,12 +1201,6 @@ impl Machine {
                         }
                         Instr::Blr => {
                             next_pc = core.lr;
-                        }
-                        Instr::Mflr { rd } => {
-                            set_reg!(rd, core.lr);
-                        }
-                        Instr::Mtlr { ra } => {
-                            core.lr = reg!(ra);
                         }
                         Instr::Sc { call } => {
                             match call {
@@ -1915,6 +1266,9 @@ impl Machine {
                             // seed path for this instruction.
                             commit!();
                             break 'tight true;
+                        }
+                        data => {
+                            mem_op!(exec_data::<I, true>(core, mem, insp, c, pc, &data));
                         }
                     }
                     left -= 1;
@@ -2186,6 +1540,311 @@ impl Machine {
             }
         }
         Ok(())
+    }
+}
+
+/// Execute one data instruction — anything but a branch, syscall or halt
+/// — at `pc` on `core`. This is the one copy of the instruction semantics
+/// that the line loop and both block bodies share; [`Machine::step`], the
+/// reference interpreter, keeps its own copy to be compared against.
+///
+/// With `HOOKS` it fires `on_load_*`, `on_store_*` and `on_reg_write` in
+/// the reference order; without, it fires none. It never retires the
+/// instruction: the caller calls `on_retire` or batches it. Returns
+/// whether the instruction stored to memory (a block stops after a store
+/// into code), or the trap it raised; the caller owns the trap's pc and
+/// the retired count.
+#[inline(always)]
+fn exec_data<I: Inspector, const HOOKS: bool>(
+    core: &mut Cpu,
+    mem: &mut Memory,
+    insp: &mut I,
+    c: usize,
+    pc: u32,
+    instr: &Instr,
+) -> Result<bool, Trap> {
+    macro_rules! reg {
+        ($r:expr) => {
+            core.regs[($r & 31) as usize]
+        };
+    }
+    macro_rules! set_reg {
+        ($rd:expr, $val:expr) => {{
+            let mut v: u32 = $val;
+            if HOOKS {
+                insp.on_reg_write(c, pc, $rd, &mut v);
+            }
+            reg!($rd) = v;
+            // Guard-page model: moving the stack pointer below the core's
+            // stack floor traps (runaway recursion ⇒ crash).
+            if $rd == 1 && v < core.stack_floor {
+                return Err(Trap::StackOverflow);
+            }
+        }};
+    }
+    match *instr {
+        Instr::Addi { rd, ra, imm } => {
+            set_reg!(rd, reg!(ra).wrapping_add(imm as i32 as u32));
+        }
+        Instr::Addis { rd, ra, imm } => {
+            set_reg!(rd, reg!(ra).wrapping_add((imm as i32 as u32) << 16));
+        }
+        Instr::Andi { rd, ra, imm } => {
+            set_reg!(rd, reg!(ra) & imm as u32);
+        }
+        Instr::Ori { rd, ra, imm } => {
+            set_reg!(rd, reg!(ra) | imm as u32);
+        }
+        Instr::Xori { rd, ra, imm } => {
+            set_reg!(rd, reg!(ra) ^ imm as u32);
+        }
+        Instr::Cmpi { crf, ra, imm } => {
+            let a = reg!(ra) as i32;
+            let b = imm as i32;
+            core.set_cr_field(crf, a < b, a > b, a == b);
+        }
+        Instr::Cmp { crf, ra, rb } => {
+            let a = reg!(ra) as i32;
+            let b = reg!(rb) as i32;
+            core.set_cr_field(crf, a < b, a > b, a == b);
+        }
+        Instr::Alu { op, rd, ra, rb } => {
+            let a = reg!(ra);
+            let b = reg!(rb);
+            let v = match op {
+                AluOp::Add => a.wrapping_add(b),
+                AluOp::Sub => a.wrapping_sub(b),
+                AluOp::Mullw => (a as i32).wrapping_mul(b as i32) as u32,
+                AluOp::Divw => {
+                    if b == 0 {
+                        return Err(Trap::DivideByZero);
+                    }
+                    (a as i32).wrapping_div(b as i32) as u32
+                }
+                AluOp::Divwu => {
+                    if b == 0 {
+                        return Err(Trap::DivideByZero);
+                    }
+                    a / b
+                }
+                AluOp::Remw => {
+                    if b == 0 {
+                        return Err(Trap::DivideByZero);
+                    }
+                    (a as i32).wrapping_rem(b as i32) as u32
+                }
+                AluOp::And => a & b,
+                AluOp::Or => a | b,
+                AluOp::Xor => a ^ b,
+                AluOp::Nand => !(a & b),
+                AluOp::Nor => !(a | b),
+                AluOp::Slw => a.wrapping_shl(b & 31),
+                AluOp::Srw => a.wrapping_shr(b & 31),
+                AluOp::Sraw => ((a as i32).wrapping_shr(b & 31)) as u32,
+                AluOp::Neg => (a as i32).wrapping_neg() as u32,
+                AluOp::Not => !a,
+            };
+            set_reg!(rd, v);
+        }
+        Instr::Lwz { rd, ra, d } => {
+            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
+            if HOOKS {
+                insp.on_load_addr(c, pc, &mut addr);
+            }
+            let mut v = mem.read_u32(addr)?;
+            if HOOKS {
+                insp.on_load_value(c, pc, addr, &mut v);
+            }
+            set_reg!(rd, v);
+        }
+        Instr::Lbz { rd, ra, d } => {
+            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
+            if HOOKS {
+                insp.on_load_addr(c, pc, &mut addr);
+            }
+            let mut v = mem.read_u8(addr)? as u32;
+            if HOOKS {
+                insp.on_load_value(c, pc, addr, &mut v);
+            }
+            set_reg!(rd, v);
+        }
+        Instr::Stw { rs, ra, d } => {
+            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
+            let mut v = reg!(rs);
+            if HOOKS {
+                insp.on_store_addr(c, pc, &mut addr);
+                insp.on_store_value(c, pc, addr, &mut v);
+            }
+            mem.write_u32(addr, v)?;
+            return Ok(true);
+        }
+        Instr::Stb { rs, ra, d } => {
+            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
+            let mut v = reg!(rs) & 0xFF;
+            if HOOKS {
+                insp.on_store_addr(c, pc, &mut addr);
+                insp.on_store_value(c, pc, addr, &mut v);
+            }
+            mem.write_u8(addr, v as u8)?;
+            return Ok(true);
+        }
+        Instr::Mflr { rd } => {
+            set_reg!(rd, core.lr);
+        }
+        Instr::Mtlr { ra } => {
+            core.lr = reg!(ra);
+        }
+        Instr::B { .. }
+        | Instr::Bl { .. }
+        | Instr::Bc { .. }
+        | Instr::Blr
+        | Instr::Sc { .. }
+        | Instr::Halt => unreachable!("control transfer passed to exec_data"),
+    }
+    Ok(false)
+}
+
+/// Run translated block `blk` on core `c` from `start`: the block
+/// interpreter's dispatch body. `left` is the caller's fused
+/// quantum/budget countdown, already charged the block's full cost; an
+/// early exit refunds the part that did not run.
+///
+/// With `HOOKS`, every instruction fires its hooks and then its own
+/// `on_retire`, in the line loop's order. Without, the inspector has
+/// vouched (see `Inspector::block_quiescent`) that every per-instruction
+/// hook over the block is a no-op and that retires may be batched: the
+/// block makes one `on_block_retire` call. Block instructions are
+/// contiguous, so the pc of the `n`-th is `start + 4·n` either way.
+///
+/// Returns the pc execution continues at: the terminator's successor, or
+/// the word after a store into code (the block stops there so the next
+/// dispatch re-reads the patched code); or a trap and the faulting pc.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn run_block<I: Inspector, const HOOKS: bool>(
+    core: &mut Cpu,
+    mem: &mut Memory,
+    insp: &mut I,
+    c: usize,
+    start: u32,
+    blk: &Block,
+    stats: &mut BlockCacheStats,
+    left: &mut u64,
+) -> Result<u32, (Trap, u32)> {
+    let mut done: u32 = 0;
+    macro_rules! retire {
+        () => {{
+            if HOOKS {
+                insp.on_retire(c, start.wrapping_add(done.wrapping_mul(4)));
+            }
+            done += 1;
+        }};
+    }
+    // One body instruction: a trap, or a store into code, leaves `'body`.
+    macro_rules! op {
+        ($body:lifetime, $instr:expr) => {
+            match exec_data::<I, HOOKS>(
+                core,
+                mem,
+                insp,
+                c,
+                start.wrapping_add(done.wrapping_mul(4)),
+                $instr,
+            ) {
+                Ok(stored) => {
+                    retire!();
+                    if stored && mem.has_code_writes() {
+                        break $body None;
+                    }
+                }
+                Err(t) => break $body Some(t),
+            }
+        };
+    }
+    let trap = 'body: {
+        for step in blk.body.iter() {
+            match *step {
+                Step::Op(ref instr) => op!('body, instr),
+                Step::Addi2 {
+                    rd1,
+                    ra1,
+                    imm1,
+                    rd2,
+                    ra2,
+                    imm2,
+                } => {
+                    op!('body, &Instr::Addi { rd: rd1, ra: ra1, imm: imm1 });
+                    op!('body, &Instr::Addi { rd: rd2, ra: ra2, imm: imm2 });
+                }
+            }
+        }
+        let next = match blk.term {
+            Term::Jump { target } => {
+                retire!();
+                target
+            }
+            Term::Call { target, link } => {
+                core.lr = link;
+                retire!();
+                target
+            }
+            Term::CondJump {
+                crf,
+                bit,
+                expect,
+                taken,
+                fallthrough,
+            } => {
+                retire!();
+                if core.cr_bit(crf, bit) == expect {
+                    taken
+                } else {
+                    fallthrough
+                }
+            }
+            Term::CmpiCondJump {
+                ra,
+                imm,
+                crf,
+                bit,
+                expect,
+                taken,
+                fallthrough,
+            } => {
+                let a = core.regs[(ra & 31) as usize] as i32;
+                let b = imm as i32;
+                core.set_cr_field(crf, a < b, a > b, a == b);
+                retire!();
+                retire!();
+                if core.cr_bit(crf, bit) == expect {
+                    taken
+                } else {
+                    fallthrough
+                }
+            }
+            Term::Return => {
+                retire!();
+                core.lr
+            }
+            Term::Fallthrough { next } => next,
+        };
+        debug_assert_eq!(done, blk.cost);
+        if !HOOKS {
+            insp.on_block_retire(c, start, blk.cost);
+        }
+        stats.block_instrs += u64::from(blk.cost);
+        return Ok(next);
+    };
+    // Settle a block that stopped early: count what ran, refund the rest.
+    if !HOOKS {
+        insp.on_block_retire(c, start, done);
+    }
+    stats.block_instrs += u64::from(done);
+    *left += u64::from(blk.cost - done);
+    let at = start.wrapping_add(done.wrapping_mul(4));
+    match trap {
+        Some(t) => Err((t, at)),
+        None => Ok(at),
     }
 }
 

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use swifi_vm::asm::{assemble, CodeBuilder};
-use swifi_vm::inspect::Noop;
+use swifi_vm::inspect::{FetchPolicy, Inspector, Noop};
 use swifi_vm::isa::{decode, encode, AluOp, CrBit, Instr, Syscall};
 use swifi_vm::machine::{Machine, MachineConfig, RunOutcome};
 use swifi_vm::mem::Allocator;
@@ -70,6 +70,132 @@ prop_compose! {
             18 => Instr::Sc { call },
             _ => Instr::Halt,
         }
+    }
+}
+
+prop_compose! {
+    /// [`arb_instr`] reshaped so a random program runs for a while: one
+    /// word in four is an `addi` (adjacent pairs fuse into one block
+    /// step), branch offsets are small (see [`loop_program`]), and
+    /// most loads and stores hit the stack through r1 or a code word (a
+    /// self-modifying store) instead of trapping on a wild address.
+    fn arb_runnable_instr()(
+        i in arb_instr(),
+        addi in 0u8..4,
+        rd in arb_reg(),
+        ra in arb_reg(),
+        imm in any::<i16>(),
+        near in -8i32..8,
+        target in 0u8..8,
+        slot in 1i16..64,
+    ) -> Instr {
+        let (base, d) = match target {
+            0..=4 => (1, -4 * slot),
+            5 | 6 => (0, swifi_vm::CODE_BASE as i16 + 4 * (slot % 32)),
+            _ => (ra, imm),
+        };
+        match i {
+            _ if addi == 0 => Instr::Addi { rd, ra, imm },
+            Instr::B { .. } => Instr::B { off: near },
+            Instr::Bl { .. } => Instr::Bl { off: near },
+            Instr::Bc { crf, bit, expect, .. } => Instr::Bc { crf, bit, expect, off: near as i16 },
+            Instr::Lwz { rd, .. } => Instr::Lwz { rd, ra: base, d },
+            Instr::Lbz { rd, .. } => Instr::Lbz { rd, ra: base, d },
+            Instr::Stw { rs, .. } => Instr::Stw { rs, ra: base, d },
+            Instr::Stb { rs, .. } => Instr::Stb { rs, ra: base, d },
+            other => other,
+        }
+    }
+}
+
+/// Encode `code` as a loop body that cannot run off its ends. A leading
+/// `bl` sets the link register to the body's first word, so `blr`
+/// returns there; a trailing `b` jumps back to it; and a branch at body
+/// word `i` with offset `off` lands on body word `(i + off) mod len`.
+fn loop_program(code: &[Instr]) -> Vec<u32> {
+    let len = code.len() as i32;
+    let within = |i: usize, off: i32| (i as i32 + off).rem_euclid(len) - i as i32;
+    let body = code.iter().enumerate().map(|(i, &instr)| match instr {
+        Instr::B { off } => Instr::B {
+            off: within(i, off),
+        },
+        Instr::Bl { off } => Instr::Bl {
+            off: within(i, off),
+        },
+        Instr::Bc {
+            crf,
+            bit,
+            expect,
+            off,
+        } => Instr::Bc {
+            crf,
+            bit,
+            expect,
+            off: within(i, off.into()) as i16,
+        },
+        other => other,
+    });
+    std::iter::once(Instr::Bl { off: 1 })
+        .chain(body)
+        .chain(std::iter::once(Instr::B { off: -len }))
+        .map(encode)
+        .collect()
+}
+
+/// Which post-decode [`Inspector`] hook a [`HookLog`] entry records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hook {
+    LoadAddr,
+    LoadValue,
+    StoreAddr,
+    StoreValue,
+    RegWrite(u8),
+    Retire,
+}
+
+/// Records every post-decode hook call in order as (hook, pc, value) and
+/// corrupts register write-back and inbound load values at one pc. It
+/// never declares a block quiescent, so the block interpreter must run
+/// every block on its hooked body.
+struct HookLog {
+    calls: Vec<(Hook, u32, u32)>,
+    pc: u32,
+    mask: u32,
+}
+
+impl Inspector for HookLog {
+    fn fetch_policy(&self) -> FetchPolicy {
+        FetchPolicy::None
+    }
+
+    fn on_load_addr(&mut self, _core: usize, pc: u32, addr: &mut u32) {
+        self.calls.push((Hook::LoadAddr, pc, *addr));
+    }
+
+    fn on_load_value(&mut self, _core: usize, pc: u32, _addr: u32, value: &mut u32) {
+        if pc == self.pc {
+            *value ^= self.mask;
+        }
+        self.calls.push((Hook::LoadValue, pc, *value));
+    }
+
+    fn on_store_addr(&mut self, _core: usize, pc: u32, addr: &mut u32) {
+        self.calls.push((Hook::StoreAddr, pc, *addr));
+    }
+
+    fn on_store_value(&mut self, _core: usize, pc: u32, _addr: u32, value: &mut u32) {
+        self.calls.push((Hook::StoreValue, pc, *value));
+    }
+
+    fn on_reg_write(&mut self, _core: usize, pc: u32, reg: u8, value: &mut u32) {
+        if pc == self.pc {
+            *value ^= self.mask;
+        }
+        self.calls.push((Hook::RegWrite(reg), pc, *value));
+    }
+
+    fn on_retire(&mut self, _core: usize, pc: u32) {
+        self.calls.push((Hook::Retire, pc, 0));
     }
 }
 
@@ -202,5 +328,46 @@ proptest! {
         let blocks = run(0);
         prop_assert_eq!(&blocks, &run(1), "blocks vs line cache");
         prop_assert_eq!(&blocks, &run(2), "blocks vs reference");
+    }
+
+    /// The hooked-block oracle: with an inspector that hooks every
+    /// post-decode interface and perturbs two of them, the block
+    /// interpreter, the line cache and the reference interpreter agree on
+    /// the outcome, the retired count, the final registers, pc and lr,
+    /// and the exact sequence of hook calls. Programs are encoded
+    /// instructions rather than random words, so most words decode and
+    /// blocks run several steps (fused `addi` pairs included) before a
+    /// branch or a trap ends them.
+    #[test]
+    fn hooked_blocks_match_reference_on_random_code(
+        code in proptest::collection::vec(arb_runnable_instr(), 1..96),
+        perturb_index in 0usize..96,
+        mask in 1u32..=u32::MAX,
+    ) {
+        let len = code.len();
+        let image = swifi_vm::Image {
+            code: loop_program(&code),
+            data: vec![],
+            entry: swifi_vm::CODE_BASE,
+        };
+        let cfg = MachineConfig { budget: 20_000, ..MachineConfig::default() };
+        let pc = swifi_vm::CODE_BASE + 4 + ((perturb_index % len) as u32) * 4;
+        let run = |tier: usize| {
+            let mut m = Machine::new(cfg.clone());
+            match tier {
+                0 => {}                              // blocks (default)
+                1 => m.set_block_interp(false),      // line cache only
+                _ => m.set_reference_interp(true),   // seed interpreter
+            }
+            m.load(&image);
+            let mut log = HookLog { calls: Vec::new(), pc, mask };
+            let out = m.run(&mut log);
+            let c = m.core(0);
+            (out, m.retired(), c.regs, c.pc, c.lr, log.calls)
+        };
+        let blocks = run(0);
+        let case = proptest::current_case();
+        prop_assert_eq!(&blocks, &run(1), "blocks vs line cache, case {}", case);
+        prop_assert_eq!(&blocks, &run(2), "blocks vs reference, case {}", case);
     }
 }
