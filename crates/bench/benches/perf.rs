@@ -199,7 +199,6 @@ fn run_cell(rung: Rung, s: &Schedule) -> Sample {
             trace: true,
             metrics: true,
             profile: true,
-            ..TelemetryConfig::default()
         });
         session.set_telemetry(Some(hub.worker()));
     }

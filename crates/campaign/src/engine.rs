@@ -50,6 +50,7 @@ use swifi_trace::event::{arg_str, arg_u64};
 use swifi_trace::{Telemetry, TraceEvent, ENGINE_TID};
 
 use crate::pool::parallel_map_resilient;
+use crate::session::{RunSession, SessionStats, Throughput};
 
 /// How one work item ended: the driver's per-item value, or the abnormal
 /// bucket for a run that panicked out of the harness.
@@ -401,10 +402,6 @@ pub struct CampaignOptions {
     /// worker telemetry and the per-run cost is a single `Option` test.
     /// Telemetry never participates in report equality.
     pub telemetry: Option<Arc<Telemetry>>,
-    /// Scheduler rounds between watchdog deadline polls
-    /// (`--watchdog-poll`); `None` keeps the machine default of
-    /// [`swifi_vm::machine::DEFAULT_WATCHDOG_POLL`].
-    pub watchdog_poll: Option<u32>,
     /// Run only this shard's contiguous slice of each phase's items; the
     /// rest are neither executed nor recorded. Shard checkpoints union
     /// into a whole campaign via [`crate::shard::merge_checkpoints`], and
@@ -426,29 +423,26 @@ impl CampaignOptions {
         }
     }
 
-    /// Apply the per-session knobs — watchdog deadline and poll interval,
-    /// block cache, worker telemetry lane — to a freshly built worker
-    /// session. Every driver's session-init closure funnels through here
-    /// so a new knob reaches all campaigns at once.
-    pub fn configure_session(&self, s: &mut crate::session::RunSession) {
+    /// Apply the per-session knobs — watchdog deadline and block cache —
+    /// to a freshly built session. Every driver's sessions funnel through
+    /// here so a new knob reaches all campaigns at once.
+    pub fn configure_session(&self, s: &mut RunSession) {
         s.set_watchdog(self.watchdog);
         s.set_block_cache(!self.no_block_cache);
-        if let Some(poll) = self.watchdog_poll {
-            s.set_watchdog_poll(poll);
-        }
-        s.set_telemetry(self.telemetry.as_ref().map(|t| t.worker()));
     }
 
     /// A worker session for `program`, configured by
-    /// [`CampaignOptions::configure_session`] and attached to `prefix`.
+    /// [`CampaignOptions::configure_session`], on its own telemetry lane
+    /// and attached to `prefix`.
     pub fn session(
         &self,
         program: &swifi_lang::Program,
         family: swifi_programs::Family,
         prefix: Option<Arc<crate::prefix::PrefixCache>>,
-    ) -> crate::session::RunSession {
-        let mut s = crate::session::RunSession::new(program, family);
+    ) -> RunSession {
+        let mut s = RunSession::new(program, family);
         self.configure_session(&mut s);
+        s.set_telemetry(self.telemetry.as_ref().map(|t| t.worker()));
         s.set_prefix_cache(prefix);
         s
     }
@@ -489,11 +483,27 @@ impl PhaseTime {
     }
 }
 
-/// The per-campaign execution engine: owns the checkpoint log and runs
-/// phases of work items through the resilient pool.
+/// What [`CampaignEngine::close`] hands back to the driver.
+#[derive(Debug)]
+pub struct CampaignClose {
+    /// Run counts from the records, engine counters from the sessions.
+    pub throughput: Throughput,
+    /// Wall clock of every phase, in run order.
+    pub phase_times: Vec<PhaseTime>,
+    /// The records' abnormal runs, then one `telemetry` record per
+    /// metrics merge that failed when a worker lane retired.
+    pub abnormal: Vec<AbnormalRun>,
+}
+
+/// The per-campaign execution engine: owns the checkpoint log, runs
+/// phases of work items through the resilient pool, and closes the
+/// campaign (run totals, telemetry retirement, the `campaign` span).
 #[derive(Debug)]
 pub struct CampaignEngine {
     log: Option<CheckpointLog>,
+    /// When the campaign started: its wall clock and `campaign` span.
+    t0: Instant,
+    span_start: Option<u64>,
     telemetry: Option<Arc<Telemetry>>,
     phase_times: Vec<PhaseTime>,
     shard: Option<crate::shard::Shard>,
@@ -505,7 +515,8 @@ pub struct CampaignEngine {
 
 impl CampaignEngine {
     /// Build an engine for one campaign identified by `header`, honouring
-    /// the checkpoint/resume options.
+    /// the checkpoint/resume options. The campaign's wall clock and
+    /// `campaign` span start here.
     pub fn new(header: CheckpointHeader, opts: &CampaignOptions) -> Result<CampaignEngine, String> {
         let log = match &opts.checkpoint {
             None => None,
@@ -517,6 +528,8 @@ impl CampaignEngine {
         }
         Ok(CampaignEngine {
             log,
+            t0: Instant::now(),
+            span_start: opts.telemetry.as_deref().map(Telemetry::now_us),
             telemetry: opts.telemetry.clone(),
             phase_times: Vec::new(),
             shard: opts.shard,
@@ -530,13 +543,9 @@ impl CampaignEngine {
         self.log.as_ref().map_or(0, CheckpointLog::loaded_records)
     }
 
-    /// Wall-clock accounting of every phase run so far, in run order.
-    pub fn phase_times(&self) -> &[PhaseTime] {
-        &self.phase_times
-    }
-
-    /// Take ownership of the recorded phase times (drivers store them on
-    /// the campaign result once all phases are done).
+    /// Take ownership of the recorded phase times, for a caller that
+    /// folds its campaign itself instead of calling
+    /// [`CampaignEngine::close`].
     pub fn take_phase_times(&mut self) -> Vec<PhaseTime> {
         std::mem::take(&mut self.phase_times)
     }
@@ -655,6 +664,57 @@ impl CampaignEngine {
         let records = records.into_iter().flatten().collect();
         self.finish_phase(phase, items.len(), pending.len(), t0, span_start);
         Ok((records, states))
+    }
+
+    /// Close the campaign after its last phase. Call it once the worker
+    /// sessions are dropped: their telemetry lanes drain on drop, and a
+    /// metrics merge that fails there must land in this campaign's
+    /// abnormal bucket, as a data point like any other abnormal run.
+    ///
+    /// `stats` are the merged counters of the sessions that ran, and
+    /// `runs`/`dormant` the totals folded from the records. The returned
+    /// [`Throughput`] takes its run counts from the records, because on
+    /// resume the replayed items never touch a session and the totals
+    /// must not depend on where the previous process died; wall clock
+    /// and engine counters (ignored by equality) come from `stats`. The
+    /// `campaign` span closes with `label` and the run total.
+    pub fn close(
+        self,
+        label: &str,
+        stats: &SessionStats,
+        prefix_peak_bytes: u64,
+        runs: u64,
+        dormant: u64,
+        mut abnormal: Vec<AbnormalRun>,
+    ) -> CampaignClose {
+        let mut throughput = Throughput::from_stats(stats, self.t0.elapsed(), prefix_peak_bytes);
+        throughput.runs = runs;
+        throughput.fired_runs = runs - dormant;
+        throughput.dormant_runs = dormant;
+        if let Some(t) = self.telemetry.as_deref() {
+            for message in t.take_merge_errors() {
+                abnormal.push(AbnormalRun {
+                    phase: "telemetry".to_string(),
+                    index: abnormal.len() as u64,
+                    message,
+                    detail: "metrics merge on worker retire".to_string(),
+                });
+            }
+            if let Some(start) = self.span_start {
+                t.engine_event(TraceEvent::complete(
+                    "campaign",
+                    start,
+                    t.now_us().saturating_sub(start),
+                    ENGINE_TID,
+                    vec![arg_str("campaign", label), arg_u64("runs", runs)],
+                ));
+            }
+        }
+        CampaignClose {
+            throughput,
+            phase_times: self.phase_times,
+            abnormal,
+        }
     }
 
     /// Record the phase's wall clock and close its trace span.

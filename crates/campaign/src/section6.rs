@@ -16,15 +16,13 @@ use swifi_core::source::{BinarySwifiSource, FaultSource, PreparedFault};
 use swifi_lang::compile;
 use swifi_odc::{AssignErrorType, CheckErrorType};
 use swifi_programs::{all_programs, TargetProgram};
-use swifi_trace::event::{arg_str, arg_u64};
-use swifi_trace::{Telemetry, TraceEvent, ENGINE_TID};
 
 use crate::engine::{
     split_records, AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, PhaseTime,
 };
 use crate::prefix::{watch_pcs_of, PrefixCache};
 use crate::runner::ModeCounts;
-use crate::session::{RunSession, Throughput};
+use crate::session::{RunSession, SessionStats, Throughput};
 
 /// Campaign sizing. The paper used 300 inputs per fault and hand-picked
 /// location counts; [`CampaignScale::paper`] reproduces those counts,
@@ -183,14 +181,9 @@ pub fn class_campaign_with(
         .family
         .test_case(scale.inputs_per_fault, seed ^ 0x5EED);
 
-    let header = CheckpointHeader::new(
-        format!("section6:{}", target.name),
-        seed,
-        scale.inputs_per_fault as u64,
-    );
+    let label = format!("section6:{}", target.name);
+    let header = CheckpointHeader::new(label.clone(), seed, scale.inputs_per_fault as u64);
     let mut engine = CampaignEngine::new(header, opts)?;
-    let t0 = std::time::Instant::now();
-    let campaign_start = opts.telemetry.as_deref().map(Telemetry::now_us);
     let mut sessions: Vec<RunSession> = Vec::new();
     // One prefix-fork cache per compiled program, shared by every worker
     // session of both phases: all runs of the campaign share the same
@@ -236,7 +229,16 @@ pub fn class_campaign_with(
         results.extend(ok.into_iter().map(|(_, r)| r));
         abnormal.extend(phase_abnormal);
     }
-    let phase_times = engine.take_phase_times();
+    let mut stats = SessionStats::default();
+    for s in &sessions {
+        stats.merge(&s.stats());
+    }
+    // Retire the workers (and their telemetry lanes) before the close.
+    drop(sessions);
+    let runs = results.iter().map(|(_, counts, _)| counts.total()).sum();
+    let dormant = results.iter().map(|&(_, _, dormant)| dormant).sum();
+    let peak = prefix.as_ref().map_or(0, |cache| cache.peak_bytes() as u64);
+    let close = engine.close(&label, &stats, peak, runs, dormant, abnormal);
 
     let mut out = ProgramCampaign {
         program: target.name.to_string(),
@@ -247,15 +249,13 @@ pub fn class_campaign_with(
         check_modes: ModeCounts::default(),
         by_assign_type: BTreeMap::new(),
         by_check_type: BTreeMap::new(),
-        dormant_runs: 0,
-        total_runs: 0,
-        throughput: Throughput::collect(&sessions, t0.elapsed()),
-        phase_times,
-        abnormal,
+        dormant_runs: dormant,
+        total_runs: runs,
+        throughput: close.throughput,
+        phase_times: close.phase_times,
+        abnormal: close.abnormal,
     };
-    for (err, counts, dormant) in results {
-        out.dormant_runs += dormant;
-        out.total_runs += counts.total();
+    for (err, counts, _) in results {
         match err {
             ErrorClass::Assign(t) => {
                 out.assign_modes.merge(&counts);
@@ -266,40 +266,6 @@ pub fn class_campaign_with(
                 out.by_check_type.entry(t).or_default().merge(&counts);
             }
         }
-    }
-    // The run totals come from the records, not the live sessions: on
-    // resume the replayed faults never touch a session, and the totals
-    // must not depend on where the previous process died. Wall-clock and
-    // interpreter counters (ignored by `Throughput` equality) still come
-    // from the sessions that actually ran.
-    out.throughput.runs = out.total_runs;
-    out.throughput.fired_runs = out.total_runs - out.dormant_runs;
-    out.throughput.dormant_runs = out.dormant_runs;
-    // Worker telemetry drains on session drop; retire the sessions now so
-    // a metrics-merge failure surfaces in this campaign's abnormal bucket
-    // (a data point, like any other abnormal run) instead of being lost.
-    drop(sessions);
-    if let Some(telemetry) = opts.telemetry.as_deref() {
-        for message in telemetry.take_merge_errors() {
-            out.abnormal.push(AbnormalRun {
-                phase: "telemetry".to_string(),
-                index: out.abnormal.len() as u64,
-                message,
-                detail: "metrics merge on worker retire".to_string(),
-            });
-        }
-    }
-    if let (Some(telemetry), Some(start)) = (opts.telemetry.as_deref(), campaign_start) {
-        telemetry.engine_event(TraceEvent::complete(
-            "campaign",
-            start,
-            telemetry.now_us().saturating_sub(start),
-            ENGINE_TID,
-            vec![
-                arg_str("campaign", format!("section6:{}", target.name)),
-                arg_u64("runs", out.total_runs),
-            ],
-        ));
     }
     Ok(out)
 }

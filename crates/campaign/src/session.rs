@@ -224,6 +224,22 @@ impl Throughput {
         for s in sessions {
             stats.merge(&s.stats());
         }
+        let prefix_peak_bytes = sessions
+            .iter()
+            .filter_map(|s| s.prefix.as_ref())
+            .map(|cache| cache.peak_bytes() as u64)
+            .max()
+            .unwrap_or(0);
+        Throughput::from_stats(&stats, elapsed, prefix_peak_bytes)
+    }
+
+    /// The throughput of a region whose sessions' merged counters are
+    /// `stats`, with the prefix cache's peak byte count.
+    pub fn from_stats(
+        stats: &SessionStats,
+        elapsed: std::time::Duration,
+        prefix_peak_bytes: u64,
+    ) -> Throughput {
         Throughput {
             runs: stats.runs,
             fired_runs: stats.fired_runs,
@@ -239,12 +255,7 @@ impl Throughput {
             prefix_dormant_short_circuits: stats.prefix_dormant_short_circuits,
             prefix_golden_hits: stats.prefix_golden_hits,
             prefix_golden_passes: stats.prefix_golden_passes,
-            prefix_peak_bytes: sessions
-                .iter()
-                .filter_map(|s| s.prefix.as_ref())
-                .map(|cache| cache.peak_bytes() as u64)
-                .max()
-                .unwrap_or(0),
+            prefix_peak_bytes,
             blocks_built: stats.blocks_built,
             block_hits: stats.block_hits,
             block_instrs: stats.block_instrs,
@@ -271,31 +282,6 @@ impl Throughput {
         } else {
             0.0
         }
-    }
-
-    /// Fold another region's throughput in (wall-clock adds, matching the
-    /// sequential composition of campaign phases).
-    pub fn merge(&mut self, other: &Throughput) {
-        self.runs += other.runs;
-        self.fired_runs += other.fired_runs;
-        self.dormant_runs += other.dormant_runs;
-        self.elapsed_secs += other.elapsed_secs;
-        self.retired_instrs += other.retired_instrs;
-        self.decode_lines_built += other.decode_lines_built;
-        self.decode_invalidations += other.decode_invalidations;
-        self.slow_fetches += other.slow_fetches;
-        self.prefix_snapshots_built += other.prefix_snapshots_built;
-        self.prefix_fork_hits += other.prefix_fork_hits;
-        self.prefix_instrs_skipped += other.prefix_instrs_skipped;
-        self.prefix_dormant_short_circuits += other.prefix_dormant_short_circuits;
-        self.prefix_golden_hits += other.prefix_golden_hits;
-        self.prefix_golden_passes += other.prefix_golden_passes;
-        self.prefix_peak_bytes = self.prefix_peak_bytes.max(other.prefix_peak_bytes);
-        self.blocks_built += other.blocks_built;
-        self.block_hits += other.block_hits;
-        self.block_instrs += other.block_instrs;
-        self.block_fallbacks += other.block_fallbacks;
-        self.block_invalidations += other.block_invalidations;
     }
 }
 
@@ -462,13 +448,6 @@ impl RunSession {
     /// that are pathologically *slow* rather than long. `None` disarms.
     pub fn set_watchdog(&mut self, budget: Option<Duration>) {
         self.watchdog = budget;
-    }
-
-    /// Set the machine's watchdog deadline poll interval, in scheduler
-    /// rounds (`--watchdog-poll`; see
-    /// [`swifi_vm::machine::Machine::set_watchdog_poll`]).
-    pub fn set_watchdog_poll(&mut self, rounds: u32) {
-        self.machine.set_watchdog_poll(rounds);
     }
 
     /// Attach this worker's telemetry accumulator (`None` detaches it —
@@ -1004,7 +983,6 @@ impl RunSession {
         let blocks = self.machine.block_cache_stats();
         let retired = self.last_retired;
         let watchdog = self.watchdog;
-        let poll = self.machine.watchdog_poll();
         let Some(t) = self.telemetry.as_mut() else {
             return;
         };
@@ -1025,10 +1003,7 @@ impl RunSession {
             if let Some(budget) = watchdog {
                 t.instant(
                     "watchdog_hang",
-                    vec![
-                        arg_u64("budget_ms", budget.as_millis() as u64),
-                        arg_u64("poll", poll as u64),
-                    ],
+                    vec![arg_u64("budget_ms", budget.as_millis() as u64)],
                 );
             }
         }
@@ -1595,10 +1570,5 @@ mod tests {
         assert_eq!(a, b, "interpreter counters do not affect equality");
         let c = Throughput { runs: 11, ..a };
         assert_ne!(a, c);
-        let mut m = a;
-        m.merge(&b);
-        assert_eq!(m.runs, 20);
-        assert!((m.elapsed_secs - 10.0).abs() < 1e-12);
-        assert!(m.runs_per_sec() > 0.0);
     }
 }

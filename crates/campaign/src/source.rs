@@ -28,7 +28,7 @@ use swifi_odc::{DefectType, FieldDistribution, MutationOperator};
 use swifi_programs::TargetProgram;
 
 use swifi_trace::event::{arg_str, arg_u64};
-use swifi_trace::{Telemetry, TraceEvent, WorkerTelemetry, ENGINE_TID};
+use swifi_trace::WorkerTelemetry;
 
 use crate::engine::{
     split_records, AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, PhaseTime,
@@ -288,11 +288,7 @@ pub fn source_campaign_with(
     // per input, under the same watchdog as the mutant runs.
     let base = &source.base;
     let mut ref_session = RunSession::new(base, target.family);
-    ref_session.set_watchdog(opts.watchdog);
-    if let Some(poll) = opts.watchdog_poll {
-        ref_session.set_watchdog_poll(poll);
-    }
-    ref_session.set_block_cache(!opts.no_block_cache);
+    opts.configure_session(&mut ref_session);
     let expected: Vec<Vec<u8>> = inputs.iter().map(|i| i.expected_output()).collect();
     let clean: Vec<(FailureMode, Vec<u8>)> = inputs
         .iter()
@@ -309,8 +305,6 @@ pub fn source_campaign_with(
         scale.inputs_per_mutant as u64,
     );
     let mut engine = CampaignEngine::new(header, opts)?;
-    let t0 = std::time::Instant::now();
-    let campaign_start = opts.telemetry.as_deref().map(Telemetry::now_us);
 
     // One work item per mutant. Each mutant is its own compiled image, so
     // the worker builds a fresh session per item (snapshot included) and
@@ -336,11 +330,7 @@ pub fn source_campaign_with(
             };
             let span_start = state.1.as_ref().map(WorkerTelemetry::now_us);
             let mut session = RunSession::new(program, target.family);
-            session.set_watchdog(opts.watchdog);
-            if let Some(poll) = opts.watchdog_poll {
-                session.set_watchdog_poll(poll);
-            }
-            session.set_block_cache(!opts.no_block_cache);
+            opts.configure_session(&mut session);
             // Loan the worker's lane, not a fresh one per mutant.
             session.set_telemetry(state.1.take());
             let mut counts = ModeCounts::default();
@@ -379,35 +369,22 @@ pub fn source_campaign_with(
         },
         |i, plan| format!("mutant #{i}: {} ({})", plan.id, plan.group),
     )?;
-    let phase_times = engine.take_phase_times();
-
     let (ok, abnormal) = split_records(records);
 
-    // Fold engine counters from the workers that actually ran, then
-    // refold the run totals from the records (resume-safe, like §6).
-    let mut stats = SessionStats::default();
+    // Engine counters from the workers that actually ran (and the
+    // reference session); the close refolds the run totals from the
+    // records (resume-safe, like §6).
+    let mut stats = ref_session.stats();
     for (s, _) in &states {
         stats.merge(s);
     }
-    stats.merge(&ref_session.stats());
-    let mut throughput = Throughput {
-        elapsed_secs: t0.elapsed().as_secs_f64(),
-        retired_instrs: stats.retired_instrs,
-        decode_lines_built: stats.decode_lines_built,
-        decode_invalidations: stats.decode_invalidations,
-        slow_fetches: stats.slow_fetches,
-        blocks_built: stats.blocks_built,
-        block_hits: stats.block_hits,
-        block_instrs: stats.block_instrs,
-        block_fallbacks: stats.block_fallbacks,
-        block_invalidations: stats.block_invalidations,
-        ..Throughput::default()
-    };
-    for (_, (counts, activated)) in &ok {
-        throughput.runs += counts.total();
-        throughput.fired_runs += activated;
-        throughput.dormant_runs += counts.total() - activated;
-    }
+    // Retire the workers' telemetry lanes before the close.
+    drop(states);
+    let runs: u64 = ok.iter().map(|(_, (counts, _))| counts.total()).sum();
+    let activated: u64 = ok.iter().map(|&(_, (_, activated))| activated).sum();
+    let dormant = runs - activated;
+    let label = format!("source:{}", target.name);
+    let close = engine.close(&label, &stats, 0, runs, dormant, abnormal);
 
     let mut out = SourceCampaign {
         program: target.name.to_string(),
@@ -416,13 +393,13 @@ pub fn source_campaign_with(
         modes: ModeCounts::default(),
         by_operator: BTreeMap::new(),
         by_defect_type: BTreeMap::new(),
-        dormant_runs: 0,
-        total_runs: 0,
-        throughput,
-        phase_times,
-        abnormal,
+        dormant_runs: dormant,
+        total_runs: runs,
+        throughput: close.throughput,
+        phase_times: close.phase_times,
+        abnormal: close.abnormal,
     };
-    for (index, (counts, activated)) in ok {
+    for (index, (counts, _)) in ok {
         let plan = &plans[index as usize];
         let op = MutationOperator::from_id(&plan.group).expect("plan group is an operator id");
         out.modes.merge(&counts);
@@ -431,34 +408,6 @@ pub fn source_campaign_with(
             .entry(plan.defect_type)
             .or_default()
             .merge(&counts);
-        out.dormant_runs += counts.total() - activated;
-        out.total_runs += counts.total();
-    }
-    // Worker lanes drain on drop; retire them now so a metrics-merge
-    // failure lands in this campaign's abnormal bucket rather than dying
-    // with the process (mirrors §6).
-    drop(states);
-    if let Some(telemetry) = opts.telemetry.as_deref() {
-        for message in telemetry.take_merge_errors() {
-            out.abnormal.push(AbnormalRun {
-                phase: "telemetry".to_string(),
-                index: out.abnormal.len() as u64,
-                message,
-                detail: "metrics merge on worker retire".to_string(),
-            });
-        }
-    }
-    if let (Some(telemetry), Some(start)) = (opts.telemetry.as_deref(), campaign_start) {
-        telemetry.engine_event(TraceEvent::complete(
-            "campaign",
-            start,
-            telemetry.now_us().saturating_sub(start),
-            ENGINE_TID,
-            vec![
-                arg_str("campaign", format!("source:{}", target.name)),
-                arg_u64("runs", out.total_runs),
-            ],
-        ));
     }
     Ok(out)
 }

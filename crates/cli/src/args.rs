@@ -96,8 +96,7 @@ impl ParsedArgs {
     }
 
     /// Parse an option that must be a *strictly positive* integer
-    /// (`--watchdog-ms`, `--watchdog-poll`, `--profile-every`, `--shards`,
-    /// ... — zero or negative values would panic or spin downstream).
+    /// (`--watchdog-ms`, `--shards`, `--pool`, ... — zero or negative values would panic or spin downstream).
     /// `None` when the option is absent.
     ///
     /// # Errors
@@ -197,10 +196,10 @@ mod tests {
 
     #[test]
     fn positive_int_opt_rejects_zero_and_negative() {
-        // Regression: `--watchdog-ms 0` / `--watchdog-poll -1` /
-        // `--profile-every 0` were silently accepted and panicked or spun
-        // downstream; each must be a usage error naming the flag.
-        for flag in ["watchdog-ms", "watchdog-poll", "profile-every"] {
+        // Regression: `--watchdog-ms 0` / `--shards -1` / `--pool 0` were
+        // silently accepted and panicked or spun downstream; each must be
+        // a usage error naming the flag.
+        for flag in ["watchdog-ms", "shards", "pool"] {
             for bad in ["0", "-3"] {
                 let p = parse(&format!("campaign SOR --{flag} {bad}"));
                 let err = p.positive_int_opt(flag).unwrap_err();
@@ -214,7 +213,7 @@ mod tests {
     fn positive_int_opt_accepts_positive_and_absent() {
         let p = parse("campaign SOR --watchdog-ms 250");
         assert_eq!(p.positive_int_opt("watchdog-ms"), Ok(Some(250)));
-        assert_eq!(p.positive_int_opt("watchdog-poll"), Ok(None));
+        assert_eq!(p.positive_int_opt("shards"), Ok(None));
         // Bare and non-integer forms still error, naming the flag.
         let p = parse("campaign SOR --watchdog-ms");
         assert!(p.positive_int_opt("watchdog-ms").is_err());

@@ -14,7 +14,6 @@ use swifi_lang::compile;
 use swifi_programs::{all_programs, program};
 use swifi_server::{CampaignRequest, Driver, Event, JobConfig, Request, WorkerMode};
 use swifi_trace::metrics::names as metric_names;
-use swifi_trace::profile::DEFAULT_SAMPLE_EVERY;
 use swifi_trace::{
     attribute, collapsed_stacks, top_table, validate_chrome_trace, FuncRange, Telemetry,
     TelemetryConfig,
@@ -51,8 +50,6 @@ CAMPAIGN OPTIONS:
   --checkpoint F    append completed run records to the JSONL file F
   --resume          resume from F: recorded runs replay instead of re-running
   --watchdog-ms N   per-run wall-clock budget; slower runs classify as Hang
-  --watchdog-poll N scheduler rounds between watchdog deadline polls
-                    (default 64)
   --chaos-panic N   panic the worker on campaign item N (harness self-test)
   --no-prefix-fork  disable the prefix-fork cache (full prefix per run;
                     reported results are identical either way)
@@ -67,7 +64,6 @@ identical with or without telemetry):
                     run-latency / retired-instruction histograms) to F
   --profile         sample guest PCs; print the hottest functions
   --profile-out F   also write the profile as collapsed stacks to F
-  --profile-every N slow-path sampling period (default 64)
 
 SERVER (campaign-as-a-service):
   swifi serve [--addr A] [--workdir D] [--in-process]
@@ -344,8 +340,7 @@ pub fn emulate(parsed: &ParsedArgs) -> CmdResult {
 }
 
 /// Parse the robustness options shared by every campaign-style command
-/// (`--checkpoint/--resume`, `--watchdog-ms`, `--watchdog-poll`,
-/// `--chaos-panic`, `--no-prefix-fork`, `--no-block-cache`).
+/// (`--checkpoint/--resume`, `--watchdog-ms`, `--chaos-panic`, `--no-prefix-fork`, `--no-block-cache`).
 fn campaign_opts(parsed: &ParsedArgs) -> Result<CampaignOptions, String> {
     let mut opts = CampaignOptions {
         checkpoint: parsed.value_opt("checkpoint")?.map(Into::into),
@@ -359,9 +354,6 @@ fn campaign_opts(parsed: &ParsedArgs) -> Result<CampaignOptions, String> {
     }
     if let Some(watchdog_ms) = parsed.positive_int_opt("watchdog-ms")? {
         opts.watchdog = Some(std::time::Duration::from_millis(watchdog_ms as u64));
-    }
-    if let Some(watchdog_poll) = parsed.positive_int_opt("watchdog-poll")? {
-        opts.watchdog_poll = Some(watchdog_poll as u32);
     }
     if parsed.flag("chaos-panic") {
         opts.chaos_panic = Some(parsed.int_opt("chaos-panic", 0)? as u64);
@@ -380,7 +372,7 @@ struct TelemetrySink {
 }
 
 /// Parse `--trace-out F`, `--metrics-out F`, `--profile`,
-/// `--profile-out F`, `--profile-every N`.
+/// `--profile-out F`.
 fn telemetry_opts(parsed: &ParsedArgs) -> Result<TelemetrySink, String> {
     let trace_out = parsed.value_opt("trace-out")?.map(str::to_string);
     let metrics_out = parsed.value_opt("metrics-out")?.map(str::to_string);
@@ -390,9 +382,6 @@ fn telemetry_opts(parsed: &ParsedArgs) -> Result<TelemetrySink, String> {
         trace: trace_out.is_some(),
         metrics: metrics_out.is_some(),
         profile,
-        profile_every: parsed
-            .positive_int_opt("profile-every")?
-            .unwrap_or(DEFAULT_SAMPLE_EVERY as i64) as u32,
     };
     Ok(TelemetrySink {
         hub: config.any().then(|| Telemetry::shared(config)),

@@ -22,7 +22,6 @@ use swifi_campaign::shard::{merged_path, shard_paths};
 use swifi_campaign::source::{source_campaign_with, SourceScale};
 use swifi_campaign::{merge_checkpoints, CampaignOptions, Shard};
 use swifi_trace::metrics::MetricsRegistry;
-use swifi_trace::profile::DEFAULT_SAMPLE_EVERY;
 use swifi_trace::{
     merge_shard_events, parse_chrome_trace, render_events, Telemetry, TelemetryConfig,
 };
@@ -158,7 +157,6 @@ pub fn run_shard(
             trace: req.want_trace,
             metrics: req.want_metrics,
             profile: false,
-            profile_every: DEFAULT_SAMPLE_EVERY,
         })
     });
     let opts = CampaignOptions {

@@ -94,7 +94,9 @@ impl TraceEvent {
 
     /// Parse an event back out of its [`TraceEvent::to_json`] object (the
     /// shard→hub direction: merging per-shard trace files into one
-    /// campaign view).
+    /// campaign view; `swifi trace-validate` reads each line through it
+    /// too). Every field `to_json` writes is required: `pid` always, and
+    /// the scope `s` on instants.
     ///
     /// # Errors
     ///
@@ -119,6 +121,12 @@ impl TraceEvent {
         let ts = uint("ts")?;
         let tid = uint("tid")?;
         let dur = if ph == 'X' { uint("dur")? } else { 0 };
+        uint("pid")?;
+        if ph == 'i' && !matches!(get("s"), Some(Value::Str(_))) {
+            return Err(format!(
+                "trace event `{name}` is an instant without scope `s`"
+            ));
+        }
         let args = match get("args") {
             Some(Value::Object(fields)) => fields.clone(),
             Some(_) => return Err(format!("trace event `{name}` has non-object `args`")),

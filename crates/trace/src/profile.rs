@@ -253,8 +253,9 @@ impl<I: Inspector> Inspector for ProfiledInspector<'_, I> {
     }
 }
 
-/// Default slow-path sampling period: cheap enough to leave on for whole
-/// campaigns, dense enough that short JamesB runs still collect samples.
+/// The slow-path sampling period of campaign profiling: cheap enough to
+/// leave on for whole campaigns, dense enough that short JamesB runs
+/// still collect samples.
 pub const DEFAULT_SAMPLE_EVERY: u32 = 64;
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use crate::metrics::{register_run_histograms, MetricsRegistry};
 use crate::profile::{PcHistogram, DEFAULT_SAMPLE_EVERY};
 
 /// Which telemetry pillars are live for a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Collect structured trace events (`--trace-out`).
     pub trace: bool,
@@ -35,19 +35,6 @@ pub struct TelemetryConfig {
     pub metrics: bool,
     /// Sample guest PCs (`--profile` / `--profile-out`).
     pub profile: bool,
-    /// Slow-path sampling period for the profiler.
-    pub profile_every: u32,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            trace: false,
-            metrics: false,
-            profile: false,
-            profile_every: DEFAULT_SAMPLE_EVERY,
-        }
-    }
 }
 
 impl TelemetryConfig {
@@ -254,10 +241,11 @@ impl WorkerTelemetry {
         self.shared.config.profile
     }
 
-    /// The sampling histogram and slow-path period, for wiring a
+    /// The sampling histogram and the slow-path period
+    /// [`DEFAULT_SAMPLE_EVERY`], for wiring a
     /// [`crate::profile::ProfiledInspector`] around an inner inspector.
     pub fn profiler(&mut self) -> (&mut PcHistogram, u32) {
-        (&mut self.profile, self.shared.config.profile_every)
+        (&mut self.profile, DEFAULT_SAMPLE_EVERY)
     }
 
     /// Buffer an instant event on this worker's lane.
@@ -334,7 +322,6 @@ mod tests {
             trace: true,
             metrics: true,
             profile: true,
-            profile_every: 8,
         }
     }
 
@@ -359,7 +346,7 @@ mod tests {
             w.counter_add("runs", 2);
             w.observe(names::RUN_LATENCY_US, 5.0);
             let (hist, every) = w.profiler();
-            assert_eq!(every, 8);
+            assert_eq!(every, DEFAULT_SAMPLE_EVERY);
             hist.record(0x1000, 4);
         }
         assert_eq!(hub.with_metrics(|m| m.counter("runs")), 2);

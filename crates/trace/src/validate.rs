@@ -5,12 +5,13 @@
 //! with one event per line; the validator checks both readings — the
 //! whole file parses as a JSON array, and each line parses on its own
 //! (after stripping the array brackets and separators) — plus the event
-//! schema: required Chrome fields, known event names, and the structural
-//! expectations a campaign trace must meet.
+//! schema: the required Chrome fields, read by [`TraceEvent::from_value`]
+//! (the reader shard merge uses too), known event names, and the
+//! structural expectations a campaign trace must meet.
 
 use serde::Value;
 
-use crate::event::known_event;
+use crate::event::{known_event, TraceEvent};
 
 /// What a validated trace contained.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -29,64 +30,31 @@ pub struct TraceSummary {
     pub lanes: usize,
 }
 
-fn field<'v>(obj: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn num(v: &Value) -> Option<u64> {
-    match v {
-        Value::U64(n) => Some(*n),
-        Value::I64(n) => u64::try_from(*n).ok(),
-        _ => None,
+/// Validate one event against what the reader does not decide: a known
+/// name and a phase the exporter writes.
+fn validate_event(
+    e: &TraceEvent,
+    line_no: usize,
+    summary: &mut TraceSummary,
+) -> Result<(), String> {
+    if !known_event(&e.name) {
+        return Err(format!("line {line_no}: unknown event name `{}`", e.name));
     }
-}
-
-/// Validate one event object against the schema.
-fn validate_event(v: &Value, line_no: usize, summary: &mut TraceSummary) -> Result<u64, String> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| format!("line {line_no}: event is not a JSON object"))?;
-    let name = field(obj, "name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("line {line_no}: missing string `name`"))?;
-    if !known_event(name) {
-        return Err(format!("line {line_no}: unknown event name `{name}`"));
-    }
-    let ph = field(obj, "ph")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("line {line_no}: missing string `ph`"))?;
-    field(obj, "ts")
-        .and_then(num)
-        .ok_or_else(|| format!("line {line_no}: missing numeric `ts`"))?;
-    field(obj, "pid")
-        .and_then(num)
-        .ok_or_else(|| format!("line {line_no}: missing numeric `pid`"))?;
-    let tid = field(obj, "tid")
-        .and_then(num)
-        .ok_or_else(|| format!("line {line_no}: missing numeric `tid`"))?;
-    match ph {
-        "X" => {
-            field(obj, "dur")
-                .and_then(num)
-                .ok_or_else(|| format!("line {line_no}: `X` event without numeric `dur`"))?;
+    match e.ph {
+        'X' => {
             summary.spans += 1;
-            if name == "run" {
+            if e.name == "run" {
                 summary.runs += 1;
             }
-            if name.starts_with("phase:") {
+            if e.name.starts_with("phase:") {
                 summary.phases += 1;
             }
         }
-        "i" => {
-            field(obj, "s")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("line {line_no}: instant without scope `s`"))?;
-            summary.instants += 1;
-        }
+        'i' => summary.instants += 1,
         other => return Err(format!("line {line_no}: unsupported phase `{other}`")),
     }
     summary.events += 1;
-    Ok(tid)
+    Ok(())
 }
 
 /// Validate an exported trace file's contents.
@@ -132,11 +100,13 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
         let event_src = trimmed.strip_suffix(',').unwrap_or(trimmed);
         let v: Value = serde_json::from_str(event_src)
             .map_err(|e| format!("line {line_no}: not a JSON object: {}", e.0))?;
-        lanes.insert(validate_event(&v, line_no, &mut summary)?);
+        let event = TraceEvent::from_value(&v).map_err(|e| format!("line {line_no}: {e}"))?;
+        validate_event(&event, line_no, &mut summary)?;
+        lanes.insert(event.tid);
         // The exporter sorts by timestamp before rendering (late-drained
         // worker-retire buffers land out of hub order); reject files that
         // regress to unsorted output.
-        let ts = field(v.as_object().unwrap(), "ts").and_then(num).unwrap();
+        let ts = event.ts;
         if let Some(prev) = prev_ts {
             if ts < prev {
                 return Err(format!(
@@ -165,7 +135,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{arg_u64, TraceEvent};
+    use crate::event::arg_u64;
     use crate::telemetry::{Telemetry, TelemetryConfig, ENGINE_TID};
 
     fn traced_hub() -> std::sync::Arc<Telemetry> {

@@ -464,17 +464,17 @@ pub struct Machine {
     /// depth above the instruction budget for runs that are slow rather
     /// than long (e.g. pathological slow-path behaviour under injection).
     deadline: Option<Instant>,
-    /// Scheduler rounds between watchdog clock reads (see
-    /// [`Machine::set_watchdog_poll`]); only consulted while a deadline
-    /// is armed.
-    watchdog_poll: u32,
+    /// The `retired` count at which the armed deadline is next polled
+    /// (`u64::MAX` with no deadline); set by `run_inner`.
+    poll_at: u64,
     /// Fetch breakpoints armed for the current [`Machine::run_to_watch`]
     /// call; always `None` outside it, so ordinary runs pay nothing.
     fetch_break: Option<FetchWatch>,
 }
 
-/// Default scheduler rounds between watchdog deadline polls.
-pub const DEFAULT_WATCHDOG_POLL: u32 = 64;
+/// Retired instructions between wall-clock reads while a watchdog
+/// deadline is armed, on every tier.
+pub const WATCHDOG_POLL_INSTRS: u64 = 1 << 16;
 
 impl Machine {
     /// Build a machine per `config` with empty memory and input.
@@ -506,7 +506,7 @@ impl Machine {
             block_interp: true,
             pinned_pcs: Vec::new(),
             deadline: None,
-            watchdog_poll: DEFAULT_WATCHDOG_POLL,
+            poll_at: u64::MAX,
             fetch_break: None,
         }
     }
@@ -714,27 +714,15 @@ impl Machine {
     /// runs: a run still executing past `deadline` returns
     /// [`RunOutcome::Hang`], exactly like instruction-budget exhaustion.
     ///
-    /// The deadline is polled between scheduler rounds (every
-    /// `cores × quantum` retired instructions at most), so expiry is
-    /// detected promptly without a clock read in the hot loop. Callers
-    /// re-arm per run; [`Machine::restore`] leaves the setting alone.
+    /// The deadline is read when a run starts or resumes, so a deadline
+    /// already past fires before any instruction retires, and then every
+    /// [`WATCHDOG_POLL_INSTRS`] retired instructions on every tier: a
+    /// single-core cached segment stops at the next poll point, and a
+    /// multi-core scheduler round is at most `cores × quantum` long.
+    /// Without a deadline nothing is capped or read. Callers re-arm per
+    /// run; [`Machine::restore`] leaves the setting alone.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
-    }
-
-    /// Set how many scheduler rounds elapse between watchdog clock reads
-    /// while a [`Machine::set_deadline`] deadline is armed (default
-    /// [`DEFAULT_WATCHDOG_POLL`]; clamped to at least 1). Lower values
-    /// detect wall-clock expiry sooner at the cost of more `Instant::now`
-    /// calls; round 0 always polls, so a zero-length deadline still fires
-    /// deterministically at any interval.
-    pub fn set_watchdog_poll(&mut self, rounds: u32) {
-        self.watchdog_poll = rounds.max(1);
-    }
-
-    /// The configured watchdog poll interval, in scheduler rounds.
-    pub fn watchdog_poll(&self) -> u32 {
-        self.watchdog_poll
     }
 
     /// Switch between the predecoded-cache interpreter (default) and the
@@ -909,12 +897,14 @@ impl Machine {
         // basic blocks.
         let cached = !self.reference_interp && !self.pin_all;
         let use_blocks = cached && self.block_interp;
-        // The watchdog polls the wall clock every `watchdog_poll`-th
-        // scheduler round, starting with round 0 so a zero-length deadline
-        // (tests, CI smoke) fires deterministically before any instruction
-        // retires.
-        let wd_poll = self.watchdog_poll;
-        let mut wd_round: u32 = 0;
+        // The watchdog polls at once, so a zero-length deadline (tests,
+        // CI smoke) fires deterministically before any instruction
+        // retires, then every `WATCHDOG_POLL_INSTRS` retired instructions.
+        self.poll_at = if self.deadline.is_some() {
+            self.retired
+        } else {
+            u64::MAX
+        };
         loop {
             // The output cap is checked on the syscall path (the only place
             // output grows — see `Progress::OutputLimit`), not here, so the
@@ -924,13 +914,13 @@ impl Machine {
                     output: std::mem::take(&mut self.output),
                 });
             }
-            if let Some(deadline) = self.deadline {
-                if wd_round == 0 && Instant::now() >= deadline {
+            if self.retired >= self.poll_at {
+                if self.deadline.is_some_and(|d| Instant::now() >= d) {
                     return RunControl::Done(RunOutcome::Hang {
                         output: std::mem::take(&mut self.output),
                     });
                 }
-                wd_round = (wd_round + 1) % wd_poll;
+                self.poll_at = self.retired + WATCHDOG_POLL_INSTRS;
             }
             let mut any_running = false;
             for c in 0..self.cores.len() {
@@ -1060,13 +1050,13 @@ impl Machine {
         // The scheduling quantum exists to interleave cores; with a single
         // core there is nothing to interleave and no observable difference
         // between quanta, so run until a state change or the budget ends
-        // instead of bouncing through the outer scheduler every 64 steps.
-        let quantum = if self.cores.len() == 1 {
-            u32::MAX
+        // instead of bouncing through the outer scheduler every 64 steps;
+        // only an armed watchdog's next poll point ends the segment early.
+        let (quantum, stop) = if self.cores.len() == 1 {
+            (u32::MAX, self.config.budget.min(self.poll_at))
         } else {
-            self.config.quantum
+            (self.config.quantum, self.config.budget)
         };
-        let budget = self.config.budget;
         let output_limit = self.config.output_limit;
         let mut steps: u32 = 0;
         while steps < quantum {
@@ -1095,7 +1085,7 @@ impl Machine {
                 // register; the architectural `retired` counter is
                 // committed on every exit from the segment (the macro
                 // below and the explicit commits on the trap returns).
-                let seg: u64 = ((quantum - steps) as u64).min(budget.saturating_sub(*retired));
+                let seg: u64 = ((quantum - steps) as u64).min(stop.saturating_sub(*retired));
                 let mut left = seg;
                 macro_rules! commit {
                     () => {{
@@ -1987,25 +1977,33 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_poll_interval_is_configurable() {
-        let image = assemble("addi r3, r0, 0\nhalt").expect("assembles");
-        let mut m = Machine::new(MachineConfig::default());
-        // Round 0 always polls, so expiry stays deterministic at any
-        // interval — including a degenerate 0, which clamps to 1.
-        for rounds in [1u32, 0, 7, 4096] {
-            m.set_watchdog_poll(rounds);
+    fn watchdog_fires_mid_run_on_every_tier() {
+        // A single-core cached run only returns to the scheduler at a
+        // state change or the budget; the armed deadline must still cut
+        // it off within a poll interval, not at the budget.
+        let image = assemble("addi r3, r3, 1\nb -1").expect("assembles");
+        let config = MachineConfig {
+            budget: 100_000_000,
+            ..MachineConfig::default()
+        };
+        for (tier, blocks, reference) in [
+            ("blocks", true, false),
+            ("line", false, false),
+            ("reference", false, true),
+        ] {
+            let mut m = Machine::new(config.clone());
+            m.set_block_interp(blocks);
+            m.set_reference_interp(reference);
             m.load(&image);
-            m.set_deadline(Some(Instant::now()));
-            let before = m.retired();
+            m.set_deadline(Some(Instant::now() + std::time::Duration::from_millis(20)));
             let out = m.run(&mut Noop);
-            assert!(matches!(out, RunOutcome::Hang { .. }), "poll {rounds}");
-            // `retired` is cumulative across loads; the expired run must
-            // not have advanced it.
-            assert_eq!(m.retired(), before, "poll {rounds}");
-            // And unexpired deadlines stay harmless at that interval.
-            m.load(&image);
-            m.set_deadline(Some(Instant::now() + std::time::Duration::from_secs(3600)));
-            assert!(matches!(m.run(&mut Noop), RunOutcome::Completed { .. }));
+            assert!(matches!(out, RunOutcome::Hang { .. }), "{tier}");
+            assert!(
+                m.retired() < config.budget / 10,
+                "{tier}: retired {} of a {} budget",
+                m.retired(),
+                config.budget
+            );
         }
     }
 

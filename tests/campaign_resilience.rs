@@ -14,24 +14,23 @@ use std::time::Duration;
 
 use swifi_campaign::section6::{class_campaign_with, CampaignScale};
 use swifi_campaign::source::{source_campaign_with, SourceScale};
-use swifi_campaign::CampaignOptions;
+use swifi_campaign::{AbnormalRun, CampaignOptions};
 use swifi_programs::program;
-use swifi_trace::{Telemetry, TelemetryConfig};
+use swifi_trace::metrics::names::RUN_LATENCY_US;
+use swifi_trace::{parse_chrome_trace, Histogram, MetricsRegistry, Telemetry, TelemetryConfig};
 
 use common::{temp_path, truncate_checkpoint};
 
 /// Campaign options with every telemetry pillar live (trace events,
-/// metrics registry, guest-PC profiler) plus a non-default watchdog poll
-/// interval — the most-instrumented configuration a CLI user can reach.
+/// metrics registry, guest-PC profiler) — the most-instrumented
+/// configuration a CLI user can reach.
 fn instrumented() -> CampaignOptions {
     CampaignOptions {
         telemetry: Some(Telemetry::shared(TelemetryConfig {
             trace: true,
             metrics: true,
             profile: true,
-            ..TelemetryConfig::default()
         })),
-        watchdog_poll: Some(16),
         ..CampaignOptions::default()
     }
 }
@@ -311,6 +310,70 @@ fn telemetry_is_a_pure_observer_of_source_campaigns() {
 
     assert_eq!(traced, plain, "telemetry must not perturb the report");
     assert!(hub.event_count() > 0, "trace events must have been emitted");
+}
+
+/// Traced, metered options whose hub already holds `run_latency_us` with
+/// bucket bounds no worker lane registers, so every lane's metrics merge
+/// fails when it retires.
+fn mismatched_metrics() -> CampaignOptions {
+    let hub = Telemetry::shared(TelemetryConfig {
+        trace: true,
+        metrics: true,
+        profile: false,
+    });
+    hub.with_metrics(|m| {
+        *m = MetricsRegistry::new();
+        m.register_histogram(RUN_LATENCY_US, Histogram::new(vec![123.0]));
+    });
+    CampaignOptions {
+        telemetry: Some(hub),
+        ..CampaignOptions::default()
+    }
+}
+
+/// The `telemetry` abnormal records must number one per retired worker
+/// lane, follow the records' own abnormal runs in index order, and leave
+/// the rest of the report equal to an untraced campaign's.
+fn assert_one_telemetry_record_per_lane(opts: &CampaignOptions, abnormal: &[AbnormalRun]) {
+    let hub = opts.telemetry.as_deref().unwrap();
+    let events = parse_chrome_trace(&hub.render_chrome_trace()).unwrap();
+    let lanes = events.iter().filter(|e| e.name == "worker_retire").count();
+    assert!(lanes > 0, "no worker lane retired");
+    let telemetry: Vec<&AbnormalRun> = abnormal.iter().filter(|a| a.phase == "telemetry").collect();
+    assert_eq!(telemetry.len(), lanes, "{abnormal:?}");
+    for (i, a) in abnormal.iter().enumerate() {
+        assert_eq!(a.index, i as u64);
+        assert!(a.message.contains(RUN_LATENCY_US), "{}", a.message);
+    }
+    // The close drained the hub's merge errors.
+    assert!(hub.take_merge_errors().is_empty());
+}
+
+#[test]
+fn metrics_merge_failures_close_every_campaign_as_telemetry_records() {
+    let target = program("JB.team11").unwrap();
+    let seed = 41;
+
+    let scale = CampaignScale {
+        inputs_per_fault: 2,
+    };
+    let opts = mismatched_metrics();
+    let class = class_campaign_with(&target, scale, seed, &opts).unwrap();
+    assert_one_telemetry_record_per_lane(&opts, &class.abnormal);
+    let plain = class_campaign_with(&target, scale, seed, &CampaignOptions::default()).unwrap();
+    assert_eq!(class.throughput, plain.throughput);
+    assert_eq!(class.assign_modes, plain.assign_modes);
+
+    let scale = SourceScale {
+        mutant_budget: 6,
+        inputs_per_mutant: 2,
+    };
+    let opts = mismatched_metrics();
+    let source = source_campaign_with(&target, scale, seed, &opts).unwrap();
+    assert_one_telemetry_record_per_lane(&opts, &source.abnormal);
+    let plain = source_campaign_with(&target, scale, seed, &CampaignOptions::default()).unwrap();
+    assert_eq!(source.throughput, plain.throughput);
+    assert_eq!(source.modes, plain.modes);
 }
 
 #[test]

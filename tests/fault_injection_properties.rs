@@ -148,103 +148,6 @@ proptest! {
         prop_assert_eq!(clean, double);
     }
 
-    /// Warm reboots are invisible: replaying a (fault, input, seed) triple
-    /// through a *reused* [`RunSession`] — after earlier runs have dirtied
-    /// memory, consumed input, and (for memory-resident faults) patched the
-    /// code image in place — gives exactly the outcome a cold boot gives.
-    /// This is the invariant the whole snapshot/restore engine rests on.
-    #[test]
-    fn warm_reboot_matches_cold_boot(
-        word_index in 0usize..600,
-        op in arb_error_op(),
-        target in arb_target(),
-        when in arb_firing(),
-        seed in any::<u64>(),
-    ) {
-        let p = program("JB.team11").unwrap();
-        let compiled = compile(p.source_correct).unwrap();
-        let addr = swifi_vm::CODE_BASE
-            + ((word_index % compiled.image.code.len()) as u32) * 4;
-        let spec = FaultSpec { what: op, target, trigger: Trigger::OpcodeFetch(addr), when };
-        // A guaranteed memory-resident fault used to deliberately scar the
-        // session between measured runs: `prepare()` patches the code image,
-        // so restore must undo real damage, not just register state.
-        let scar = FaultSpec {
-            what: ErrorOp::Xor(0xFFFF_FFFF),
-            target: Target::InstrMemory,
-            trigger: Trigger::OpcodeFetch(addr),
-            when: Firing::First,
-        };
-        let inputs = [
-            TestInput::JamesB { seed: 7, line: b"warm boot one".to_vec() },
-            TestInput::JamesB { seed: 9, line: b"warm boot two".to_vec() },
-        ];
-        let mut session = RunSession::new(&compiled, Family::JamesB);
-        for input in &inputs {
-            // Dirty the session: a clean run, then a code-patching run.
-            let _ = session.run(input, None, seed);
-            let _ = session.run(input, Some(&scar), seed ^ 0xA5A5);
-            let warm = session.run(input, Some(&spec), seed);
-            let cold = execute(&compiled, Family::JamesB, input, Some(&spec), seed);
-            prop_assert_eq!(warm, cold);
-        }
-    }
-
-    /// Differential property for the translation cache: a warm session on
-    /// the cached interpreter and a warm session on the seed
-    /// decode-every-fetch reference interpreter classify every (fault,
-    /// input, seed) triple identically — including code-patch faults
-    /// (`Target::InstrMemory`) applied *mid-campaign* through
-    /// [`Injector`]'s reset/prepare path after the cache is already warm,
-    /// which is exactly where a stale decoded line would diverge.
-    #[test]
-    fn cached_interpreter_matches_reference(
-        word_index in 0usize..600,
-        op in arb_error_op(),
-        target in arb_target(),
-        when in arb_firing(),
-        seed in any::<u64>(),
-    ) {
-        let p = program("JB.team11").unwrap();
-        let compiled = compile(p.source_correct).unwrap();
-        let addr = swifi_vm::CODE_BASE
-            + ((word_index % compiled.image.code.len()) as u32) * 4;
-        let spec = FaultSpec { what: op, target, trigger: Trigger::OpcodeFetch(addr), when };
-        // Guaranteed code patch: prepare() pokes the flipped word straight
-        // into instruction memory while the session's decode cache still
-        // holds lines built by the preceding clean run.
-        let patch = FaultSpec {
-            what: ErrorOp::Xor(0x0000_FFFF),
-            target: Target::InstrMemory,
-            trigger: Trigger::OpcodeFetch(addr),
-            when: Firing::First,
-        };
-        let input = TestInput::JamesB { seed: 4, line: b"differential".to_vec() };
-        // Three warm sessions, one per fetch-pipeline tier: translated
-        // blocks (the default), predecoded lines only, and the seed
-        // decode-every-fetch reference.
-        let mut blocks = RunSession::new(&compiled, Family::JamesB);
-        let mut cached = RunSession::new(&compiled, Family::JamesB);
-        cached.set_block_cache(false);
-        let mut reference = RunSession::new(&compiled, Family::JamesB);
-        reference.set_reference_interp(true);
-        let schedule: [(Option<&FaultSpec>, u64); 4] = [
-            (None, seed),                       // warms the decode cache
-            (Some(&patch), seed ^ 0x5A5A),      // mid-campaign code patch
-            (Some(&spec), seed),                // the random fault under test
-            (None, seed ^ 1),                   // restore must be clean again
-        ];
-        for (i, (fault, s)) in schedule.iter().enumerate() {
-            let blk = blocks.run(&input, *fault, *s);
-            let warm = cached.run(&input, *fault, *s);
-            let refr = reference.run(&input, *fault, *s);
-            prop_assert_eq!(warm, refr, "run {} diverged (lines vs reference)", i);
-            prop_assert_eq!(blk, refr, "run {} diverged (blocks vs reference)", i);
-            prop_assert_eq!(blocks.last_retired(), reference.last_retired(),
-                "run {} retired diverged", i);
-        }
-    }
-
     /// Fetch-time corruption (`Target::InstrBus`) lives on the slow path:
     /// the armed trigger PC is pinned out of the decode cache, so
     /// `on_fetch` still sees — and may corrupt — the fetched word. The raw
