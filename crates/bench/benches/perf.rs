@@ -3,10 +3,12 @@
 //! at the repository root.
 //!
 //! Every rung of the ladder replays the same schedule — each generated
-//! fault against each shared input, exactly the loop `swifi campaign`
-//! runs — from fresh state: a fresh [`RunSession`], a fresh
-//! [`PrefixCache`] and (for the telemetry rung) a fresh hub every round.
-//! Nothing is warmed first, so a cell pays its captures and block
+//! fault against each shared input, the runs `swifi campaign` makes —
+//! from fresh state: a fresh [`RunSession`] and (for the telemetry rung)
+//! a fresh hub every round. The `default` rungs run it the way a campaign
+//! worker does, input-major through the [`Matrix`] tiles, forking from
+//! each input's golden pass; the others run it fault by fault. Nothing
+//! is warmed first, so a cell pays its golden passes and block
 //! translations the way a campaign does. Each round rotates
 //! the rung order so slow host drift lands on every rung alike, and the
 //! report gives the median, min and max over rounds.
@@ -27,10 +29,9 @@
 use std::time::Instant;
 
 use serde::Serialize;
+use swifi_campaign::matrix::Matrix;
 use swifi_campaign::section6::chosen_locations;
-use swifi_campaign::{
-    execute_cold, watch_pcs_of, FailureMode, PrefixCache, RunSession, SessionStats,
-};
+use swifi_campaign::{execute_cold, FailureMode, RunSession, SessionStats};
 use swifi_core::fault::FaultSpec;
 use swifi_core::locations::generate_error_set;
 use swifi_lang::{compile, Program};
@@ -63,7 +64,8 @@ enum Rung {
     Line,
     /// One warm session on the block interpreter.
     Blocks,
-    /// Blocks plus the prefix-fork cache: `swifi campaign`.
+    /// Blocks plus golden passes and forks, input-major through the
+    /// matrix tiles: `swifi campaign`.
     Default,
     /// `Default` with every telemetry pillar live.
     DefaultTelemetry,
@@ -126,15 +128,18 @@ impl Schedule {
         self.faults.len() * self.inputs.len()
     }
 
-    /// Visit every run of the schedule in campaign order with its seed.
+    /// The run seed of fault `f` on input `i`, as in `swifi campaign`.
+    fn seed(&self, f: usize, i: usize) -> u64 {
+        SEED.wrapping_mul(0x9E3779B97F4A7C15)
+            .wrapping_add(self.faults[f].1 as u64)
+            .wrapping_add(i as u64)
+    }
+
+    /// Visit every run of the schedule fault by fault with its seed.
     fn for_each_run(&self, mut run: impl FnMut(&TestInput, &FaultSpec, u64)) {
-        for (spec, site) in &self.faults {
+        for (f, (spec, _)) in self.faults.iter().enumerate() {
             for (i, input) in self.inputs.iter().enumerate() {
-                let seed = SEED
-                    .wrapping_mul(0x9E3779B97F4A7C15)
-                    .wrapping_add(*site as u64)
-                    .wrapping_add(i as u64);
-                run(input, spec, seed);
+                run(input, spec, self.seed(f, i));
             }
         }
     }
@@ -185,14 +190,7 @@ fn run_cell(rung: Rung, s: &Schedule) -> Sample {
     match rung {
         Rung::WarmReference => session.set_reference_interp(true),
         Rung::Line => session.set_block_cache(false),
-        Rung::Default | Rung::DefaultTelemetry => {
-            // The watch list `swifi campaign` gives its cache: golden
-            // passes on.
-            let cache = PrefixCache::shared();
-            cache.set_watch_pcs(watch_pcs_of(s.faults.iter().map(|(spec, _)| spec)));
-            session.set_prefix_cache(Some(cache));
-        }
-        Rung::ColdReference | Rung::Blocks => {}
+        _ => {}
     }
     if rung == Rung::DefaultTelemetry {
         let hub = Telemetry::shared(TelemetryConfig {
@@ -202,10 +200,25 @@ fn run_cell(rung: Rung, s: &Schedule) -> Sample {
         });
         session.set_telemetry(Some(hub.worker()));
     }
-    s.for_each_run(|input, spec, seed| {
-        outcomes.push(session.run(input, Some(spec), seed));
-        retired += session.last_retired();
-    });
+    if matches!(rung, Rung::Default | Rung::DefaultTelemetry) {
+        // A campaign worker's order, each outcome kept in its
+        // fault-by-fault slot for the comparison with cold-reference.
+        let specs: Vec<FaultSpec> = s.faults.iter().map(|&(spec, _)| spec).collect();
+        let matrix = Matrix::new(&specs, &s.inputs);
+        outcomes = vec![(FailureMode::Correct, false); s.runs()];
+        for tile in matrix.tiles() {
+            for (_, f, i) in matrix.runs(&tile) {
+                let seed = s.seed(f, i);
+                outcomes[f * s.inputs.len() + i] = matrix.run(&mut session, true, f, i, seed);
+                retired += session.last_retired();
+            }
+        }
+    } else {
+        s.for_each_run(|input, spec, seed| {
+            outcomes.push(session.run(input, Some(spec), seed));
+            retired += session.last_retired();
+        });
+    }
     let stats = session.stats();
     drop(session);
     Sample {
@@ -381,8 +394,9 @@ fn main() {
                    (6 inputs for JB, 2 for C.team10), run seeds as in swifi campaign",
         seed: SEED,
         rounds: ROUNDS,
-        method: "each round runs every cell once from fresh state (fresh session, prefix cache \
-                 and telemetry hub; nothing warmed) on one thread, rotating the rung order; \
+        method: "each round runs every cell once from fresh state (fresh session and \
+                 telemetry hub; nothing warmed) on one thread, rotating the rung order; the \
+                 default rungs run input-major through the matrix tiles with golden passes; \
                  every cell's per-run (mode, fired) and summed retired count must equal \
                  cold-reference's in every round",
         wall_clock_secs: t0.elapsed().as_secs_f64(),

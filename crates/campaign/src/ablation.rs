@@ -22,8 +22,8 @@ use swifi_lang::compile;
 use swifi_metrics::{allocate, measure, AllocationStrategy};
 use swifi_programs::TargetProgram;
 
-use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
-use crate::prefix::PrefixCache;
+use crate::engine::{CampaignEngine, CampaignOptions, CheckpointHeader};
+use crate::matrix::Matrix;
 use crate::runner::ModeCounts;
 use crate::section6::CampaignScale;
 
@@ -39,7 +39,7 @@ pub struct AblationRow {
     /// Dormant (never-fired) runs — the interesting signal: locations in
     /// rarely executed functions stay dormant.
     pub dormant_runs: u64,
-    /// Work items that panicked out of the harness and were recorded as
+    /// Runs that panicked out of the harness and were recorded as
     /// abnormal instead of aborting the experiment.
     pub abnormal: u64,
 }
@@ -111,9 +111,6 @@ pub fn ablation_with(
         scale.inputs_per_fault as u64,
     );
     let mut engine = CampaignEngine::new(header, opts)?;
-    // Shared across all three strategies: they run the same program on
-    // the same inputs, differing only in where the faults land.
-    let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
     strategies
         .into_iter()
         .map(|(label, strategy)| {
@@ -155,28 +152,21 @@ pub fn ablation_with(
             (label, allocation, faults)
         })
         .map(|(label, allocation, faults)| {
-            let (records, _sessions) = engine.run_phase(
+            let specs: Vec<_> = faults.iter().map(|f| f.spec).collect();
+            let runs = engine.run_matrix(
                 &label,
-                &faults,
-                || opts.session(&compiled, target.family, prefix.clone()),
-                |session, _, fault| {
-                    session.run_inputs(&inputs, &fault.spec, |j| seed.wrapping_add(j as u64))
-                },
-                |i, fault| format!("fault #{i} at {:#x}", fault.site_addr),
+                &Matrix::new(&specs, &inputs),
+                || opts.session(&compiled, target.family),
+                |_, j| seed.wrapping_add(j as u64),
+                |f| format!("fault #{f} at {:#x}", faults[f].site_addr),
             )?;
-            let (per_fault, abnormal) = split_records(records);
-            let mut modes = ModeCounts::default();
-            let mut dormant_runs = 0;
-            for (_, (c, d)) in per_fault {
-                modes.merge(&c);
-                dormant_runs += d;
-            }
+            let (modes, dormant_runs) = runs.totals();
             Ok(AblationRow {
                 strategy: label,
                 allocation,
                 modes,
                 dormant_runs,
-                abnormal: abnormal.len() as u64,
+                abnormal: runs.abnormal.len() as u64,
             })
         })
         .collect()

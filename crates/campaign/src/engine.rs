@@ -21,14 +21,21 @@
 //! ## Checkpoint file format
 //!
 //! Line 1 is a [`CheckpointHeader`] identifying the campaign (driver +
-//! target), seed, and scale; resuming against a mismatched header is an
-//! error, not silent corruption. Every further line is one record:
+//! target), seed, scale and format version; resuming against a
+//! mismatched header is an error, not silent corruption, and a file of
+//! another format version is refused by name. Every further line is one
+//! record:
 //!
 //! ```json
-//! {"campaign":"section6:JB.team11","seed":7,"scale":2,"version":1}
+//! {"campaign":"section6:JB.team11","seed":7,"scale":2,"version":2}
 //! {"phase":"assign","index":3,"elapsed_micros":512,"status":{"Ok":...}}
 //! {"phase":"assign","index":5,"elapsed_micros":44,"status":{"Abnormal":{"message":"...","detail":"..."}}}
 //! ```
+//!
+//! A matrix phase ([`CampaignEngine::run_matrix`]) records one
+//! [`crate::matrix::TileRecord`] per tile of inputs × faults. Version 1
+//! files recorded one fault's runs per record; their indices mean
+//! something else, so they are refused rather than misread.
 //!
 //! Records appear in completion order (workers race) and key by
 //! `(phase, index)`. Each line is written with its newline in one
@@ -41,6 +48,7 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,7 +57,9 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use swifi_trace::event::{arg_str, arg_u64};
 use swifi_trace::{Telemetry, TraceEvent, ENGINE_TID};
 
-use crate::pool::parallel_map_resilient;
+use crate::matrix::{Matrix, Tile, TileRecord};
+use crate::pool::{panic_message, parallel_map_resilient};
+use crate::runner::ModeCounts;
 use crate::session::{RunSession, SessionStats, Throughput};
 
 /// How one work item ended: the driver's per-item value, or the abnormal
@@ -165,14 +175,18 @@ pub struct CheckpointHeader {
     pub version: u32,
 }
 
+/// The checkpoint format this build writes and reads: one record per
+/// tile of a matrix phase.
+pub const CHECKPOINT_VERSION: u32 = 2;
+
 impl CheckpointHeader {
-    /// Build a version-1 header.
+    /// Build a header of the current [`CHECKPOINT_VERSION`].
     pub fn new(campaign: impl Into<String>, seed: u64, scale: u64) -> CheckpointHeader {
         CheckpointHeader {
             campaign: campaign.into(),
             seed,
             scale,
-            version: 1,
+            version: CHECKPOINT_VERSION,
         }
     }
 
@@ -239,9 +253,10 @@ struct RecordKey {
 
 /// Read a checkpoint file: `Ok(None)` when it is missing, empty, or its
 /// header line lacks a newline (a kill before the header reached disk).
-/// Only newline-terminated lines count, so an unterminated final line is
-/// a torn tail even when it parses; a malformed terminated line is
-/// corruption, named by file and line.
+/// A file of another format version is refused. Only newline-terminated
+/// lines count, so an unterminated final line is a torn tail even when
+/// it parses; a malformed terminated line is corruption, named by file
+/// and line.
 pub(crate) fn read_checkpoint(path: &Path) -> Result<Option<Checkpoint>, String> {
     let file = path.display();
     let bytes = match std::fs::read(path) {
@@ -252,7 +267,15 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Option<Checkpoint>, String>
     let Some(head) = lines.next().and_then(|l| l.strip_suffix(b"\n")) else {
         return Ok(None);
     };
-    let header = parse(head).map_err(|e| format!("checkpoint `{file}` has a bad header: {e}"))?;
+    let header: CheckpointHeader =
+        parse(head).map_err(|e| format!("checkpoint `{file}` has a bad header: {e}"))?;
+    if header.version != CHECKPOINT_VERSION {
+        return Err(format!(
+            "checkpoint `{file}` is format version {}, and this build reads only version \
+             {CHECKPOINT_VERSION}; rerun the campaign without --resume",
+            header.version
+        ));
+    }
     let mut cp = Checkpoint {
         header,
         records: Records::new(),
@@ -382,14 +405,18 @@ pub struct CampaignOptions {
     /// classified [`crate::FailureMode::Hang`] instead of stalling its
     /// worker (defense in depth above the instruction budget).
     pub watchdog: Option<Duration>,
-    /// Harness chaos knob: panic the worker on this campaign item (global
-    /// index across phases) to demonstrate — and test — that a mid-campaign
-    /// panic becomes one `Abnormal` record, not a lost campaign.
+    /// Harness chaos knob: panic on this injected run, to demonstrate —
+    /// and test — that a mid-campaign panic becomes one `Abnormal` record,
+    /// not a lost campaign. Runs are counted across the matrix phases in
+    /// run order, phase by phase, fault by fault: in a phase of `n`
+    /// inputs, fault `f` on input `i` is run `f·n + i` of the phase. A
+    /// [`CampaignEngine::run_phase`] phase counts its items instead.
     pub chaos_panic: Option<u64>,
-    /// Disable the prefix-fork cache: every injected run executes its
-    /// full prefix from the clean snapshot. Reports are identical either
-    /// way (forking is an execution strategy, not a semantic change);
-    /// the flag exists for A/B measurement and as an escape hatch.
+    /// Disable prefix forking: matrix phases make no golden passes and
+    /// every injected run executes its full prefix from the clean
+    /// snapshot. Reports are identical either way (forking is an
+    /// execution strategy, not a semantic change); the flag exists for
+    /// A/B measurement and as an escape hatch.
     pub no_prefix_fork: bool,
     /// Disable the basic-block translation layer: sessions execute on
     /// the predecoded line cache alone (the PR 2 path). Like
@@ -432,18 +459,15 @@ impl CampaignOptions {
     }
 
     /// A worker session for `program`, configured by
-    /// [`CampaignOptions::configure_session`], on its own telemetry lane
-    /// and attached to `prefix`.
+    /// [`CampaignOptions::configure_session`], on its own telemetry lane.
     pub fn session(
         &self,
         program: &swifi_lang::Program,
         family: swifi_programs::Family,
-        prefix: Option<Arc<crate::prefix::PrefixCache>>,
     ) -> RunSession {
         let mut s = RunSession::new(program, family);
         self.configure_session(&mut s);
         s.set_telemetry(self.telemetry.as_ref().map(|t| t.worker()));
-        s.set_prefix_cache(prefix);
         s
     }
 }
@@ -457,9 +481,12 @@ impl CampaignOptions {
 /// times must keep satisfying the resume/shard equality oracles.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhaseTime {
-    /// The phase name passed to [`CampaignEngine::run_phase`].
+    /// The phase name passed to [`CampaignEngine::run_phase`] or
+    /// [`CampaignEngine::run_matrix`].
     pub phase: String,
-    /// Work items in the phase (replayed and executed alike).
+    /// The phase's faults (a matrix phase, whatever its tiling) or work
+    /// items (a [`CampaignEngine::run_phase`] phase), replayed and
+    /// executed alike.
     pub items: u64,
     /// Wall-clock seconds the phase took this process (resumed phases
     /// that replay entirely from the checkpoint report near-zero).
@@ -495,11 +522,38 @@ pub struct CampaignClose {
     pub abnormal: Vec<AbnormalRun>,
 }
 
+/// What [`CampaignEngine::run_matrix`] hands back for one phase.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseRuns {
+    /// Each fault's failure modes and dormant runs over the inputs, in
+    /// fault order; abnormal runs are left out. In a shard pass, only the
+    /// runs this process executed or replayed count.
+    pub per_fault: Vec<(ModeCounts, u64)>,
+    /// One record per tile lost whole, then one per run that panicked,
+    /// naming its fault (`index`) and input.
+    pub abnormal: Vec<AbnormalRun>,
+}
+
+impl PhaseRuns {
+    /// The phase's failure modes and dormant runs, summed over its faults.
+    pub fn totals(&self) -> (ModeCounts, u64) {
+        let mut modes = ModeCounts::default();
+        let mut dormant = 0;
+        for (counts, d) in &self.per_fault {
+            modes.merge(counts);
+            dormant += d;
+        }
+        (modes, dormant)
+    }
+}
+
 /// The per-campaign execution engine: owns the checkpoint log, runs
 /// phases of work items through the resilient pool, and closes the
 /// campaign (run totals, telemetry retirement, the `campaign` span).
 #[derive(Debug)]
 pub struct CampaignEngine {
+    /// The campaign's identity, as its checkpoint header names it.
+    label: String,
     log: Option<CheckpointLog>,
     /// When the campaign started: its wall clock and `campaign` span.
     t0: Instant,
@@ -508,9 +562,16 @@ pub struct CampaignEngine {
     phase_times: Vec<PhaseTime>,
     shard: Option<crate::shard::Shard>,
     chaos_panic: Option<u64>,
-    /// Items in the phases run so far: the global index of the next
-    /// phase's first item, which [`CampaignOptions::chaos_panic`] counts in.
+    /// Runs (or items) in the phases run so far: the global index of the
+    /// next phase's first one, which [`CampaignOptions::chaos_panic`]
+    /// counts in.
     chaos_base: u64,
+    /// Whether matrix phases make golden passes to fork from.
+    fork: bool,
+    /// Merged counters of the matrix phases' worker sessions, and the
+    /// largest ladder any of them held.
+    stats: SessionStats,
+    ladder_peak_bytes: u64,
 }
 
 impl CampaignEngine {
@@ -527,6 +588,7 @@ impl CampaignEngine {
             shard.validate()?;
         }
         Ok(CampaignEngine {
+            label: header.campaign,
             log,
             t0: Instant::now(),
             span_start: opts.telemetry.as_deref().map(Telemetry::now_us),
@@ -535,6 +597,9 @@ impl CampaignEngine {
             shard: opts.shard,
             chaos_panic: opts.chaos_panic,
             chaos_base: 0,
+            fork: !opts.no_prefix_fork,
+            stats: SessionStats::default(),
+            ladder_peak_bytes: 0,
         })
     }
 
@@ -592,6 +657,151 @@ impl CampaignEngine {
         let span_start = self.telemetry.as_deref().map(Telemetry::now_us);
         let (chaos, base) = (self.chaos_panic, self.chaos_base);
         self.chaos_base += items.len() as u64;
+        let chaotic = |state: &mut S, i: usize, item: &T| {
+            if chaos == Some(base + i as u64) {
+                panic!("chaos-panic injected at campaign item {}", base + i as u64);
+            }
+            f(state, i, item)
+        };
+        let (records, states, executed) = self.dispatch(phase, items, init, chaotic, describe)?;
+        self.finish_phase(phase, items.len(), items.len(), executed, t0, span_start);
+        Ok((records, states))
+    }
+
+    /// Run one input-major phase: every fault of `matrix` on every input,
+    /// tile by tile ([`Matrix::tiles`]) across the resilient pool. A tile
+    /// replays from the checkpoint or runs on a worker session from
+    /// `session`: for each of its inputs the worker holds the input's
+    /// golden pass ([`RunSession::hold_ladder`], unless
+    /// [`CampaignOptions::no_prefix_fork`]) and runs the tile's faults
+    /// against it, fault `f` on input `i` seeded `seed_of(f, i)`. Each
+    /// tile appends one [`TileRecord`] to the checkpoint.
+    ///
+    /// A run that panics costs that one run: it becomes an abnormal
+    /// record naming the phase, the fault (`index` is `f`, and the detail
+    /// starts with `describe(f)`) and the input, and its session is
+    /// replaced before the tile goes on. [`CampaignOptions::chaos_panic`]
+    /// counts runs here.
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint I/O failures, and recorded tiles that do not match the
+    /// phase's tiling.
+    pub fn run_matrix<S, R, D>(
+        &mut self,
+        phase: &str,
+        matrix: &Matrix,
+        session: S,
+        seed_of: R,
+        describe: D,
+    ) -> Result<PhaseRuns, String>
+    where
+        S: Fn() -> RunSession + Sync,
+        R: Fn(usize, usize) -> u64 + Sync,
+        D: Fn(usize) -> String + Sync,
+    {
+        let t0 = Instant::now();
+        let span_start = self.telemetry.as_deref().map(Telemetry::now_us);
+        let (faults, inputs) = (matrix.faults, matrix.inputs);
+        let (chaos, base) = (self.chaos_panic, self.chaos_base);
+        self.chaos_base += (faults.len() * inputs.len()) as u64;
+        let (fork, telemetry) = (self.fork, self.telemetry.clone());
+        // A worker's sessions: the last one runs, the others panicked.
+        let run_tile = |w: &mut Vec<RunSession>, _: usize, tile: &Tile| {
+            let mut record = TileRecord::new(tile.faults.len());
+            for (k, f, i) in matrix.runs(tile) {
+                let run = base + (f * inputs.len() + i) as u64;
+                let current = w.last_mut().expect("a worker holds a session");
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    if chaos == Some(run) {
+                        panic!("chaos-panic injected at campaign run {run}");
+                    }
+                    matrix.run(current, fork, f, i, seed_of(f, i))
+                }));
+                match ran {
+                    Ok((mode, fired)) => record.add(k, mode, fired),
+                    Err(payload) => {
+                        let message = panic_message(payload.as_ref());
+                        if let Some(t) = &telemetry {
+                            let (index, text) = (arg_u64("index", f as u64), &message);
+                            let args =
+                                vec![arg_str("phase", phase), index, arg_str("message", text)];
+                            t.engine_instant("worker_panic", args);
+                        }
+                        record.abnormal.push((f as u64, i as u64, message));
+                        w.push(session());
+                    }
+                }
+            }
+            record
+        };
+        let tiles = matrix.tiles();
+        let (records, workers, executed) = self.dispatch(
+            phase,
+            &tiles,
+            || vec![session()],
+            run_tile,
+            |k, tile| {
+                let (f, i) = (&tile.faults, &tile.inputs);
+                format!("{phase} tile #{k}: faults {f:?} in trigger order, inputs {i:?}")
+            },
+        )?;
+        for s in workers.iter().flatten() {
+            self.stats.merge(&s.stats());
+            self.ladder_peak_bytes = self.ladder_peak_bytes.max(s.ladder_peak_bytes());
+        }
+        let (recorded, abnormal) = split_records(records);
+        let mut runs = PhaseRuns {
+            per_fault: vec![(ModeCounts::default(), 0); faults.len()],
+            abnormal,
+        };
+        for (index, t) in recorded {
+            let tile = &tiles[index as usize];
+            let fits = t.counts.len() == tile.faults.len()
+                && (t.abnormal.iter())
+                    .all(|&(f, i, _)| f < faults.len() as u64 && i < inputs.len() as u64);
+            if !fits {
+                let e = format!("checkpoint record {phase}#{index} does not fit tile {tile:?}");
+                return Err(e);
+            }
+            for (k, (counts, dormant)) in t.counts.iter().enumerate() {
+                let (c, d) = &mut runs.per_fault[matrix.fault_at(tile.faults.start + k)];
+                c.merge(counts);
+                *d += dormant;
+            }
+            runs.abnormal
+                .extend(t.abnormal.into_iter().map(|(f, i, message)| AbnormalRun {
+                    phase: phase.to_string(),
+                    index: f,
+                    message,
+                    detail: format!("{}, input #{i}", describe(f as usize)),
+                }));
+        }
+        self.finish_phase(phase, faults.len(), tiles.len(), executed, t0, span_start);
+        Ok(runs)
+    }
+
+    /// Replay a phase's recorded items and run the rest on the resilient
+    /// pool, appending each record to the checkpoint on arrival. Returns
+    /// the records in item order, the worker states that ran, and how
+    /// many items ran.
+    #[allow(clippy::type_complexity)]
+    fn dispatch<T, S, R, I, F, D>(
+        &mut self,
+        phase: &str,
+        items: &[T],
+        init: I,
+        f: F,
+        describe: D,
+    ) -> Result<(Vec<RunRecord<R>>, Vec<S>, usize), String>
+    where
+        T: Sync,
+        S: Send,
+        R: Serialize + Deserialize + Clone + Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &T) -> R + Sync,
+        D: Fn(usize, &T) -> String + Sync,
+    {
         // Recorded items replay whatever the shard (a merged checkpoint
         // may carry records from every shard, and replay is what makes the
         // final resume pass reproduce the whole campaign); another shard's
@@ -607,9 +817,7 @@ impl CampaignEngine {
             .collect();
 
         if pending.is_empty() {
-            let records = records.into_iter().flatten().collect();
-            self.finish_phase(phase, items.len(), 0, t0, span_start);
-            return Ok((records, Vec::new()));
+            return Ok((records.into_iter().flatten().collect(), Vec::new(), 0));
         }
 
         let log = &mut self.log;
@@ -618,12 +826,7 @@ impl CampaignEngine {
         let (caught, states) = parallel_map_resilient(
             &pending,
             &init,
-            |state, &(i, item)| {
-                if chaos == Some(base + i as u64) {
-                    panic!("chaos-panic injected at campaign item {}", base + i as u64);
-                }
-                f(state, i, item)
-            },
+            |state, &(i, item)| f(state, i, item),
             |j, run| {
                 let (i, item) = pending[j];
                 // Checkpoint on arrival so a mid-campaign kill keeps every
@@ -662,8 +865,7 @@ impl CampaignEngine {
             }));
         }
         let records = records.into_iter().flatten().collect();
-        self.finish_phase(phase, items.len(), pending.len(), t0, span_start);
-        Ok((records, states))
+        Ok((records, states, pending.len()))
     }
 
     /// Close the campaign after its last phase. Call it once the worker
@@ -671,23 +873,25 @@ impl CampaignEngine {
     /// metrics merge that fails there must land in this campaign's
     /// abnormal bucket, as a data point like any other abnormal run.
     ///
-    /// `stats` are the merged counters of the sessions that ran, and
+    /// `stats` are the merged counters of the sessions the driver ran
+    /// itself (the matrix phases' sessions are counted already), and
     /// `runs`/`dormant` the totals folded from the records. The returned
     /// [`Throughput`] takes its run counts from the records, because on
     /// resume the replayed items never touch a session and the totals
     /// must not depend on where the previous process died; wall clock
-    /// and engine counters (ignored by equality) come from `stats`. The
-    /// `campaign` span closes with `label` and the run total.
+    /// and engine counters (ignored by equality) come from the sessions.
+    /// The `campaign` span closes with the checkpoint header's campaign
+    /// label and the run total.
     pub fn close(
-        self,
-        label: &str,
+        mut self,
         stats: &SessionStats,
-        prefix_peak_bytes: u64,
         runs: u64,
         dormant: u64,
         mut abnormal: Vec<AbnormalRun>,
     ) -> CampaignClose {
-        let mut throughput = Throughput::from_stats(stats, self.t0.elapsed(), prefix_peak_bytes);
+        self.stats.merge(stats);
+        let elapsed = self.t0.elapsed();
+        let mut throughput = Throughput::from_stats(&self.stats, elapsed, self.ladder_peak_bytes);
         throughput.runs = runs;
         throughput.fired_runs = runs - dormant;
         throughput.dormant_runs = dormant;
@@ -706,7 +910,7 @@ impl CampaignEngine {
                     start,
                     t.now_us().saturating_sub(start),
                     ENGINE_TID,
-                    vec![arg_str("campaign", label), arg_u64("runs", runs)],
+                    vec![arg_str("campaign", &self.label), arg_u64("runs", runs)],
                 ));
             }
         }
@@ -717,11 +921,14 @@ impl CampaignEngine {
         }
     }
 
-    /// Record the phase's wall clock and close its trace span.
+    /// Record the phase's wall clock over its `items`, and close its
+    /// trace span: `executed` of its `units` dispatched work items ran,
+    /// the rest replayed.
     fn finish_phase(
         &mut self,
         phase: &str,
         items: usize,
+        units: usize,
         executed: usize,
         t0: Instant,
         span_start: Option<u64>,
@@ -741,7 +948,7 @@ impl CampaignEngine {
                 vec![
                     arg_u64("items", items as u64),
                     arg_u64("executed", executed as u64),
-                    arg_u64("replayed", (items - executed) as u64),
+                    arg_u64("replayed", (units - executed) as u64),
                 ],
             ));
         }
@@ -982,6 +1189,80 @@ mod tests {
         };
         let err = CampaignEngine::new(CheckpointHeader::new("s", 1, 1), &opts).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_refused_by_resume_and_merge() {
+        // A fault-major file keys one fault's runs per record; read as
+        // tiles it would fold to a wrong report, so both readers refuse it
+        // and say which versions are involved.
+        let path = temp_path("v1");
+        let header = CheckpointHeader::new("section6:JB.team11", 7, 3);
+        let v1 = CheckpointHeader {
+            version: 1,
+            ..header.clone()
+        };
+        let record =
+            "{\"phase\":\"assign\",\"index\":0,\"elapsed_micros\":1,\"status\":{\"Ok\":0}}";
+        std::fs::write(&path, format!("{}{record}\n", line_of(&v1).unwrap())).unwrap();
+        let out = temp_path("v1-merged");
+        let errors = [
+            CheckpointLog::resume(&path, &header).unwrap_err(),
+            crate::shard::merge_checkpoints(std::slice::from_ref(&path), &out).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                err.contains("version 1") && err.contains("version 2"),
+                "{err}"
+            );
+        }
+        assert!(!out.exists());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn matrix_workers_compile_each_fault_once_and_lose_one_run_per_panic() {
+        use crate::matrix::Matrix;
+        let target = swifi_programs::program("JB.team6").unwrap();
+        let compiled = swifi_lang::compile(target.source_correct).unwrap();
+        let set = swifi_core::locations::generate_error_set(&compiled.debug, 3, 3, 5);
+        let specs: Vec<_> = (set.assign_faults.iter().chain(&set.check_faults))
+            .map(|f| f.spec)
+            .collect();
+        let inputs = target.family.test_case(30, 5);
+        let matrix = Matrix::new(&specs, &inputs);
+        let opts = CampaignOptions {
+            chaos_panic: Some(7),
+            ..CampaignOptions::default()
+        };
+        let mut engine = CampaignEngine::new(CheckpointHeader::new("m", 1, 30), &opts).unwrap();
+        let runs = engine
+            .run_matrix(
+                "p",
+                &matrix,
+                || opts.session(&compiled, target.family),
+                |f, i| (f * 100 + i) as u64,
+                |f| format!("fault #{f}"),
+            )
+            .unwrap();
+        // Run 7 is fault 0 on input 7: its one run is lost, no other.
+        assert_eq!(runs.abnormal.len(), 1);
+        let a = &runs.abnormal[0];
+        assert_eq!((a.index, a.detail.as_str()), (0, "fault #0, input #7"));
+        let (modes, _) = runs.totals();
+        assert_eq!(modes.total(), (specs.len() * inputs.len()) as u64 - 1);
+        assert_eq!(runs.per_fault[0].0.total(), inputs.len() as u64 - 1);
+        // One injector per fault per worker, the panicked worker's
+        // replacement session included.
+        let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let bound = specs.len() * (workers + 1);
+        assert!(
+            engine.stats.injector_rebuilds as usize <= bound,
+            "{:?}",
+            engine.stats
+        );
+        assert!(engine.stats.prefix_golden_passes >= inputs.len() as u64);
+        assert!(engine.ladder_peak_bytes > 0);
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub fn estimate_exposure_with(
         let (records, _sessions) = engine.run_phase(
             p.name,
             &inputs,
-            || opts.session(&faulty, p.family, None),
+            || opts.session(&faulty, p.family),
             |session, _, input| {
                 let mut prof = Profiler::new();
                 let outcome = session.run_with(input, &mut prof);

@@ -20,7 +20,8 @@ use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
 use swifi_lang::compile;
 use swifi_programs::TargetProgram;
 
-use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
+use crate::engine::{CampaignEngine, CampaignOptions, CheckpointHeader};
+use crate::matrix::Matrix;
 use crate::runner::ModeCounts;
 use crate::section6::CampaignScale;
 
@@ -63,7 +64,7 @@ pub struct HardwareRow {
     pub modes: ModeCounts,
     /// Runs where the fault never fired.
     pub dormant_runs: u64,
-    /// Work items that panicked out of the harness (recorded, not fatal).
+    /// Runs that panicked out of the harness (recorded, not fatal).
     pub abnormal: u64,
 }
 
@@ -149,27 +150,19 @@ pub fn hardware_campaign_with(
         .iter()
         .map(|&kind| {
             let faults = random_hw_faults(kind, compiled.image.code.len(), faults_per_kind, seed);
-            let (records, _sessions) = engine.run_phase(
+            let runs = engine.run_matrix(
                 kind.label(),
-                &faults,
-                || opts.session(&compiled, target.family, None),
-                |session, _, spec| {
-                    session.run_inputs(&inputs, spec, |j| seed.wrapping_add(j as u64))
-                },
-                |i, spec| format!("{} fault #{i}: {:?}", kind.label(), spec.trigger),
+                &Matrix::new(&faults, &inputs),
+                || opts.session(&compiled, target.family),
+                |_, j| seed.wrapping_add(j as u64),
+                |f| format!("{} fault #{f}: {:?}", kind.label(), faults[f].trigger),
             )?;
-            let (per_fault, abnormal) = split_records(records);
-            let mut modes = ModeCounts::default();
-            let mut dormant_runs = 0;
-            for (_, (c, d)) in per_fault {
-                modes.merge(&c);
-                dormant_runs += d;
-            }
+            let (modes, dormant_runs) = runs.totals();
             Ok(HardwareRow {
                 kind,
                 modes,
                 dormant_runs,
-                abnormal: abnormal.len() as u64,
+                abnormal: runs.abnormal.len() as u64,
             })
         })
         .collect()

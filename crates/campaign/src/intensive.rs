@@ -68,7 +68,7 @@ pub fn table1_with(
         let (records, _sessions) = engine.run_phase(
             p.name,
             &inputs,
-            || opts.session(&compiled, p.family, None),
+            || opts.session(&compiled, p.family),
             |session, _, input| session.run(input, None, 0).0,
             |i, _| format!("{} input #{i}", p.name),
         )?;

@@ -26,9 +26,11 @@
 //! - [`runner`] — single-run execution and the four failure modes;
 //! - [`session`] — the warm-reboot run engine: one machine + clean
 //!   snapshot per worker, restored (not rebuilt) between runs;
-//! - [`prefix`] — the prefix-fork cache: injected runs resume from a
-//!   shared snapshot of the fault-free prefix at their trigger point,
-//!   executing only the divergent suffix;
+//! - [`matrix`] — input-major campaign phases: faults × inputs cut into
+//!   tiles, each worker making its inputs' golden passes;
+//! - [`prefix`] — prefix forking: injected runs resume from a snapshot of
+//!   the fault-free prefix at their trigger point in the ladder their
+//!   worker holds, executing only the divergent suffix;
 //! - [`pool`] — order-preserving parallel map over independent runs, with
 //!   per-worker state carrying the warm sessions;
 //! - [`report`] — paper-style text tables.
@@ -53,6 +55,7 @@ pub mod engine;
 pub mod exposure;
 pub mod hardware;
 pub mod intensive;
+pub mod matrix;
 pub mod plan;
 pub mod pool;
 pub mod prefix;
@@ -67,11 +70,12 @@ pub mod triggers;
 
 pub use compare::{compare_representations, comparison_table, Comparison, RepresentationRow};
 pub use engine::{
-    AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, CheckpointLog, PhaseTime,
-    RunRecord, RunStatus,
+    AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, CheckpointLog, PhaseRuns,
+    PhaseTime, RunRecord, RunStatus,
 };
+pub use matrix::Matrix;
 pub use plan::RunPlan;
-pub use prefix::{watch_pcs_of, GoldenRun, PrefixCache};
+pub use prefix::{watch_pcs_of, PrefixCache};
 pub use runner::{classify_outcome, execute, execute_cold, FailureMode, ModeCounts};
 pub use section6::{campaign_all, class_campaign, CampaignScale, ProgramCampaign};
 pub use session::{RunSession, SessionError, SessionStats, Throughput};

@@ -5,27 +5,20 @@
 //! inject, run to the end), so a [`RunPlan`] only chooses *how* a run is
 //! answered, never *what* it answers:
 //!
-//! - **[`RunPlan::GoldenPass`]** — this run is the first to need an input
-//!   of a campaign with a watch list: make the input's golden pass first
-//!   (one clean run pausing at the first arrival of every watched trigger
-//!   PC, storing rungs), then plan again.
 //! - **[`RunPlan::NeverArrives`]** — the golden (clean) run reaches the
 //!   trigger fewer times than the fault's firing occurrence requires, so
 //!   the fault never fires and the session reports the golden outcome
 //!   without executing ([`never_arrives`]).
 //! - **[`RunPlan::Fork`]** — a rung at the trigger occurrence exists:
 //!   restore it and execute only the suffix.
-//! - **[`RunPlan::Capture`]** — no rung yet: run the clean prefix to the
-//!   trigger, store a rung if [`worth_forking`] says it pays, and
-//!   continue as the injected run.
 //! - **[`RunPlan::Full`]** — execute the whole run from the warm
 //!   snapshot.
 //!
-//! The evidence comes from runs the campaign makes anyway, kept in the
-//! [`crate::prefix::PrefixCache`]: golden passes record the golden
-//! outcome, a zero trigger total for every watched PC they never reach
-//! and the rungs; capture runs that finish without reaching their
-//! trigger are golden runs too and record the same memos.
+//! The evidence comes from the golden pass the worker makes for each
+//! input of a campaign phase, kept in the session's ladder
+//! ([`crate::prefix`]): the rungs, and — when the pass ran to the end —
+//! the golden outcome with the arrival totals of the fork points it never
+//! reached.
 
 use std::sync::Arc;
 
@@ -34,8 +27,6 @@ use swifi_vm::ForkSnapshot;
 /// How the session executes one injected run.
 #[derive(Debug, Clone)]
 pub enum RunPlan {
-    /// Make the input's golden pass, then plan the run again.
-    GoldenPass,
     /// Report the golden run's outcome and retired count without
     /// executing: the trigger occurrence the fault waits for never
     /// arrives, so the fault never fires.
@@ -43,10 +34,6 @@ pub enum RunPlan {
     /// Restore this rung, paused just before the trigger occurrence, and
     /// execute only the suffix.
     Fork(Arc<ForkSnapshot>),
-    /// Run the clean prefix to the trigger occurrence, store a rung when
-    /// [`worth_forking`] allows, and continue in place as the injected
-    /// run.
-    Capture,
     /// Execute the whole run from the warm snapshot.
     Full,
 }

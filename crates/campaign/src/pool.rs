@@ -27,17 +27,8 @@ pub struct CaughtRun<R> {
     pub result: Result<R, String>,
 }
 
-impl<R> CaughtRun<R> {
-    /// The closure's result, or a panic naming item `index` and the
-    /// caught message.
-    pub fn expect_item(self, index: usize) -> R {
-        self.result
-            .unwrap_or_else(|m| panic!("parallel_map worker panicked on item {index}: {m}"))
-    }
-}
-
 /// Render a caught panic payload as a message for [`CaughtRun::result`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -57,8 +48,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A panicking item is caught and returned as data (`Err(message)` in its
 /// [`CaughtRun`]) instead of being re-raised. A reproduction that injects
 /// faults should survive the faults it injects: one wedged or panicking
-/// run must not discard the 10⁴ completed ones. Drivers without an
-/// abnormal-run path fail the call with [`CaughtRun::expect_item`].
+/// run must not discard the 10⁴ completed ones; the campaign engine turns
+/// it into an abnormal record.
 ///
 /// Semantics on a caught panic:
 ///
@@ -190,14 +181,17 @@ mod tests {
     fn unwrap_all<R>(runs: Vec<CaughtRun<R>>) -> Vec<R> {
         runs.into_iter()
             .enumerate()
-            .map(|(i, run)| run.expect_item(i))
+            .map(|(i, run)| {
+                (run.result)
+                    .unwrap_or_else(|m| panic!("parallel_map worker panicked on item {i}: {m}"))
+            })
             .collect()
     }
 
     fn panic_text(err: Box<dyn std::any::Any + Send>) -> String {
         err.downcast_ref::<String>()
             .cloned()
-            .expect("expect_item panics with a formatted message")
+            .expect("unwrap_all panics with a formatted message")
     }
 
     #[test]

@@ -110,10 +110,10 @@ pub fn decode_cache_line(tp: &Throughput) -> String {
     )
 }
 
-/// One-line summary of the prefix-fork cache, e.g.
+/// One-line summary of prefix forking, e.g.
 /// `prefix-fork: 40 snapshots, 3960 fork hits, 120 dormant short-circuits,
-/// 6 golden hits, 3 golden passes, 1.2 MiB peak retained, 12.3M instrs
-/// skipped (57.4% of total)`.
+/// 6 golden passes, 0.2 MiB peak retained, 12.3M instrs skipped (57.4% of
+/// total)`; the peak is the largest ladder one worker held.
 pub fn prefix_fork_line(tp: &Throughput) -> String {
     let total = tp.retired_instrs + tp.prefix_instrs_skipped;
     let skipped_pct = if total > 0 {
@@ -122,11 +122,10 @@ pub fn prefix_fork_line(tp: &Throughput) -> String {
         0.0
     };
     format!(
-        "prefix-fork: {} snapshots, {} fork hits, {} dormant short-circuits, {} golden hits, {} golden passes, {:.1} MiB peak retained, {:.1}M instrs skipped ({:.1}% of total)",
+        "prefix-fork: {} snapshots, {} fork hits, {} dormant short-circuits, {} golden passes, {:.1} MiB peak retained, {:.1}M instrs skipped ({:.1}% of total)",
         tp.prefix_snapshots_built,
         tp.prefix_fork_hits,
         tp.prefix_dormant_short_circuits,
-        tp.prefix_golden_hits,
         tp.prefix_golden_passes,
         tp.prefix_peak_bytes as f64 / f64::from(1 << 20),
         tp.prefix_instrs_skipped as f64 / 1e6,
@@ -364,7 +363,6 @@ mod tests {
             prefix_fork_hits: 3960,
             prefix_instrs_skipped: 3_000_000,
             prefix_dormant_short_circuits: 120,
-            prefix_golden_hits: 6,
             prefix_golden_passes: 3,
             prefix_peak_bytes: 3 << 19,
             ..Throughput::default()
@@ -375,7 +373,7 @@ mod tests {
         assert!(line.contains("40 snapshots"), "{line}");
         assert!(line.contains("3960 fork hits"), "{line}");
         assert!(line.contains("120 dormant short-circuits"), "{line}");
-        assert!(line.contains("6 golden hits"), "{line}");
+        assert!(!line.contains("golden hits"), "{line}");
         assert!(
             line.contains("3.0M instrs skipped (75.0% of total)"),
             "{line}"

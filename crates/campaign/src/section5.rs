@@ -14,7 +14,6 @@ use swifi_lang::compile;
 use swifi_programs::all_programs;
 
 use crate::engine::{split_records, CampaignEngine, CampaignOptions, CheckpointHeader};
-use crate::prefix::PrefixCache;
 
 /// One §5 result row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,10 +90,6 @@ pub fn section5_with(
             Some(trigger_mode) => {
                 let specs = emulation_faults(&diffs, EmulationStrategy::FetchCorruption);
                 let inputs = p.family.test_case(inputs_per_fault, seed);
-                // Caches are per compiled binary: the corrected and the
-                // real faulty program each get their own.
-                let emulated_prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
-                let real_prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
                 // Each worker carries a warm session pair: the corrected
                 // binary (for the emulated runs) and the real faulty binary
                 // (the reference), both restored between inputs.
@@ -102,8 +97,8 @@ pub fn section5_with(
                     p.name,
                     &inputs,
                     || {
-                        let emulated = opts.session(&corrected, p.family, emulated_prefix.clone());
-                        let real = opts.session(&faulty, p.family, real_prefix.clone());
+                        let emulated = opts.session(&corrected, p.family);
+                        let real = opts.session(&faulty, p.family);
                         (emulated, real)
                     },
                     |(emulated_s, real_s), _, input| {

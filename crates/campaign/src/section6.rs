@@ -17,12 +17,10 @@ use swifi_lang::compile;
 use swifi_odc::{AssignErrorType, CheckErrorType};
 use swifi_programs::{all_programs, TargetProgram};
 
-use crate::engine::{
-    split_records, AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, PhaseTime,
-};
-use crate::prefix::{watch_pcs_of, PrefixCache};
+use crate::engine::{AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, PhaseTime};
+use crate::matrix::Matrix;
 use crate::runner::ModeCounts;
-use crate::session::{RunSession, SessionStats, Throughput};
+use crate::session::{SessionStats, Throughput};
 
 /// Campaign sizing. The paper used 300 inputs per fault and hand-picked
 /// location counts; [`CampaignScale::paper`] reproduces those counts,
@@ -138,13 +136,14 @@ pub fn class_campaign(target: &TargetProgram, scale: CampaignScale, seed: u64) -
 /// Run the class campaign for one program under explicit robustness
 /// options: checkpoint/resume, per-run watchdog, chaos injection.
 ///
-/// Each fault is one work item; a fault whose runs panic the harness is
-/// recorded as [`AbnormalRun`] and the campaign continues. With
-/// [`CampaignOptions::checkpoint`] set, every completed fault appends to
-/// the JSONL checkpoint as it finishes, and with `resume` the recorded
-/// faults replay from disk instead of re-running — the resumed campaign
-/// compares equal (per the seed-determinism [`Throughput`]/report
-/// equality) to an uninterrupted one.
+/// Each phase runs input-major through [`CampaignEngine::run_matrix`]: a
+/// work item is a tile of inputs × faults, and a run that panics the
+/// harness is recorded as one [`AbnormalRun`] while the campaign
+/// continues. With [`CampaignOptions::checkpoint`] set, every completed
+/// tile appends to the JSONL checkpoint as it finishes, and with `resume`
+/// the recorded tiles replay from disk instead of re-running — the
+/// resumed campaign compares equal (per the seed-determinism
+/// [`Throughput`]/report equality) to an uninterrupted one.
 ///
 /// # Errors
 ///
@@ -181,64 +180,40 @@ pub fn class_campaign_with(
         .family
         .test_case(scale.inputs_per_fault, seed ^ 0x5EED);
 
-    let label = format!("section6:{}", target.name);
-    let header = CheckpointHeader::new(label.clone(), seed, scale.inputs_per_fault as u64);
+    let header = CheckpointHeader::new(
+        format!("section6:{}", target.name),
+        seed,
+        scale.inputs_per_fault as u64,
+    );
     let mut engine = CampaignEngine::new(header, opts)?;
-    let mut sessions: Vec<RunSession> = Vec::new();
-    // One prefix-fork cache per compiled program, shared by every worker
-    // session of both phases: all runs of the campaign share the same
-    // input set, so each input's golden pass is paid for once. It watches
-    // the triggers of the faults this process will execute.
-    let prefix = (!opts.no_prefix_fork).then(PrefixCache::shared);
-    if let Some(cache) = &prefix {
-        let phases = [("assign", &assign_faults), ("check", &check_faults)];
-        let executed = phases.iter().flat_map(|(phase, faults)| {
-            let pending = engine.executes(phase, faults.len());
-            pending.into_iter().map(|i| &faults[i].spec)
-        });
-        cache.set_watch_pcs(watch_pcs_of(executed));
-    }
-
-    // One work item per fault: runs the whole shared test case. Each
-    // worker thread owns a warm-reboot session reused across all the
-    // faults it processes (one session per worker, not per run).
     let mut results: Vec<(ErrorClass, ModeCounts, u64)> = Vec::new();
     let mut abnormal = Vec::new();
     for (phase, faults) in [("assign", &assign_faults), ("check", &check_faults)] {
-        let (records, mut batch_sessions) = engine.run_phase(
+        let specs: Vec<_> = faults.iter().map(|f| f.spec).collect();
+        let runs = engine.run_matrix(
             phase,
-            faults,
-            || opts.session(&compiled, target.family, prefix.clone()),
-            |session, _, fault| {
-                let (counts, dormant) = session.run_inputs(&inputs, &fault.spec, |j| {
-                    seed.wrapping_mul(0x9E3779B97F4A7C15)
-                        .wrapping_add(fault.site_addr as u64)
-                        .wrapping_add(j as u64)
-                });
-                (fault.error, counts, dormant)
+            &Matrix::new(&specs, &inputs),
+            || opts.session(&compiled, target.family),
+            |f, j| {
+                seed.wrapping_mul(0x9E3779B97F4A7C15)
+                    .wrapping_add(faults[f].site_addr as u64)
+                    .wrapping_add(j as u64)
             },
-            |i, fault| {
+            |f| {
+                let fault = &faults[f];
                 format!(
-                    "{phase} fault #{i}: {:?} at {:#x}",
+                    "{phase} fault #{f}: {:?} at {:#x}",
                     fault.error, fault.site_addr
                 )
             },
         )?;
-        sessions.append(&mut batch_sessions);
-        let (ok, phase_abnormal) = split_records(records);
-        results.extend(ok.into_iter().map(|(_, r)| r));
-        abnormal.extend(phase_abnormal);
+        let per_fault = faults.iter().zip(runs.per_fault);
+        results.extend(per_fault.map(|(fault, (counts, dormant))| (fault.error, counts, dormant)));
+        abnormal.extend(runs.abnormal);
     }
-    let mut stats = SessionStats::default();
-    for s in &sessions {
-        stats.merge(&s.stats());
-    }
-    // Retire the workers (and their telemetry lanes) before the close.
-    drop(sessions);
     let runs = results.iter().map(|(_, counts, _)| counts.total()).sum();
     let dormant = results.iter().map(|&(_, _, dormant)| dormant).sum();
-    let peak = prefix.as_ref().map_or(0, |cache| cache.peak_bytes() as u64);
-    let close = engine.close(&label, &stats, peak, runs, dormant, abnormal);
+    let close = engine.close(&SessionStats::default(), runs, dormant, abnormal);
 
     let mut out = ProgramCampaign {
         program: target.name.to_string(),

@@ -37,11 +37,11 @@ use swifi_trace::metrics::names as metric_names;
 use swifi_trace::{ProfiledInspector, WorkerTelemetry};
 use swifi_vm::inspect::Inspector;
 use swifi_vm::machine::{FetchStop, FetchWatch, Machine, MachineSnapshot, RunOutcome};
-use swifi_vm::{ForkSnapshot, Noop};
+use swifi_vm::Noop;
 
 use crate::plan::{self, RunPlan};
-use crate::prefix::{GoldenRun, PrefixCache};
-use crate::runner::{campaign_config, classify_outcome, FailureMode, ModeCounts};
+use crate::prefix::{ForkPoints, GoldenRun, Ladder, PrefixCache};
+use crate::runner::{campaign_config, classify_outcome, FailureMode};
 
 /// Per-session run counters, folded into a campaign-level [`Throughput`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,24 +68,21 @@ pub struct SessionStats {
     /// Instructions that took the slow fetch→`on_fetch`→decode path
     /// (armed PCs, reference mode, PCs outside the cached code region).
     pub slow_fetches: u64,
-    /// Rungs (fork snapshots) this session stored, at golden-pass pauses
-    /// and in capture runs.
+    /// Rungs (fork snapshots) this session stored at golden-pass pauses.
     pub prefix_snapshots_built: u64,
     /// Injected runs resumed from a cached prefix snapshot.
     pub prefix_fork_hits: u64,
-    /// Guest instructions *not* executed thanks to the prefix cache
-    /// (forked-over prefixes, memoized golden runs, replayed injected
-    /// runs). Disjoint from `retired_instrs`, which counts only
-    /// instructions actually executed.
+    /// Guest instructions *not* executed thanks to prefix forking
+    /// (forked-over prefixes and never-arrives answers). Disjoint from
+    /// `retired_instrs`, which counts only instructions actually
+    /// executed.
     pub prefix_instrs_skipped: u64,
     /// Injected runs answered by the planner's never-arrives verdict (the
     /// golden run reaches the trigger fewer times than the fault's firing
     /// occurrence), without executing anything.
     pub prefix_dormant_short_circuits: u64,
-    /// Clean runs answered from the memoized golden run.
-    pub prefix_golden_hits: u64,
-    /// Golden passes made: clean runs pausing at the first arrival of
-    /// every watched trigger PC to store rungs.
+    /// Golden passes made: clean runs pausing at every fork point of a
+    /// campaign phase to store rungs.
     pub prefix_golden_passes: u64,
     /// Basic blocks translated by this session's machine.
     pub blocks_built: u64,
@@ -126,7 +123,6 @@ impl SessionStats {
         self.prefix_fork_hits += other.prefix_fork_hits;
         self.prefix_instrs_skipped += other.prefix_instrs_skipped;
         self.prefix_dormant_short_circuits += other.prefix_dormant_short_circuits;
-        self.prefix_golden_hits += other.prefix_golden_hits;
         self.prefix_golden_passes += other.prefix_golden_passes;
         self.blocks_built += other.blocks_built;
         self.block_hits += other.block_hits;
@@ -174,11 +170,10 @@ pub struct Throughput {
     pub prefix_instrs_skipped: u64,
     /// Injected runs answered by the never-arrives verdict.
     pub prefix_dormant_short_circuits: u64,
-    /// Clean runs answered from the memoized golden run.
-    pub prefix_golden_hits: u64,
     /// Golden passes made across all sessions.
     pub prefix_golden_passes: u64,
-    /// The most bytes the prefix cache held at once (rungs and memos).
+    /// The most bytes one session's ladder held (rungs, golden output
+    /// and arrival totals of one input).
     pub prefix_peak_bytes: u64,
     /// Basic blocks translated across all sessions.
     pub blocks_built: u64,
@@ -224,17 +219,12 @@ impl Throughput {
         for s in sessions {
             stats.merge(&s.stats());
         }
-        let prefix_peak_bytes = sessions
-            .iter()
-            .filter_map(|s| s.prefix.as_ref())
-            .map(|cache| cache.peak_bytes() as u64)
-            .max()
-            .unwrap_or(0);
-        Throughput::from_stats(&stats, elapsed, prefix_peak_bytes)
+        let prefix_peak_bytes = sessions.iter().map(RunSession::ladder_peak_bytes).max();
+        Throughput::from_stats(&stats, elapsed, prefix_peak_bytes.unwrap_or(0))
     }
 
     /// The throughput of a region whose sessions' merged counters are
-    /// `stats`, with the prefix cache's peak byte count.
+    /// `stats`, with the largest ladder's byte count.
     pub fn from_stats(
         stats: &SessionStats,
         elapsed: std::time::Duration,
@@ -253,7 +243,6 @@ impl Throughput {
             prefix_fork_hits: stats.prefix_fork_hits,
             prefix_instrs_skipped: stats.prefix_instrs_skipped,
             prefix_dormant_short_circuits: stats.prefix_dormant_short_circuits,
-            prefix_golden_hits: stats.prefix_golden_hits,
             prefix_golden_passes: stats.prefix_golden_passes,
             prefix_peak_bytes,
             blocks_built: stats.blocks_built,
@@ -285,7 +274,7 @@ impl Throughput {
     }
 }
 
-/// Cached injector, keyed by the fault set it was compiled from.
+/// A compiled injector, keyed by the fault set it was compiled from.
 struct CachedInjector {
     specs: Vec<FaultSpec>,
     mode: TriggerMode,
@@ -301,18 +290,13 @@ struct Ran {
     retired: u64,
     /// Instructions this session actually executed for the run.
     executed: u64,
-    /// How a [`RunPlan::Capture`] run ended: `golden` (the trigger never
-    /// arrived), `captured` (this run stored a snapshot) or `vetoed` (it
-    /// stored none). Empty for other plans.
-    capture: &'static str,
 }
 
-/// The fork point of a single-fault set that was planned to fork or
-/// capture.
+/// The fork point of a single-fault set that the ladder planned.
 fn fork_point(specs: &[FaultSpec]) -> (u32, u64) {
     specs[0]
         .fork_point()
-        .expect("fork and capture plans come from a fork point")
+        .expect("ladder plans come from a fork point")
 }
 
 /// A structured failure from the fallible run entry points
@@ -343,7 +327,7 @@ impl std::fmt::Display for SessionError {
 impl std::error::Error for SessionError {}
 
 /// A reusable run engine for one compiled program: one machine, one clean
-/// snapshot, one (cached) injector — many runs.
+/// snapshot, one compiled injector per fault set — many runs.
 ///
 /// # Examples
 ///
@@ -367,21 +351,24 @@ pub struct RunSession {
     family: Family,
     machine: Machine,
     snapshot: MachineSnapshot,
-    cached: Option<CachedInjector>,
+    /// Compiled injectors, one per fault set this session has run, so a
+    /// tile that runs each of its faults on every input never recompiles
+    /// one.
+    injectors: Vec<CachedInjector>,
     /// Oracle outputs memoized per input. A class campaign runs every
     /// fault against the same shared input set, so each input's expected
-    /// output is recomputed once per session instead of once per run —
-    /// on the short JamesB runs the oracle call is a measurable slice of
-    /// the per-run wall clock. When a [`PrefixCache`] is attached it acts
-    /// as a shared second level behind this per-session map.
-    expected: HashMap<TestInput, Arc<Vec<u8>>>,
-    /// Shared prefix-fork cache; `None` disables forking entirely (every
-    /// run executes from the clean snapshot).
-    prefix: Option<Arc<PrefixCache>>,
+    /// output is computed once per session instead of once per run — on
+    /// the short JamesB runs the oracle call is a measurable slice of the
+    /// per-run wall clock.
+    expected: HashMap<TestInput, Vec<u8>>,
+    /// The golden pass of the input this session runs now
+    /// ([`RunSession::hold_ladder`]); `None` runs every fault in full.
+    ladder: Option<Ladder>,
+    /// The most bytes one ladder of this session held.
+    ladder_peak_bytes: usize,
     stats: SessionStats,
-    started: Instant,
     /// Retired-instruction count of the most recent run, as a full
-    /// (unforked) run would report it — memoized answers report the
+    /// (unforked) run would report it — never-arrives answers report the
     /// golden run's count. The forked-vs-full equivalence oracle pins
     /// this.
     last_retired: u64,
@@ -417,27 +404,48 @@ impl RunSession {
             family,
             machine,
             snapshot,
-            cached: None,
+            injectors: Vec::new(),
             expected: HashMap::new(),
-            prefix: None,
+            ladder: None,
+            ladder_peak_bytes: 0,
             stats: SessionStats::default(),
-            started: Instant::now(),
             last_retired: 0,
             watchdog: None,
             telemetry: None,
         }
     }
 
-    /// Attach a shared [`PrefixCache`]. The cache must have been created
-    /// for the same compiled program and machine configuration as this
-    /// session — snapshots restore across sessions only between
-    /// identically-built machines. `None` disables prefix forking.
-    pub fn set_prefix_cache(&mut self, cache: Option<Arc<PrefixCache>>) {
-        self.prefix = cache;
+    /// Has no effect until the next benchmark change drops it: the
+    /// benchmark harness still calls it. Runs fork from the ladder
+    /// [`RunSession::hold_ladder`] makes.
+    pub fn set_prefix_cache(&mut self, _cache: Option<Arc<PrefixCache>>) {}
+
+    /// Make the golden pass of `input` over a campaign phase's fork
+    /// `points`, unless this session's ladder holds it already. Later
+    /// runs of `input` plan from the ladder: never-arrives, a fork from a
+    /// rung, or a full run. The previous input's ladder is dropped before
+    /// the pass starts, so a session holds one input's rungs at a time.
+    ///
+    /// A multi-core machine makes no pass: a fetch breakpoint cannot
+    /// pause a multi-core scheduler.
+    pub fn hold_ladder(&mut self, input: &TestInput, points: &ForkPoints) {
+        let held = self.ladder.as_ref().is_some_and(|l| l.holds(input, points));
+        if held || points.is_empty() || self.machine.num_cores() != 1 {
+            return;
+        }
+        self.ladder = None;
+        let ladder = self.golden_pass(input, points);
+        self.ladder_peak_bytes = self.ladder_peak_bytes.max(ladder.bytes);
+        self.ladder = Some(ladder);
+    }
+
+    /// The most bytes one ladder of this session held.
+    pub fn ladder_peak_bytes(&self) -> u64 {
+        self.ladder_peak_bytes as u64
     }
 
     /// Retired-instruction count of the most recent run, as a full run
-    /// would report it (memoized/forked answers included).
+    /// would report it (forked and never-arrives answers included).
     pub fn last_retired(&self) -> u64 {
         self.last_retired
     }
@@ -483,9 +491,8 @@ impl RunSession {
     }
 
     /// [`Machine::run_to_watch`] with the same optional profiling wrap
-    /// as [`RunSession::machine_run`] (golden passes and capture runs
-    /// execute real guest instructions and should show up in profiles
-    /// too).
+    /// as [`RunSession::machine_run`] (golden passes execute real guest
+    /// instructions and should show up in profiles too).
     fn machine_run_to_watch(
         machine: &mut Machine,
         telemetry: &mut Option<WorkerTelemetry>,
@@ -499,11 +506,6 @@ impl RunSession {
             }
             _ => machine.run_to_watch(watch, &mut Noop),
         }
-    }
-
-    /// The program family this session runs.
-    pub fn family(&self) -> Family {
-        self.family
     }
 
     /// Counters accumulated so far, with the machine's translation-cache
@@ -542,11 +544,6 @@ impl RunSession {
         self.machine.set_block_interp(enabled);
     }
 
-    /// Seconds since the session was created.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
     /// Warm-reboot to the clean snapshot and mount `input`.
     fn begin(&mut self, input: &TestInput) {
         self.machine.restore(&self.snapshot);
@@ -555,78 +552,56 @@ impl RunSession {
             .set_deadline(self.watchdog.map(|d| Instant::now() + d));
     }
 
-    /// One fault-free run, answered from the shared golden memo when the
-    /// prefix cache already holds this input's fault-free run. The first
-    /// clean run of an input in a campaign with a watch list is its golden
-    /// pass.
+    /// One fault-free run.
     pub fn run_clean(&mut self, input: &TestInput) -> RunOutcome {
-        if let Some(cache) = self.prefix.clone() {
-            if self.machine.num_cores() == 1 && cache.claim_pass(input) {
-                let (outcome, retired) = self.golden_pass(input, &cache);
-                self.stats.runs += 1;
-                self.last_retired = retired;
-                return outcome;
-            }
-            if let Some(golden) = cache.golden(input) {
-                self.stats.runs += 1;
-                self.stats.prefix_golden_hits += 1;
-                self.stats.prefix_instrs_skipped += golden.retired;
-                self.last_retired = golden.retired;
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.instant("golden_hit", vec![arg_u64("retired", golden.retired)]);
-                }
-                return golden.outcome;
-            }
-        }
         self.begin(input);
         let outcome = Self::machine_run(&mut self.machine, &mut self.telemetry, &mut Noop);
         let retired = self.machine.retired();
         self.stats.runs += 1;
         self.stats.retired_instrs += retired;
         self.last_retired = retired;
-        if let Some(cache) = &self.prefix {
-            if self.golden_memoizable(&outcome) {
-                let outcome = outcome.clone();
-                cache.record_golden(input, GoldenRun { outcome, retired }, []);
-            }
-        }
         outcome
     }
 
-    /// The golden pass for `input`: one clean run that pauses at the first
-    /// arrival of every watched trigger PC and stores a rung wherever
-    /// [`plan::worth_forking`] says it pays, then records the golden run
-    /// and a zero trigger total for every watched PC it never reached.
-    /// Returns the run's outcome and retired count.
-    fn golden_pass(&mut self, input: &TestInput, cache: &PrefixCache) -> (RunOutcome, u64) {
+    /// The golden pass for `input`: one clean run that pauses just before
+    /// every fork point and stores a rung wherever [`plan::worth_forking`]
+    /// says it pays over the faults at that point. It stops once every
+    /// point has paused it; a pass that runs to the end records the
+    /// golden run and the arrival totals of the PCs it left pending.
+    fn golden_pass(&mut self, input: &TestInput, points: &ForkPoints) -> Ladder {
         let span_start = self.telemetry.as_ref().map(WorkerTelemetry::now_us);
-        let watched = cache.watched();
-        let mut watch = FetchWatch::new(watched.iter().map(|&(pc, _)| pc), 1);
-        let (mut pauses, mut rungs) = (0, 0);
+        let mut ladder = Ladder::new(input, points);
+        let mut watch = FetchWatch::new(points.iter().map(|&(point, _)| point));
+        let mut pauses = 0;
         self.begin(input);
-        let outcome = loop {
+        let finished = loop {
+            if watch.is_empty() {
+                break None;
+            }
             match Self::machine_run_to_watch(&mut self.machine, &mut self.telemetry, &mut watch) {
-                FetchStop::Finished(outcome) => break outcome,
-                FetchStop::Hit(pc) => {
+                FetchStop::Finished(outcome) => break Some(outcome),
+                FetchStop::Hit(pc, occ) => {
                     pauses += 1;
-                    let uses = watched[watched.partition_point(|&(p, _)| p < pc)].1;
-                    let stored = self
-                        .rung(Some(uses))
-                        .is_some_and(|r| cache.insert_snapshot(input, pc, 1, r, Some(uses)));
-                    rungs += u64::from(stored);
+                    let m = &self.machine;
+                    let pays = plan::worth_forking(
+                        m.retired(),
+                        m.dirty_pages(),
+                        m.dirty_code_pages(),
+                        ladder.uses((pc, occ)),
+                    );
+                    if pays {
+                        ladder.insert((pc, occ), m.fork_snapshot());
+                    }
                 }
             }
         };
         let retired = self.machine.retired();
+        let rungs = ladder.rungs.len() as u64;
         self.stats.retired_instrs += retired;
         self.stats.prefix_golden_passes += 1;
         self.stats.prefix_snapshots_built += rungs;
-        if self.golden_memoizable(&outcome) {
-            let run = GoldenRun {
-                outcome: outcome.clone(),
-                retired,
-            };
-            cache.record_golden(input, run, watch.pending());
+        if let Some(outcome) = finished.filter(|o| self.golden_memoizable(o)) {
+            ladder.set_golden(GoldenRun { outcome, retired }, watch.pending().collect());
         }
         if let (Some(t), Some(start)) = (self.telemetry.as_mut(), span_start) {
             t.complete(
@@ -635,23 +610,10 @@ impl RunSession {
                 vec![arg_u64("pauses", pauses), arg_u64("rungs", rungs)],
             );
         }
-        (outcome, retired)
+        ladder
     }
 
-    /// A rung of the paused machine, if the cost rule says it pays over
-    /// `uses` forks (`None`: uncounted, judged as one).
-    fn rung(&self, uses: Option<u32>) -> Option<Arc<ForkSnapshot>> {
-        let m = &self.machine;
-        let pays = plan::worth_forking(
-            m.retired(),
-            m.dirty_pages(),
-            m.dirty_code_pages(),
-            uses.unwrap_or(1),
-        );
-        pays.then(|| Arc::new(m.fork_snapshot()))
-    }
-
-    /// Whether a fault-free outcome is safe to memoize: with a wall-clock
+    /// Whether a fault-free outcome is safe to replay: with a wall-clock
     /// watchdog armed, a `Hang` may be the (nondeterministic) deadline
     /// rather than the (deterministic) instruction budget, and must not
     /// be replayed as gospel.
@@ -671,10 +633,9 @@ impl RunSession {
 
     /// One run with a full fault set under an explicit trigger mode.
     ///
-    /// The compiled injector is cached: consecutive runs with the same
-    /// fault set (the common campaign shape — one fault, many inputs)
-    /// reuse it via [`Injector::reset`] instead of rebuilding the trigger
-    /// routing tables.
+    /// The compiled injector is cached per fault set: a later run of the
+    /// same set reuses it via [`Injector::reset`] instead of rebuilding
+    /// the trigger routing tables.
     ///
     /// Returns the raw outcome plus whether any fault fired.
     ///
@@ -723,24 +684,15 @@ impl RunSession {
     }
 
     /// Decide up front how to execute one injected run. Anything but
-    /// [`RunPlan::Full`] needs a prefix cache, a single-core machine (a
-    /// fetch breakpoint cannot pause a multi-core scheduler) and a single
-    /// fault with a [`FaultSpec::fork_point`]. A [`RunPlan::GoldenPass`]
-    /// verdict is acted on here, and the run planned again.
-    fn plan(&mut self, input: &TestInput, specs: &[FaultSpec]) -> RunPlan {
-        let single_core = self.machine.num_cores() == 1;
-        let (Some(cache), [spec], true) = (self.prefix.clone(), specs, single_core) else {
+    /// [`RunPlan::Full`] needs a ladder for `input` and a single fault
+    /// with a [`FaultSpec::fork_point`].
+    fn plan(&self, input: &TestInput, specs: &[FaultSpec]) -> RunPlan {
+        let (Some(ladder), [spec]) = (&self.ladder, specs) else {
             return RunPlan::Full;
         };
-        let Some((pc, occ)) = spec.fork_point() else {
-            return RunPlan::Full;
-        };
-        match cache.plan(input, pc, occ) {
-            RunPlan::GoldenPass => {
-                self.golden_pass(input, &cache);
-                cache.plan(input, pc, occ)
-            }
-            plan => plan,
+        match spec.fork_point() {
+            Some((pc, occ)) if ladder.is_for(input) => ladder.plan(pc, occ),
+            _ => RunPlan::Full,
         }
     }
 
@@ -754,23 +706,21 @@ impl RunSession {
         mode: TriggerMode,
         seed: u64,
     ) -> Result<Ran, SessionError> {
-        let (outcome, fired, skipped, capture) = match plan {
-            RunPlan::GoldenPass => unreachable!("the golden pass is made while planning"),
+        let (outcome, fired, skipped) = match plan {
             RunPlan::NeverArrives => {
-                let golden = self.prefix.as_ref().and_then(|cache| cache.golden(input));
+                let golden = self.ladder.as_ref().and_then(Ladder::golden);
                 let golden = golden.expect("trigger totals are recorded with the golden run");
                 return Ok(Ran {
-                    outcome: golden.outcome,
+                    outcome: golden.outcome.clone(),
                     fired: false,
                     retired: golden.retired,
                     executed: 0,
-                    capture: "",
                 });
             }
             RunPlan::Full => {
                 self.begin(input);
                 let (outcome, fired) = self.run_armed(specs, mode, seed, 0)?;
-                (outcome, fired, 0, "")
+                (outcome, fired, 0)
             }
             RunPlan::Fork(fork) => {
                 self.machine.restore_fork(&self.snapshot, fork);
@@ -778,40 +728,7 @@ impl RunSession {
                     .set_deadline(self.watchdog.map(|d| Instant::now() + d));
                 let seen = fork_point(specs).1 - 1;
                 let (outcome, fired) = self.run_armed(specs, mode, seed, seen)?;
-                (outcome, fired, fork.retired(), "")
-            }
-            RunPlan::Capture => {
-                let cache = self.prefix.clone().expect("capture plans need a cache");
-                let (pc, occ) = fork_point(specs);
-                self.begin(input);
-                let mut watch = FetchWatch::new([pc], occ);
-                let stop =
-                    Self::machine_run_to_watch(&mut self.machine, &mut self.telemetry, &mut watch);
-                let retired = self.machine.retired();
-                match stop {
-                    // The trigger never arrived: this *is* the golden run,
-                    // and it counted every arrival on the way.
-                    FetchStop::Finished(outcome) => {
-                        if self.golden_memoizable(&outcome) {
-                            let run = GoldenRun {
-                                outcome: outcome.clone(),
-                                retired,
-                            };
-                            cache.record_golden(input, run, watch.pending());
-                        }
-                        (outcome, false, 0, "golden")
-                    }
-                    // Paused exactly at the trigger, `retired` deep: store
-                    // a rung if the cost rule says it pays, then continue
-                    // in place as this run.
-                    FetchStop::Hit(_) => {
-                        let uses = cache.capture_uses(pc, occ);
-                        let stored = cache.insert_capture(input, pc, occ, self.rung(uses), uses);
-                        let (outcome, fired) = self.run_armed(specs, mode, seed, occ - 1)?;
-                        let capture = if stored { "captured" } else { "vetoed" };
-                        (outcome, fired, 0, capture)
-                    }
-                }
+                (outcome, fired, fork.retired())
             }
         };
         let retired = self.machine.retired();
@@ -821,7 +738,6 @@ impl RunSession {
             fired,
             retired,
             executed,
-            capture,
         })
     }
 
@@ -836,19 +752,17 @@ impl RunSession {
         seed: u64,
         seen: u64,
     ) -> Result<(RunOutcome, bool), SessionError> {
-        self.ensure_injector(specs, mode, seed)?;
-        let cached = self.cached.as_mut().expect("cache populated above");
-        cached.injector.reset(seed);
+        let i = self.injector_for(specs, mode, seed)?;
+        let injector = &mut self.injectors[i].injector;
+        injector.reset(seed);
         if seen > 0 {
-            cached.injector.resume_occurrences(0, seen);
+            injector.resume_occurrences(0, seen);
         }
-        cached
-            .injector
+        injector
             .prepare(&mut self.machine)
             .map_err(|e| SessionError::Prepare(format!("{e:?}")))?;
-        let outcome =
-            Self::machine_run(&mut self.machine, &mut self.telemetry, &mut cached.injector);
-        Ok((outcome, cached.injector.any_fired()))
+        let outcome = Self::machine_run(&mut self.machine, &mut self.telemetry, injector);
+        Ok((outcome, injector.any_fired()))
     }
 
     /// The one place an injected run is counted: run and activation
@@ -864,7 +778,7 @@ impl RunSession {
         s.prefix_instrs_skipped += ran.retired - ran.executed;
         self.last_retired = ran.retired;
         let (event, extra) = match plan {
-            RunPlan::Full | RunPlan::GoldenPass => return,
+            RunPlan::Full => return,
             RunPlan::NeverArrives => {
                 s.prefix_dormant_short_circuits += 1;
                 ("dormant_short_circuit", None)
@@ -873,10 +787,6 @@ impl RunSession {
                 s.prefix_fork_hits += 1;
                 let skipped = ran.retired - ran.executed;
                 ("fork_hit", Some(arg_u64("skipped", skipped)))
-            }
-            RunPlan::Capture => {
-                s.prefix_snapshots_built += u64::from(ran.capture == "captured");
-                ("fork_miss", Some(arg_str("result", ran.capture)))
             }
         };
         if let Some(t) = self.telemetry.as_mut() {
@@ -887,31 +797,30 @@ impl RunSession {
         }
     }
 
-    /// (Re)compile the cached injector if the fault set changed.
-    fn ensure_injector(
+    /// The index of the compiled injector for `specs` under `mode`,
+    /// compiled on the set's first run.
+    fn injector_for(
         &mut self,
         specs: &[FaultSpec],
         mode: TriggerMode,
         seed: u64,
-    ) -> Result<(), SessionError> {
-        let reusable = self
-            .cached
-            .as_ref()
-            .is_some_and(|c| c.mode == mode && c.specs.as_slice() == specs);
-        if !reusable {
-            let injector = Injector::new(specs.to_vec(), mode, seed)
-                .map_err(|e| SessionError::InjectorBuild(format!("{e:?}")))?;
-            self.cached = Some(CachedInjector {
-                specs: specs.to_vec(),
-                mode,
-                injector,
-            });
-            self.stats.injector_rebuilds += 1;
-            if let Some(t) = self.telemetry.as_mut() {
-                t.instant("fault_arm", vec![arg_u64("faults", specs.len() as u64)]);
-            }
+    ) -> Result<usize, SessionError> {
+        let compiled_for = |c: &CachedInjector| c.mode == mode && c.specs.as_slice() == specs;
+        if let Some(i) = self.injectors.iter().position(compiled_for) {
+            return Ok(i);
         }
-        Ok(())
+        let injector = Injector::new(specs.to_vec(), mode, seed)
+            .map_err(|e| SessionError::InjectorBuild(format!("{e:?}")))?;
+        self.injectors.push(CachedInjector {
+            specs: specs.to_vec(),
+            mode,
+            injector,
+        });
+        self.stats.injector_rebuilds += 1;
+        if let Some(t) = self.telemetry.as_mut() {
+            t.instant("fault_arm", vec![arg_u64("faults", specs.len() as u64)]);
+        }
+        Ok(self.injectors.len() - 1)
     }
 
     /// One classified campaign run: at most one fault, hardware triggers —
@@ -946,25 +855,6 @@ impl RunSession {
             );
         }
         (mode, fired)
-    }
-
-    /// One campaign work item: `fault` on every input, the run on input
-    /// `j` seeded `seed_of(j)`. Returns the failure-mode counts and the
-    /// number of runs where the fault stayed dormant.
-    pub fn run_inputs(
-        &mut self,
-        inputs: &[TestInput],
-        fault: &FaultSpec,
-        seed_of: impl Fn(usize) -> u64,
-    ) -> (ModeCounts, u64) {
-        let mut counts = ModeCounts::default();
-        let mut dormant = 0;
-        for (j, input) in inputs.iter().enumerate() {
-            let (mode, fired) = self.run(input, Some(fault), seed_of(j));
-            counts.add(mode);
-            dormant += u64::from(!fired);
-        }
-        (counts, dormant)
     }
 
     /// Post-run telemetry: block-cache deltas, the trigger/watchdog
@@ -1031,23 +921,19 @@ impl RunSession {
     }
 
     /// The oracle's expected output for `input`, computed once per
-    /// session — or once per *campaign* when a shared [`PrefixCache`]
-    /// backs the per-session map.
+    /// session.
     fn expected_for(&mut self, input: &TestInput) -> &[u8] {
         if !self.expected.contains_key(input) {
-            let expected = match &self.prefix {
-                Some(cache) => cache.expected_output(input),
-                None => Arc::new(input.expected_output()),
-            };
-            self.expected.insert(input.clone(), expected);
+            self.expected.insert(input.clone(), input.expected_output());
         }
-        self.expected[input].as_slice()
+        &self.expected[input]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prefix::fork_points;
     use swifi_core::locations::generate_error_set;
     use swifi_lang::compile;
     use swifi_programs::program;
@@ -1107,23 +993,24 @@ mod tests {
         assert_eq!(s.runs, expected_runs);
         assert_eq!(s.injected_runs, expected_runs - inputs.len() as u64);
         assert_eq!(s.fired_runs + s.dormant_runs, s.injected_runs);
-        assert!(session.elapsed_secs() >= 0.0);
 
-        // The injected runs twice on a forking session: the first pass
-        // captures prefixes, the second forks from them, and both count.
+        // The injected runs input-major on a forking session: each input's
+        // golden pass is no run, and the runs that fork count like any.
+        let specs: Vec<FaultSpec> = (set.assign_faults.iter().chain(&set.check_faults))
+            .map(|f| f.spec)
+            .collect();
+        let points = fork_points(&specs);
         let mut forked = RunSession::new(&compiled, target.family);
-        forked.set_prefix_cache(Some(crate::prefix::PrefixCache::shared()));
-        for _pass in 0..2 {
-            for fault in set.assign_faults.iter().chain(&set.check_faults) {
-                for input in &inputs {
-                    forked.run(input, Some(&fault.spec), 7);
-                }
+        for input in &inputs {
+            forked.hold_ladder(input, &points);
+            for spec in &specs {
+                forked.run(input, Some(spec), 7);
             }
         }
         let f = forked.stats();
-        assert!(f.prefix_fork_hits > 0, "second passes must fork: {f:?}");
-        assert!(f.prefix_snapshots_built > 0, "{f:?}");
-        assert_eq!(f.runs, 2 * s.injected_runs);
+        assert!(f.prefix_fork_hits > 0, "runs after a pass must fork: {f:?}");
+        assert_eq!(f.prefix_golden_passes, inputs.len() as u64);
+        assert_eq!(f.runs, s.injected_runs);
         assert_eq!(f.fired_runs + f.dormant_runs, f.injected_runs);
     }
 
@@ -1226,94 +1113,116 @@ mod tests {
 
     #[test]
     fn nth_firing_counts_occurrences_across_the_fork_boundary() {
-        // A snapshot taken at occurrence k-1 must not double-count: the
-        // resumed injector sees the pending fetch as occurrence k exactly
-        // once. Sweep Nth(1..=6) over a trigger inside a loop so the
-        // occurrence arithmetic is exercised on both sides of the
-        // boundary, running each spec twice (capture, then fork).
+        // A rung taken just before occurrence k must not double-count:
+        // the resumed injector sees the pending fetch as occurrence k
+        // exactly once. One pass pauses at Nth(1..=6) of triggers inside
+        // a loop, so the occurrence arithmetic is exercised on both sides
+        // of every boundary, and each fault runs twice from its rung.
         use swifi_core::fault::Firing;
-        let target = program("JB.team11").unwrap();
+        let target = program("JB.team6").unwrap();
         let compiled = compile(target.source_correct).unwrap();
         let set = generate_error_set(&compiled.debug, 4, 0, 21);
         let inputs = target.family.test_case(2, 23);
+        let specs: Vec<FaultSpec> = (set.assign_faults.iter())
+            .flat_map(|f| {
+                (1..=6).map(move |k| FaultSpec {
+                    when: Firing::Nth(k),
+                    ..f.spec
+                })
+            })
+            .collect();
+        let points = fork_points(&specs);
 
         let mut full = RunSession::new(&compiled, target.family);
         let mut forked = RunSession::new(&compiled, target.family);
-        forked.set_prefix_cache(Some(crate::prefix::PrefixCache::shared()));
-
-        for fault in &set.assign_faults {
-            for k in 1..=6u64 {
-                let mut spec = fault.spec;
-                spec.when = Firing::Nth(k);
-                for input in &inputs {
-                    let want = full.run(input, Some(&spec), k);
-                    for pass in ["capture", "fork-hit"] {
-                        let got = forked.run(input, Some(&spec), k);
-                        assert_eq!(got, want, "Nth({k}) {pass} at {:#x}", fault.site_addr);
-                        assert_eq!(forked.last_retired(), full.last_retired(), "Nth({k})");
-                    }
+        for input in &inputs {
+            forked.hold_ladder(input, &points);
+            for (i, spec) in specs.iter().enumerate() {
+                let want = full.run(input, Some(spec), i as u64);
+                for _ in 0..2 {
+                    assert_eq!(forked.run(input, Some(spec), i as u64), want, "{spec:?}");
+                    assert_eq!(forked.last_retired(), full.last_retired(), "{spec:?}");
                 }
             }
         }
+        let s = forked.stats();
+        assert!(s.prefix_fork_hits > 0, "{s:?}");
+        assert_eq!(s.prefix_golden_passes, inputs.len() as u64);
     }
 
     #[test]
     fn dormant_faults_short_circuit_after_the_golden_run() {
-        // Capture-run evidence: the first encounter finishes the (golden)
-        // run and records the trigger total; every later encounter is
-        // answered by the never-arrives verdict without executing a
-        // single instruction.
+        // The pass never reaches the fault's occurrence, so it runs to the
+        // end and records the trigger total: the fault is answered by the
+        // never-arrives verdict without executing a single instruction,
+        // however often it runs.
         let (compiled, family, input, spec) = never_arriving_fault();
         let mut full = RunSession::new(&compiled, family);
         let mut forked = RunSession::new(&compiled, family);
-        forked.set_prefix_cache(Some(crate::prefix::PrefixCache::shared()));
-        let first = forked.run(&input, Some(&spec), 1);
-        assert_eq!(first, full.run(&input, Some(&spec), 1));
-        assert_eq!(forked.stats().prefix_dormant_short_circuits, 0);
+        forked.hold_ladder(&input, &fork_points([&spec]));
+        assert_eq!(forked.stats().prefix_golden_passes, 1);
+        assert_eq!(forked.stats().runs, 0, "a pass is not a run");
+        assert_never_arrives(&mut forked, &mut full, &input, &spec);
         assert_never_arrives(&mut forked, &mut full, &input, &spec);
         assert_eq!(forked.stats().dormant_runs, 2);
     }
 
     #[test]
     fn golden_passes_fork_later_runs_and_drop_used_up_rungs() {
-        // With the campaign's watch list, each input's first run is its
-        // golden pass (a clean run's too), later runs at a stored rung
-        // fork, and every answer matches a fork-free session. Each fault
-        // runs each input once, so by the end every rung has served its
-        // last fork and been dropped.
+        // Each input's pass serves every fault run on that input, and
+        // every answer matches a fork-free session. The next input's pass
+        // drops the previous ladder: the session holds one input's rungs,
+        // and a run of the old input afterwards runs in full.
         let target = program("JB.team6").unwrap();
         let compiled = compile(target.source_correct).unwrap();
         let set = generate_error_set(&compiled.debug, 5, 5, 7);
-        let faults: Vec<_> = set.assign_faults.iter().chain(&set.check_faults).collect();
+        let specs: Vec<FaultSpec> = (set.assign_faults.iter().chain(&set.check_faults))
+            .map(|f| f.spec)
+            .collect();
+        let points = fork_points(&specs);
         let inputs = target.family.test_case(3, 11);
-        let cache = crate::prefix::PrefixCache::shared();
-        cache.set_watch_pcs(crate::prefix::watch_pcs_of(faults.iter().map(|f| &f.spec)));
         let mut full = RunSession::new(&compiled, target.family);
         let mut forked = RunSession::new(&compiled, target.family);
-        forked.set_prefix_cache(Some(cache.clone()));
 
-        assert_eq!(forked.run_clean(&inputs[0]), full.run_clean(&inputs[0]));
-        assert_eq!(forked.last_retired(), full.last_retired());
-        assert_eq!(forked.stats().prefix_golden_passes, 1);
-        for (fi, fault) in faults.iter().enumerate() {
-            for input in &inputs {
-                let want = full.run(input, Some(&fault.spec), fi as u64);
-                assert_eq!(forked.run(input, Some(&fault.spec), fi as u64), want);
+        for input in &inputs {
+            forked.hold_ladder(input, &points);
+            forked.hold_ladder(input, &points);
+            for (fi, spec) in specs.iter().enumerate() {
+                let want = full.run(input, Some(spec), fi as u64);
+                assert_eq!(forked.run(input, Some(spec), fi as u64), want);
                 assert_eq!(forked.last_retired(), full.last_retired(), "fault {fi}");
             }
         }
         let s = forked.stats();
-        assert_eq!(s.prefix_golden_passes, inputs.len() as u64, "{s:?}");
+        assert_eq!(
+            s.prefix_golden_passes,
+            inputs.len() as u64,
+            "one pass per input"
+        );
         assert!(s.prefix_fork_hits > 0, "{s:?}");
-        assert_eq!(cache.snapshot_count(), 0, "used-up rungs are dropped");
-        assert!(cache.peak_bytes() > cache.retained_bytes());
+        let ladder = forked.ladder.as_ref().expect("the last input's ladder");
+        assert!(ladder.is_for(&inputs[2]) && !ladder.is_for(&inputs[0]));
+        assert!(forked.ladder_peak_bytes() >= ladder.bytes as u64);
+        assert!(forked.ladder_peak_bytes() > 0);
+
+        let before = forked.stats();
+        for (fi, spec) in specs.iter().enumerate() {
+            let want = full.run(&inputs[0], Some(spec), fi as u64);
+            assert_eq!(forked.run(&inputs[0], Some(spec), fi as u64), want);
+        }
+        let after = forked.stats();
+        assert_eq!(
+            after.prefix_fork_hits, before.prefix_fork_hits,
+            "dropped rungs"
+        );
+        assert_eq!(after.prefix_instrs_skipped, before.prefix_instrs_skipped);
     }
 
     #[test]
     fn shallow_triggers_skip_fork_capture_once_golden_is_known() {
         // A trigger at the start of the run has nothing to skip: the cost
-        // rule stores no rung for it, however often the fault runs — and
-        // every run still matches a fork-free session exactly.
+        // rule vetoes its rung, however many faults fork there — and every
+        // run still matches a fork-free session exactly.
         use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
         let target = program("JB.team11").unwrap();
         let compiled = compile(target.source_correct).unwrap();
@@ -1329,20 +1238,16 @@ mod tests {
 
         let mut full = RunSession::new(&compiled, target.family);
         let mut forked = RunSession::new(&compiled, target.family);
-        let cache = crate::prefix::PrefixCache::shared();
-        forked.set_prefix_cache(Some(cache.clone()));
-
-        assert_eq!(forked.run_clean(input), full.run_clean(input));
-
+        forked.hold_ladder(input, &fork_points([&spec, &spec, &spec]));
         for seed in 5..8 {
             let want = full.run(input, Some(&spec), seed);
             assert_eq!(forked.run(input, Some(&spec), seed), want);
             assert_eq!(forked.last_retired(), full.last_retired());
         }
         let s = forked.stats();
-        assert_eq!(s.prefix_snapshots_built, 0, "shallow prefix never captured");
+        assert_eq!(s.prefix_golden_passes, 1);
+        assert_eq!(s.prefix_snapshots_built, 0, "shallow prefix never stored");
         assert_eq!(s.prefix_fork_hits, 0);
-        assert_eq!(cache.snapshot_count(), 0);
     }
 
     /// Run `spec` on `session` and check it was answered by the
@@ -1388,9 +1293,9 @@ mod tests {
         (compiled, target.family, input, spec)
     }
 
-    /// A session with a fresh prefix cache whose first run of `spec`
-    /// on `input` has finished as the golden run, and the trigger total
-    /// that run recorded for the never-arrives verdict.
+    /// A session whose ladder for `input` holds the pass over `spec`'s
+    /// fork point, finished as the golden run, and the trigger total that
+    /// pass recorded for the never-arrives verdict.
     fn session_with_totals(
         compiled: &Program,
         family: Family,
@@ -1398,26 +1303,19 @@ mod tests {
         spec: &FaultSpec,
     ) -> (RunSession, u64) {
         let mut session = RunSession::new(compiled, family);
-        let cache = crate::prefix::PrefixCache::shared();
-        session.set_prefix_cache(Some(cache.clone()));
-        let (_, fired) = session.run(input, Some(spec), 1);
-        assert!(!fired);
+        session.hold_ladder(input, &fork_points([spec]));
         let s = session.stats();
-        assert_eq!(s.prefix_dormant_short_circuits, 0, "first sight executes");
         assert_eq!(s.prefix_snapshots_built, 0, "the trigger never paused");
         let (pc, _) = spec.fork_point().unwrap();
-        let total = cache.total_occurrences(input, pc);
-        (
-            session,
-            total.expect("the finished capture run records the total"),
-        )
+        let total = session.ladder.as_ref().and_then(|l| l.total(pc));
+        (session, total.expect("the finished pass records the total"))
     }
 
     #[test]
     fn never_arrives_from_a_usable_trace() {
-        // The trigger total recorded by one fault's finished capture run
-        // is per (input, pc): it answers a different fault at the same
-        // trigger whose occurrence also lies beyond the total.
+        // The trigger total recorded by one fault's pass is per (input,
+        // pc): it answers a different fault at the same trigger whose
+        // occurrence also lies beyond the total.
         use swifi_core::fault::{ErrorOp, Target};
         let (compiled, family, input, spec) = never_arriving_fault();
         let mut full = RunSession::new(&compiled, family);
@@ -1433,8 +1331,8 @@ mod tests {
 
     #[test]
     fn never_arrives_from_a_tainted_trace() {
-        // A self-modifying program: the capture run's arrival count at
-        // the entry point is still exact and still replays.
+        // A self-modifying program: the pass's arrival count at the entry
+        // point is still exact and still replays.
         use swifi_core::fault::{ErrorOp, Firing, Target, Trigger};
         let (mut compiled, family, input, _) = never_arriving_fault();
         compiled.image = swifi_vm::asm::assemble(
@@ -1456,31 +1354,6 @@ mod tests {
         let (mut session, total) = session_with_totals(&compiled, family, &input, &spec);
         assert_eq!(total, 1);
         assert_never_arrives(&mut session, &mut full, &input, &spec);
-    }
-
-    #[test]
-    fn clean_runs_hit_the_golden_memo() {
-        let target = program("JB.team11").unwrap();
-        let compiled = compile(target.source_correct).unwrap();
-        let inputs = target.family.test_case(2, 31);
-        let mut a = RunSession::new(&compiled, target.family);
-        let mut b = RunSession::new(&compiled, target.family);
-        let cache = crate::prefix::PrefixCache::shared();
-        a.set_prefix_cache(Some(cache.clone()));
-        b.set_prefix_cache(Some(cache));
-        for input in &inputs {
-            let first = a.run_clean(input);
-            let full_retired = a.last_retired();
-            // Session b shares the cache: its "run" is answered without
-            // executing, but reports the same outcome and retired count.
-            let memo = b.run_clean(input);
-            assert_eq!(memo, first);
-            assert_eq!(b.last_retired(), full_retired);
-        }
-        let sb = b.stats();
-        assert_eq!(sb.prefix_golden_hits, inputs.len() as u64);
-        assert_eq!(sb.retired_instrs, 0, "memoized runs execute nothing");
-        assert_eq!(sb.runs, inputs.len() as u64, "memoized runs still count");
     }
 
     #[test]

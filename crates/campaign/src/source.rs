@@ -383,8 +383,7 @@ pub fn source_campaign_with(
     let runs: u64 = ok.iter().map(|(_, (counts, _))| counts.total()).sum();
     let activated: u64 = ok.iter().map(|&(_, (_, activated))| activated).sum();
     let dormant = runs - activated;
-    let label = format!("source:{}", target.name);
-    let close = engine.close(&label, &stats, 0, runs, dormant, abnormal);
+    let close = engine.close(&stats, runs, dormant, abnormal);
 
     let mut out = SourceCampaign {
         program: target.name.to_string(),

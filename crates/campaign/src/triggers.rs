@@ -13,16 +13,15 @@
 //! toward the dormancy profile of real software faults (Table 1).
 
 use serde::{Deserialize, Serialize};
-use swifi_core::fault::Firing;
+use swifi_core::fault::{FaultSpec, Firing};
 use swifi_core::locations::generate_error_set;
 use swifi_lang::compile;
 use swifi_programs::TargetProgram;
 
-use crate::pool::parallel_map_resilient;
-use crate::prefix::PrefixCache;
+use crate::engine::{CampaignEngine, CampaignOptions, CheckpointHeader};
+use crate::matrix::Matrix;
 use crate::runner::ModeCounts;
 use crate::section6::CampaignScale;
-use crate::session::RunSession;
 
 /// Results for one firing policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,7 +34,12 @@ pub struct TriggerRow {
     pub dormant_runs: u64,
 }
 
-/// Run the same error set under different firing schedules.
+/// Run the same error set under different firing schedules, one matrix
+/// phase per schedule.
+///
+/// # Panics
+///
+/// Panics if the program fails to compile, or a run panics the harness.
 pub fn trigger_ablation(
     target: &TargetProgram,
     scale: CampaignScale,
@@ -48,11 +52,13 @@ pub fn trigger_ablation(
         .family
         .test_case(scale.inputs_per_fault, seed ^ 0x7219);
 
-    // One cache across all four policies: they reuse the same trigger
-    // PCs at different firing occurrences, so the `Nth(k)` policies fork
-    // from prefixes whose totals the `EveryTime` pass already measured.
-    let prefix = PrefixCache::shared();
-
+    let opts = CampaignOptions::default();
+    let header = CheckpointHeader::new(
+        format!("triggers:{}", target.name),
+        seed,
+        scale.inputs_per_fault as u64,
+    );
+    let mut engine = CampaignEngine::new(header, &opts).expect("no checkpoint configured");
     let policies: Vec<(String, Firing)> = vec![
         ("every occurrence (paper)".to_string(), Firing::EveryTime),
         ("first occurrence only".to_string(), Firing::First),
@@ -63,27 +69,22 @@ pub fn trigger_ablation(
     policies
         .into_iter()
         .map(|(label, when)| {
-            let (per_fault, _sessions) = parallel_map_resilient(
-                &faults,
-                || {
-                    let mut s = RunSession::new(&compiled, target.family);
-                    s.set_prefix_cache(Some(prefix.clone()));
-                    s
-                },
-                |session, fault| {
-                    let mut spec = fault.spec;
-                    spec.when = when;
-                    session.run_inputs(&inputs, &spec, |i| seed.wrapping_add(i as u64))
-                },
-                |_, _| {},
-            );
-            let mut modes = ModeCounts::default();
-            let mut dormant_runs = 0;
-            for (i, run) in per_fault.into_iter().enumerate() {
-                let (c, d) = run.expect_item(i);
-                modes.merge(&c);
-                dormant_runs += d;
+            let specs: Vec<_> = (faults.iter())
+                .map(|f| FaultSpec { when, ..f.spec })
+                .collect();
+            let runs = engine
+                .run_matrix(
+                    &label,
+                    &Matrix::new(&specs, &inputs),
+                    || opts.session(&compiled, target.family),
+                    |_, i| seed.wrapping_add(i as u64),
+                    |f| format!("fault #{f} at {:#x}", faults[f].site_addr),
+                )
+                .expect("no checkpoint configured");
+            if let Some(a) = runs.abnormal.first() {
+                panic!("{} run panicked: {} ({})", a.phase, a.message, a.detail);
             }
+            let (modes, dormant_runs) = runs.totals();
             TriggerRow {
                 policy: label,
                 modes,

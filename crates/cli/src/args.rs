@@ -95,6 +95,27 @@ impl ParsedArgs {
         }
     }
 
+    /// Refuse any option not in `known`, the space-separated flags the
+    /// subcommand reads, so a mistyped flag is not silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unknown flag in sorted order.
+    pub fn check_flags(&self, known: &str) -> Result<(), String> {
+        let mut unknown: Vec<&str> = (self.options.keys())
+            .map(String::as_str)
+            .filter(|key| !known.split_whitespace().any(|k| k == *key))
+            .collect();
+        unknown.sort_unstable();
+        match unknown.first() {
+            None => Ok(()),
+            Some(key) => Err(format!(
+                "unknown flag `--{key}` for `swifi {}` (see `swifi help`)",
+                self.command
+            )),
+        }
+    }
+
     /// Parse an option that must be a *strictly positive* integer
     /// (`--watchdog-ms`, `--shards`, `--pool`, ... — zero or negative values would panic or spin downstream).
     /// `None` when the option is absent.
@@ -122,6 +143,14 @@ impl ParsedArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::{flags_of, COMMAND_FLAGS};
+
+    /// Check `line`'s flags against its subcommand's.
+    fn check(line: &str) -> Result<(), String> {
+        let p = parse(line);
+        p.check_flags(flags_of(&p.command))
+    }
+    use proptest::prelude::*;
 
     fn parse(s: &str) -> ParsedArgs {
         ParsedArgs::parse(s.split_whitespace().map(String::from))
@@ -205,6 +234,63 @@ mod tests {
                 let err = p.positive_int_opt(flag).unwrap_err();
                 assert!(err.contains(&format!("--{flag}")), "{err}");
                 assert!(err.contains("positive"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_flag() {
+        let err = check("campaign JB.team11 --inputs 2 --seed 7 --watchdog-m 1").unwrap_err();
+        assert!(err.contains("`--watchdog-m`"), "{err}");
+        assert_eq!(
+            check("campaign JB.team11 --watchdog-ms 1 --no-prefix-fork"),
+            Ok(())
+        );
+        // Every flag `swifi serve` passes its shard workers, and the ones
+        // the benchmark harness passes `serve`.
+        let shard = "shard-exec --driver class --target SOR --seed 7 --inputs 3 --mutants 18 \
+                     --shard 0 --shards 2 --checkpoint c.jsonl --metrics-out m --trace-out t";
+        assert_eq!(check(shard), Ok(()));
+        assert_eq!(check("serve --addr 127.0.0.1:0 --workdir /w"), Ok(()));
+        assert!(check("list --asm").is_err() && check("warp --asm").is_err());
+        assert_eq!(check("warp"), Ok(()), "the command itself is checked later");
+    }
+
+    /// One command-line word: a command, a listed flag, a mistyped one, a
+    /// number, or arbitrary text with or without the `--` prefix.
+    fn arb_word() -> impl Strategy<Value = String> {
+        let flags: Vec<&str> = (COMMAND_FLAGS.iter())
+            .flat_map(|&(_, flags)| flags.split_whitespace())
+            .collect();
+        let chars = || proptest::collection::vec(any::<char>(), 0..6);
+        prop_oneof![
+            (0..COMMAND_FLAGS.len()).prop_map(|i| COMMAND_FLAGS[i].0.to_string()),
+            prop_oneof![Just("list"), Just("help"), Just("warp")].prop_map(String::from),
+            (0..2 * flags.len()).prop_map(move |i| {
+                let typo = if i % 2 == 0 { "" } else { "x" };
+                format!("--{}{typo}", flags[i / 2])
+            }),
+            any::<i32>().prop_map(|n| n.to_string()),
+            chars().prop_map(|c| c.into_iter().collect()),
+            chars().prop_map(|c| format!("--{}", c.into_iter().collect::<String>())),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Any word list parses, and the flag check never panics: a line
+        /// it accepts carries only flags its subcommand reads.
+        #[test]
+        fn accepted_lines_carry_only_listed_flags(
+            words in proptest::collection::vec(arb_word(), 0..8),
+        ) {
+            let parsed = ParsedArgs::parse(words.clone());
+            let known = flags_of(&parsed.command);
+            if parsed.check_flags(known).is_ok() {
+                for key in parsed.options.keys() {
+                    prop_assert!(known.split_whitespace().any(|k| k == key), "{words:?}");
+                }
             }
         }
     }

@@ -47,12 +47,16 @@ USAGE:
 
 CAMPAIGN OPTIONS:
   --seed N          campaign seed (default 2024)
-  --checkpoint F    append completed run records to the JSONL file F
-  --resume          resume from F: recorded runs replay instead of re-running
+  --checkpoint F    append each completed work item (a tile of inputs x
+                    faults, or a mutant) to the JSONL file F
+  --resume          resume from F: recorded items replay instead of re-running
   --watchdog-ms N   per-run wall-clock budget; slower runs classify as Hang
-  --chaos-panic N   panic the worker on campaign item N (harness self-test)
-  --no-prefix-fork  disable the prefix-fork cache (full prefix per run;
-                    reported results are identical either way)
+  --chaos-panic N   panic injected run N (harness self-test); runs count
+                    phase by phase, fault by fault, so fault F on input I
+                    is run F*inputs+I of its phase (source-campaign counts
+                    mutants); the run becomes one `abnormal:` line
+  --no-prefix-fork  make no golden passes and fork no run (full prefix per
+                    run; reported results are identical either way)
   --no-block-cache  disable basic-block translation (predecoded line
                     cache only; reported results are identical either way)
 
@@ -81,9 +85,34 @@ SERVER (campaign-as-a-service):
                     probe or gracefully stop a server
 
 FILE is a MiniC source path; NAME is a roster program (see `swifi list`).
+A flag the command does not read is an error.
 ";
 
 type CmdResult = Result<(), String>;
+
+/// The flags each subcommand reads, space-separated; any other flag, and
+/// any flag of a command not listed, is a usage error. `shard-exec` takes
+/// every flag `swifi serve` passes its worker processes, plus the rest of
+/// the submission flags it parses.
+pub const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("", "help"),
+    ("compile", "asm sites"),
+    ("run", "int line cores"),
+    ("inject", "fault int line seed"),
+    ("campaign", "inputs seed checkpoint resume watchdog-ms chaos-panic no-prefix-fork no-block-cache trace-out metrics-out profile profile-out"),
+    ("mutants", "op source"),
+    ("source-campaign", "mutants inputs seed checkpoint resume watchdog-ms chaos-panic no-prefix-fork no-block-cache trace-out metrics-out profile profile-out"),
+    ("compare-representations", "inputs mutants seed checkpoint resume watchdog-ms chaos-panic no-prefix-fork no-block-cache"),
+    ("serve", "addr workdir in-process"),
+    ("submit", "addr ping shutdown source driver seed inputs mutants shards pool trace-out metrics-out"),
+    ("shard-exec", "driver target seed inputs mutants shard shards checkpoint metrics-out trace-out source pool"),
+];
+
+/// The flags `command` reads.
+pub fn flags_of(command: &str) -> &'static str {
+    let entry = COMMAND_FLAGS.iter().find(|&&(name, _)| name == command);
+    entry.map_or("", |&(_, flags)| flags)
+}
 
 fn read_source(parsed: &ParsedArgs) -> Result<(String, String), String> {
     let path = parsed
@@ -737,7 +766,7 @@ pub fn submit_cmd(parsed: &ParsedArgs) -> CmdResult {
             "merged: {records} record(s) from {shards_read} shard(s) \
              ({shards_missing} missing, {duplicates} duplicate(s))"
         ),
-        Event::Phase { name, runs } => eprintln!("phase {name}: {runs} run(s)"),
+        Event::Phase { name, runs } => eprintln!("phase {name}: {runs} record(s)"),
         Event::Abnormal {
             phase,
             index,

@@ -24,7 +24,8 @@ use args::ParsedArgs;
 
 fn main() {
     let parsed = ParsedArgs::parse(std::env::args().skip(1));
-    let result = match parsed.command.as_str() {
+    let known = parsed.check_flags(commands::flags_of(&parsed.command));
+    let result = known.and_then(|()| match parsed.command.as_str() {
         "list" => commands::list(),
         "compile" => commands::compile_cmd(&parsed),
         "run" => commands::run_cmd(&parsed),
@@ -46,7 +47,7 @@ fn main() {
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n\n{}", commands::USAGE)),
-    };
+    });
     if let Err(msg) = result {
         eprintln!("error: {msg}");
         std::process::exit(1);

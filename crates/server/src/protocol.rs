@@ -137,7 +137,7 @@ pub enum Event {
     Phase {
         /// Phase name (e.g. `assign`, `check`, `mutants`).
         name: String,
-        /// Run records in the phase.
+        /// Checkpoint records in the phase (tiles of a matrix phase).
         runs: u64,
     },
     /// An abnormal run record in the merged campaign.

@@ -165,11 +165,9 @@ pub const EVENT_NAMES: &[&str] = &[
     "fault_arm",
     "trigger_fire",
     "watchdog_hang",
-    // Prefix-fork cache instants.
+    // Prefix-fork instants.
     "fork_hit",
-    "fork_miss",
     "dormant_short_circuit",
-    "golden_hit",
     // Block-translation instants.
     "block_translate",
     "block_invalidate",
@@ -228,6 +226,7 @@ mod tests {
         assert!(known_event("metrics_merge_error"));
         assert!(known_event("shard_merge"));
         assert!(!known_event("made_up"));
+        assert!(!known_event("fork_miss") && !known_event("golden_hit"));
     }
 
     #[test]

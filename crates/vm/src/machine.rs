@@ -291,68 +291,84 @@ enum RunControl {
 }
 
 /// A sorted set of fetch breakpoints for [`Machine::run_to_watch`]: the
-/// machine pauses the `nth` time any watched PC is about to be fetched.
+/// machine pauses just before the listed arrivals `(pc, occurrence)` at
+/// each watched PC.
 ///
-/// A PC that pauses the machine leaves the set and is unpinned, so calling
+/// A PC stays pinned and counted until its last listed occurrence pauses
+/// the machine; it then leaves the set and is unpinned, so calling
 /// [`Machine::run_to_watch`] again continues the same run to the next
-/// watched arrival. With `nth = 1` one clean run thus pauses at the first
-/// arrival of every watched PC, and the rest of the run stays in blocks.
+/// watched arrival. One clean run thus pauses at every listed arrival of
+/// every watched PC, and the rest of the run stays in blocks.
 #[derive(Debug, Clone, Default)]
 pub struct FetchWatch {
-    /// Watched PCs not hit yet, sorted and deduplicated.
+    /// Watched PCs with arrivals still to pause at, sorted.
     pcs: Vec<u32>,
     /// Arrivals observed at each PC of `pcs`, in the same order (the
     /// would-be trigger occurrence count of an `OpcodeFetch` fault there).
     seen: Vec<u64>,
+    /// The 1-based arrivals each PC of `pcs` still pauses at, descending,
+    /// so the next one is last.
+    pauses: Vec<Vec<u64>>,
     /// Whether each PC of `pcs` was pinned by this watch rather than by
-    /// the inspector's fetch policy, so a hit unpins only its own pins.
+    /// the inspector's fetch policy, so a finished PC unpins only its own
+    /// pins.
     owned: Vec<bool>,
-    /// The 1-based arrival to pause at.
-    nth: u64,
     /// Set by the first [`Machine::run_to_watch`], which installs the
     /// run's fetch policy and pins the watched PCs; later calls continue.
     armed: bool,
 }
 
 impl FetchWatch {
-    /// Watch `pcs`, pausing at each one's `nth` arrival.
+    /// Watch `points`, pausing just before each `(pc, occurrence)`.
     ///
     /// # Panics
     ///
-    /// Panics if `nth == 0` (occurrence counts are 1-based).
-    pub fn new(pcs: impl IntoIterator<Item = u32>, nth: u64) -> FetchWatch {
-        assert!(nth >= 1, "occurrence counts are 1-based");
-        let mut pcs: Vec<u32> = pcs.into_iter().collect();
-        pcs.sort_unstable();
-        pcs.dedup();
-        FetchWatch {
-            seen: vec![0; pcs.len()],
-            owned: vec![false; pcs.len()],
-            pcs,
-            nth,
-            armed: false,
+    /// Panics on an occurrence of 0 (occurrence counts are 1-based).
+    pub fn new(points: impl IntoIterator<Item = (u32, u64)>) -> FetchWatch {
+        let mut points: Vec<(u32, u64)> = points.into_iter().collect();
+        assert!(
+            points.iter().all(|&(_, occ)| occ >= 1),
+            "occurrence counts are 1-based"
+        );
+        points.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        points.dedup();
+        let mut watch = FetchWatch::default();
+        for (pc, occ) in points {
+            if watch.pcs.last() != Some(&pc) {
+                watch.pcs.push(pc);
+                watch.seen.push(0);
+                watch.pauses.push(Vec::new());
+                watch.owned.push(false);
+            }
+            watch.pauses.last_mut().expect("pushed above").push(occ);
         }
+        watch
     }
 
-    /// The watched PCs that have not paused the machine, each with the
+    /// Whether every listed arrival has paused the machine.
+    pub fn is_empty(&self) -> bool {
+        self.pcs.is_empty()
+    }
+
+    /// The watched PCs with arrivals still to pause at, each with the
     /// arrivals observed there. After [`FetchStop::Finished`] these are
-    /// the run's *total* arrival counts, which prove later occurrences
-    /// never come.
+    /// the run's *total* arrival counts, which prove the pending
+    /// occurrences never come.
     pub fn pending(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.pcs.iter().copied().zip(self.seen.iter().copied())
     }
 }
 
-/// Result of [`Machine::run_to_watch`] and [`Machine::run_to_fetch`].
+/// Result of [`Machine::run_to_watch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FetchStop {
-    /// This watched PC was about to be fetched for the `nth` time. The
-    /// machine is paused exactly *before* that fetch: the instruction has
-    /// not executed, no fetch hook has seen it, and `Machine::retired` has
-    /// not advanced past the prefix.
-    Hit(u32),
-    /// The run finished (or hung/trapped) before a watched PC was fetched
-    /// `nth` times — the outcome is exactly that of an ordinary
+    /// This watched PC was about to be fetched for this (1-based)
+    /// occurrence. The machine is paused exactly *before* that fetch: the
+    /// instruction has not executed, no fetch hook has seen it, and
+    /// `Machine::retired` has not advanced past the prefix.
+    Hit(u32, u64),
+    /// The run finished (or hung/trapped) before every watched arrival
+    /// came — the outcome is exactly that of an ordinary
     /// [`Machine::run`].
     Finished(RunOutcome),
 }
@@ -363,7 +379,7 @@ pub enum FetchStop {
 /// input tape, output produced so far, and the retired-instruction count.
 ///
 /// Taken with [`Machine::fork_snapshot`] (typically at a
-/// [`Machine::run_to_fetch`] pause) and resumed with
+/// [`Machine::run_to_watch`] pause) and resumed with
 /// [`Machine::restore_fork`]. Decoded-line state is *not* captured: the
 /// translation cache persists in the machine and restore invalidates
 /// exactly the code words a restore changes, so lines built during the
@@ -802,41 +818,16 @@ impl Machine {
         }
     }
 
-    /// Execute until `pc` is about to be fetched for the `nth` time (a
-    /// trigger-point breakpoint), or until the run ends first: a
-    /// [`Machine::run_to_watch`] with one watched PC.
-    ///
-    /// On [`FetchStop::Hit`] an `OpcodeFetch`-triggered fault resumed from
-    /// here observes its `nth` occurrence on the very next fetch. The
-    /// second return value is the number of arrivals at `pc` observed — on
-    /// [`FetchStop::Finished`] this is the run's *total* occurrence count
-    /// for the trigger, which is what proves later faults dormant.
-    ///
-    /// # Panics
-    ///
-    /// As [`Machine::run_to_watch`], and if `nth == 0`.
-    pub fn run_to_fetch<I: Inspector>(
-        &mut self,
-        pc: u32,
-        nth: u64,
-        inspector: &mut I,
-    ) -> (FetchStop, u64) {
-        let mut watch = FetchWatch::new([pc], nth);
-        let stop = self.run_to_watch(&mut watch, inspector);
-        let seen = watch.pending().next().map_or(nth, |(_, seen)| seen);
-        (stop, seen)
-    }
-
-    /// Execute until a PC of `watch` is about to be fetched for its `nth`
-    /// time, or until the run ends first.
+    /// Execute until a PC of `watch` is about to be fetched for one of its
+    /// listed occurrences, or until the run ends first.
     ///
     /// The first call installs `inspector`'s fetch policy and pins every
     /// watched PC to the slow fetch path, so the cached interpreter funnels
     /// each arrival through the step path where the breakpoints are
-    /// checked. A hit removes its PC from `watch` and unpins it; calling
-    /// again with the same watch and inspector continues the paused run.
-    /// Pins left at the end are dropped when the next run installs its
-    /// policy.
+    /// checked. A hit at a PC's last listed occurrence removes the PC from
+    /// `watch` and unpins it; calling again with the same watch and
+    /// inspector continues the paused run. Pins left at the end are
+    /// dropped when the next run installs its policy.
     ///
     /// # Panics
     ///
@@ -876,13 +867,17 @@ impl Machine {
                     .pcs
                     .binary_search(&pc)
                     .expect("paused at a watched pc");
-                watch.pcs.remove(i);
-                watch.seen.remove(i);
-                if watch.owned.remove(i) {
-                    self.mem.unpin_fetch(pc);
-                    self.pinned_pcs.retain(|&p| p != pc);
+                let occ = watch.pauses[i].pop().expect("paused at a listed arrival");
+                if watch.pauses[i].is_empty() {
+                    watch.pcs.remove(i);
+                    watch.seen.remove(i);
+                    watch.pauses.remove(i);
+                    if watch.owned.remove(i) {
+                        self.mem.unpin_fetch(pc);
+                        self.pinned_pcs.retain(|&p| p != pc);
+                    }
                 }
-                FetchStop::Hit(pc)
+                FetchStop::Hit(pc, occ)
             }
         }
     }
@@ -1302,13 +1297,15 @@ impl Machine {
         // Fetch breakpoints (`run_to_watch`): checked before the fetch so
         // a hit pauses the machine with the trigger instruction unexecuted
         // and unobserved. Watched PCs are pinned, so in cached mode every
-        // arrival funnels through this step path.
+        // arrival funnels through this step path. A pausing arrival is
+        // counted when the run resumes through it: by then its occurrence
+        // has left the PC's pause list.
         if let Some(watch) = &mut self.fetch_break {
             if let Ok(i) = watch.pcs.binary_search(&pc) {
-                watch.seen[i] += 1;
-                if watch.seen[i] >= watch.nth {
+                if watch.pauses[i].last() == Some(&(watch.seen[i] + 1)) {
                     return Ok(Progress::Breakpoint);
                 }
+                watch.seen[i] += 1;
             }
         }
         let instr = if self.reference_interp || self.pin_all {
@@ -2548,6 +2545,17 @@ mod tests {
          addi r3, r0, 0
          halt";
 
+    /// Run until `pc` is about to be fetched for the `nth` time, or the
+    /// run ends: [`Machine::run_to_watch`] with one watched point. Also
+    /// returns the arrivals at `pc` observed, the run's total on
+    /// [`FetchStop::Finished`].
+    fn run_to_fetch(m: &mut Machine, pc: u32, nth: u64) -> (FetchStop, u64) {
+        let mut watch = FetchWatch::new([(pc, nth)]);
+        let stop = m.run_to_watch(&mut watch, &mut Noop);
+        let seen = watch.pending().next().map_or(nth, |(_, seen)| seen);
+        (stop, seen)
+    }
+
     #[test]
     fn run_to_fetch_counts_occurrences() {
         let image = assemble(LOOP_SRC).expect("assembles");
@@ -2556,8 +2564,8 @@ mod tests {
         // Hit on the 3rd arrival: two dots printed, the 3rd unexecuted.
         let mut m = Machine::new(MachineConfig::default());
         m.load(&image);
-        let (stop, seen) = m.run_to_fetch(body, 3, &mut Noop);
-        assert_eq!(stop, FetchStop::Hit(body));
+        let (stop, seen) = run_to_fetch(&mut m, body, 3);
+        assert_eq!(stop, FetchStop::Hit(body, 3));
         assert_eq!(seen, 3);
         assert_eq!(m.core(0).pc, body, "paused at the break pc");
 
@@ -2575,7 +2583,7 @@ mod tests {
         // the total arrival count (which proves sparser triggers dormant).
         let mut m2 = Machine::new(MachineConfig::default());
         m2.load(&image);
-        let (stop, seen) = m2.run_to_fetch(body, 99, &mut Noop);
+        let (stop, seen) = run_to_fetch(&mut m2, body, 99);
         assert!(matches!(
             stop,
             FetchStop::Finished(RunOutcome::Completed { exit_code: 0, .. })
@@ -2585,7 +2593,7 @@ mod tests {
         // A PC that is never fetched: Finished with zero arrivals.
         let mut m3 = Machine::new(MachineConfig::default());
         m3.load(&image);
-        let (stop, seen) = m3.run_to_fetch(0xF000, 1, &mut Noop);
+        let (stop, seen) = run_to_fetch(&mut m3, 0xF000, 1);
         assert!(matches!(stop, FetchStop::Finished(_)));
         assert_eq!(seen, 0);
     }
@@ -2598,11 +2606,44 @@ mod tests {
             let mut m = Machine::new(MachineConfig::default());
             m.set_reference_interp(reference);
             m.load(&image);
-            let (stop, seen) = m.run_to_fetch(body, 4, &mut Noop);
-            assert_eq!(stop, FetchStop::Hit(body), "reference={reference}");
+            let (stop, seen) = run_to_fetch(&mut m, body, 4);
+            assert_eq!(stop, FetchStop::Hit(body, 4), "reference={reference}");
             assert_eq!(seen, 4);
             let out = m.run(&mut Noop);
             assert_eq!(out.output(), b".....", "reference={reference}");
+        }
+    }
+
+    #[test]
+    fn run_to_watch_pauses_at_each_listed_occurrence() {
+        // One run pauses at the 2nd and 4th arrivals of the loop body, in
+        // the order they come, each at the depth a single-point watch
+        // reaches; the 9th never comes, so the body stays watched and the
+        // run reports its total.
+        let image = assemble(LOOP_SRC).expect("assembles");
+        let body = CODE_BASE + 12;
+        for reference in [false, true] {
+            let fresh = || {
+                let mut m = Machine::new(MachineConfig::default());
+                m.set_reference_interp(reference);
+                m.load(&image);
+                m
+            };
+            let mut m = fresh();
+            let mut watch = FetchWatch::new([(body, 9), (body, 4), (body, 2), (body, 4)]);
+            for occ in [2, 4] {
+                assert_eq!(
+                    m.run_to_watch(&mut watch, &mut Noop),
+                    FetchStop::Hit(body, occ)
+                );
+                let mut single = fresh();
+                run_to_fetch(&mut single, body, occ);
+                assert_eq!(m.retired(), single.retired(), "reference={reference}");
+            }
+            let stop = m.run_to_watch(&mut watch, &mut Noop);
+            assert!(matches!(stop, FetchStop::Finished(ref o) if o.output() == b"....."));
+            assert_eq!(watch.pending().collect::<Vec<_>>(), [(body, 5)]);
+            assert!(!watch.is_empty());
         }
     }
 
@@ -2639,8 +2680,8 @@ mod tests {
 
         // Capture at the 2nd loop read (10 printed, 20 unread), resume.
         m.restore(&base);
-        let (stop, _) = m.run_to_fetch(body, 2, &mut Noop);
-        assert_eq!(stop, FetchStop::Hit(body));
+        let (stop, _) = run_to_fetch(&mut m, body, 2);
+        assert_eq!(stop, FetchStop::Hit(body, 2));
         let fork = m.fork_snapshot();
         assert!(fork.retired() > 0 && fork.retired() < full_retired);
         assert!(fork.delta_pages() > 0);
@@ -2770,16 +2811,17 @@ mod tests {
 
             let mut m = fresh();
             let base = m.snapshot();
-            let mut watch = FetchWatch::new(watched.iter().copied(), 1);
+            let mut watch = FetchWatch::new(watched.iter().map(|&pc| (pc, 1)));
             let mut pauses = Vec::new();
             let outcome = loop {
                 match m.run_to_watch(&mut watch, &mut Noop) {
-                    FetchStop::Hit(pc) => {
+                    FetchStop::Hit(pc, occ) => {
+                        assert_eq!(occ, 1);
                         assert_eq!(m.core(0).pc, pc, "paused at the hit pc");
                         pauses.push(pc);
                         let mut single = fresh();
-                        let (stop, seen) = single.run_to_fetch(pc, 1, &mut Noop);
-                        assert_eq!((stop, seen), (FetchStop::Hit(pc), 1));
+                        let (stop, seen) = run_to_fetch(&mut single, pc, 1);
+                        assert_eq!((stop, seen), (FetchStop::Hit(pc, 1), 1));
                         assert_eq!(m.retired(), single.retired(), "pause at {pc:#x}");
                     }
                     FetchStop::Finished(outcome) => break outcome,
@@ -2907,8 +2949,8 @@ mod tests {
         assert_eq!(m.run(&mut Noop).output(), b".....");
 
         m.restore(&snap);
-        let (stop, seen) = m.run_to_fetch(body, 3, &mut Noop);
-        assert_eq!(stop, FetchStop::Hit(body));
+        let (stop, seen) = run_to_fetch(&mut m, body, 3);
+        assert_eq!(stop, FetchStop::Hit(body, 3));
         assert_eq!(seen, 3);
         assert_eq!(m.core(0).pc, body);
         let resumed = m.run(&mut Noop);

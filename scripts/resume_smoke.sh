@@ -3,8 +3,9 @@
 # mid-campaign kill by truncating the checkpoint (keeping a torn final
 # line, exactly what a kill -9 mid-append leaves; or a final record
 # without its newline), resume, and require the resumed report to equal
-# the uninterrupted one. Also checks that a deliberately injected worker
-# panic surfaces as one Abnormal record instead of aborting the campaign.
+# the uninterrupted one. Also checks that a deliberately injected panic
+# costs one run, surfacing as one Abnormal record instead of aborting the
+# campaign.
 #
 # tests/campaign_resilience.rs pins the same invariants in-process; this
 # script exercises them end-to-end through the CLI and the real files.
@@ -66,8 +67,10 @@ diff -u "$TMP/reference.txt" "$TMP/resumed-no-fork.txt"
 run --checkpoint "$TMP/torn-copy2.jsonl" --resume --no-block-cache | report > "$TMP/resumed-no-blocks.txt"
 diff -u "$TMP/reference.txt" "$TMP/resumed-no-blocks.txt"
 
-# A worker panic mid-campaign is one Abnormal record, not an abort.
+# A panic mid-campaign costs one run, not the campaign: run 2 (fault 0
+# on input 2) becomes one Abnormal record naming the fault and the input.
 run --chaos-panic 2 > "$TMP/chaos.txt"
-grep -q 'abnormal: assign#2' "$TMP/chaos.txt"
+grep -q 'abnormal: assign#0 — chaos-panic .*, input #2)$' "$TMP/chaos.txt"
+test "$(grep -c '^abnormal:' "$TMP/chaos.txt")" -eq 1
 
 echo "resume smoke: OK"

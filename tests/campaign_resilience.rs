@@ -196,27 +196,27 @@ fn mid_campaign_panic_becomes_one_abnormal_record() {
     let seed = 17;
     let clean = class_campaign_with(&target, scale, seed, &CampaignOptions::default()).unwrap();
 
-    // Chaos: the worker processing campaign item #3 panics mid-campaign.
+    // Chaos: injected run #3 panics mid-campaign. Runs count fault by
+    // fault, so with 2 inputs that is assign fault #1 on input #1.
     let opts = CampaignOptions {
         chaos_panic: Some(3),
         ..CampaignOptions::default()
     };
     let c = class_campaign_with(&target, scale, seed, &opts).unwrap();
     assert_eq!(c.abnormal.len(), 1, "exactly one abnormal record");
-    assert_eq!(c.abnormal[0].phase, "assign");
-    assert_eq!(c.abnormal[0].index, 3);
+    let a = &c.abnormal[0];
+    assert_eq!(a.phase, "assign");
+    assert_eq!(a.index, 1, "the record names the fault");
+    assert!(a.message.contains("chaos-panic"), "{a:?}");
+    assert!(a.detail.starts_with("assign fault #1: "), "{a:?}");
     assert!(
-        c.abnormal[0].message.contains("chaos-panic"),
-        "{:?}",
-        c.abnormal[0]
+        a.detail.ends_with(", input #1"),
+        "the record names the input: {a:?}"
     );
-    assert!(!c.abnormal[0].detail.is_empty());
-    // Completed results are NOT discarded: everything except the panicked
-    // fault's runs is still accounted for.
-    assert_eq!(
-        c.total_runs,
-        clean.total_runs - scale.inputs_per_fault as u64
-    );
+    // Exactly one run is lost: every other run, the panicked one's
+    // neighbours on the same worker included, is still accounted for.
+    assert_eq!(c.total_runs, clean.total_runs - 1);
+    assert_eq!(c.assign_modes.total(), clean.assign_modes.total() - 1);
     assert_eq!(c.check_modes, clean.check_modes, "other phase untouched");
 }
 
@@ -374,6 +374,49 @@ fn metrics_merge_failures_close_every_campaign_as_telemetry_records() {
     let plain = source_campaign_with(&target, scale, seed, &CampaignOptions::default()).unwrap();
     assert_eq!(source.throughput, plain.throughput);
     assert_eq!(source.modes, plain.modes);
+}
+
+#[test]
+fn campaign_spans_name_their_checkpoint_campaign() {
+    // A trace joins its checkpoint on one label: the `campaign` span of
+    // each driver that closes one carries its checkpoint header's
+    // `campaign` field.
+    let target = program("JB.team11").unwrap();
+    let traced = |path: &std::path::Path| CampaignOptions {
+        checkpoint: Some(path.to_path_buf()),
+        ..instrumented()
+    };
+    let class_path = temp_path("label-class");
+    let class = traced(&class_path);
+    let scale = CampaignScale {
+        inputs_per_fault: 1,
+    };
+    class_campaign_with(&target, scale, 5, &class).unwrap();
+    let source_path = temp_path("label-source");
+    let source = traced(&source_path);
+    let scale = SourceScale {
+        mutant_budget: 3,
+        inputs_per_mutant: 1,
+    };
+    source_campaign_with(&target, scale, 5, &source).unwrap();
+    for (opts, path, label) in [
+        (&class, &class_path, "section6:JB.team11"),
+        (&source, &source_path, "source:JB.team11:3"),
+    ] {
+        let text = std::fs::read_to_string(path).unwrap();
+        let header = text.lines().next().unwrap();
+        assert!(
+            header.contains(&format!("\"campaign\":\"{label}\"")),
+            "{header}"
+        );
+        let hub = opts.telemetry.as_deref().unwrap();
+        let events = parse_chrome_trace(&hub.render_chrome_trace()).unwrap();
+        let spans: Vec<_> = events.iter().filter(|e| e.name == "campaign").collect();
+        assert_eq!(spans.len(), 1, "{label}");
+        let arg = spans[0].args.iter().find(|(k, _)| k == "campaign");
+        assert_eq!(arg.map(|(_, v)| v.as_str()), Some(Some(label)));
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]

@@ -8,11 +8,12 @@ use std::path::Path;
 
 use proptest::prelude::*;
 use proptest::{collection, TestRng};
+use swifi_campaign::matrix::{Matrix, Tile};
 use swifi_campaign::report::class_campaign_report;
 use swifi_campaign::runner::{execute, execute_cold, FailureMode};
 use swifi_campaign::section6::{class_campaign_with, CampaignScale, ProgramCampaign};
 use swifi_campaign::shard::{merge_checkpoints, merged_path, run_sharded, shard_paths};
-use swifi_campaign::{watch_pcs_of, CampaignOptions, PrefixCache, RunSession, SessionStats, Shard};
+use swifi_campaign::{CampaignOptions, RunSession, SessionStats, Shard};
 use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
 use swifi_core::injector::{Injector, TriggerMode};
 use swifi_lang::{compile, Program};
@@ -186,13 +187,13 @@ proptest! {
 
     /// The prefix-fork oracle: for arbitrary (fault, firing policy, seed)
     /// triples — including `Firing::Nth` occurrences that land before,
-    /// on, and past the golden run's trigger count — a fork-enabled
-    /// session produces *bit-identical* failure-mode classifications,
-    /// fired flags, and full-run retired-instruction counts vs both a
-    /// fork-free warm session and a cold boot. Each triple runs twice on
-    /// the forked session so both fork paths are exercised: the first
-    /// pass captures (or finishes as the golden run), the second resumes
-    /// from the cached snapshot (or dormant-short-circuits).
+    /// on, and past the golden run's trigger count — a run through the
+    /// matrix, forked from the input's golden pass, produces
+    /// *bit-identical* failure-mode classifications, fired flags, and
+    /// full-run retired-instruction counts vs both a fork-free warm
+    /// session and a cold boot. Each triple runs twice from the same
+    /// ladder: the pass is made once, and its rung (or never-arrives
+    /// verdict) serves both runs.
     #[test]
     fn forked_runs_match_full_runs(
         word_index in 0usize..600,
@@ -206,23 +207,25 @@ proptest! {
         let addr = swifi_vm::CODE_BASE
             + ((word_index % compiled.image.code.len()) as u32) * 4;
         let spec = FaultSpec { what: op, target, trigger: Trigger::OpcodeFetch(addr), when };
-        let input = TestInput::JamesB { seed: 5, line: b"prefix fork".to_vec() };
+        let inputs = [TestInput::JamesB { seed: 5, line: b"prefix fork".to_vec() }];
         let mut full = RunSession::new(&compiled, Family::JamesB);
         let mut forked = RunSession::new(&compiled, Family::JamesB);
-        forked.set_prefix_cache(Some(swifi_campaign::PrefixCache::shared()));
+        let specs = [spec];
+        let matrix = Matrix::new(&specs, &inputs);
 
-        let want = full.run(&input, Some(&spec), seed);
+        let want = full.run(&inputs[0], Some(&spec), seed);
         let want_retired = full.last_retired();
-        let cold = execute(&compiled, Family::JamesB, &input, Some(&spec), seed);
+        let cold = execute(&compiled, Family::JamesB, &inputs[0], Some(&spec), seed);
         prop_assert_eq!(want, cold, "warm/cold baseline diverged");
-        for pass in ["capture", "fork"] {
-            let got = forked.run(&input, Some(&spec), seed);
-            prop_assert_eq!(got, want, "{} pass diverged", pass);
+        for round in 1..=2 {
+            let got = matrix.run(&mut forked, true, 0, 0, seed);
+            prop_assert_eq!(got, want, "run {} diverged", round);
             prop_assert_eq!(
                 forked.last_retired(), want_retired,
-                "{} pass retired-count diverged", pass
+                "run {} retired-count diverged", round
             );
         }
+        prop_assert_eq!(forked.stats().prefix_golden_passes, 1);
     }
 
     /// The generated error sets scale linearly with chosen locations: the
@@ -268,9 +271,8 @@ enum Split {
 }
 
 /// One draw: a program (SOR is the multi-core one), a seed, 1–3 inputs,
-/// a tier configuration, whether the prefix cache gets the schedule's
-/// watch list (golden passes), a run schedule of `(fault, input index,
-/// run seed)` and a campaign split.
+/// a tier configuration, whether runs fork from golden passes, a tile —
+/// one input and its faults, each with a run seed — and a campaign split.
 #[derive(Debug, Clone)]
 struct Case {
     program: &'static str,
@@ -278,8 +280,8 @@ struct Case {
     inputs: usize,
     tier: Tier,
     fork: bool,
-    watch: bool,
-    schedule: Vec<(Option<FaultSpec>, usize, u64)>,
+    input: usize,
+    faults: Vec<(FaultSpec, u64)>,
     split: Split,
 }
 
@@ -298,23 +300,24 @@ prop_compose! {
 }
 
 prop_compose! {
-    /// 3–6 runs: a clean run first, which warms every cache, then at
-    /// drawn positions 0–3 drawn faults, one `InstrMemory` fault and one
-    /// code patch. `InstrMemory` corrupts fetches; the patch is a
-    /// `Target::Memory` fault on a code word, which the injector pokes
-    /// before the run, so a stale line or block would replay the old word.
-    fn arb_case()(
-        program in prop_oneof![Just("JB.team6"), Just("JB.team11"), Just("SOR")],
+    /// A case on one of `programs` whose tile holds `faults` drawn faults
+    /// (the `Nth(1..=6)` draws among them), one `InstrMemory` fault and
+    /// one code patch, in drawn order. `InstrMemory` corrupts fetches; the
+    /// patch is a `Target::Memory` fault on a code word, which the
+    /// injector pokes before the run, so a stale line or block would
+    /// replay the old word.
+    fn arb_case(programs: &'static [&'static str], faults: std::ops::RangeInclusive<usize>)(
+        program in (0..programs.len()).prop_map(move |i| programs[i]),
         seed in any::<u64>(),
         inputs in 1usize..=3,
+        input in any::<usize>(),
         tier in prop_oneof![Just(Tier::Blocks), Just(Tier::Line), Just(Tier::Reference)],
         fork in any::<bool>(),
-        watch in any::<bool>(),
-        faults in collection::vec(arb_fault(), 0..=3),
+        faults in collection::vec(arb_fault(), faults.clone()),
         resident in arb_fault(),
         patch in arb_fault(),
         at in (any::<usize>(), any::<usize>()),
-        runs in collection::vec((any::<usize>(), any::<u64>()), 6),
+        seeds in collection::vec(any::<u64>(), 6),
         split in prop_oneof![
             Just(Split::Direct),
             any::<usize>().prop_map(|keep| Split::Resume { keep }),
@@ -322,14 +325,13 @@ prop_compose! {
                 .prop_map(|(count, lose)| Split::Shards { count, lose }),
         ],
     ) -> Case {
-        let mut faults: Vec<Option<FaultSpec>> = faults.into_iter().map(Some).collect();
+        let mut faults = faults;
         let resident = FaultSpec { target: Target::InstrMemory, ..resident };
-        faults.insert(at.0 % (faults.len() + 1), Some(resident));
+        faults.insert(at.0 % (faults.len() + 1), resident);
         let patch = FaultSpec { target: Target::Memory(0), ..patch };
-        faults.insert(at.1 % (faults.len() + 1), Some(patch));
-        faults.insert(0, None);
-        let schedule = faults.into_iter().zip(runs).map(|(f, (i, s))| (f, i, s)).collect();
-        Case { program, seed, inputs, tier, fork, watch, schedule, split }
+        faults.insert(at.1 % (faults.len() + 1), patch);
+        let faults = faults.into_iter().zip(seeds).collect();
+        Case { program, seed, inputs, input: input % inputs, tier, fork, faults, split }
     }
 }
 
@@ -354,76 +356,108 @@ fn placed(spec: FaultSpec, program: &Program) -> FaultSpec {
 }
 
 /// The tier-matrix oracle. Every fast path (warm reboot, line cache,
-/// blocks, prefix fork, golden passes, resume, sharding) must give the
+/// blocks, golden passes and forks, resume, sharding) must give the
 /// answer of the paper's one fault per freshly rebooted run. Each draw is
-/// checked twice: its runs against [`execute_cold`], and its campaign
-/// against the all-off campaign run directly. The case loop is written
-/// out so the tiers' own counters can be asserted over the whole case
-/// set: an oracle whose fork never forked, whose golden passes stored no
-/// rung a run forked from, or whose blocks never ran proves nothing.
+/// checked twice: its tile's runs against [`execute_cold`], and its
+/// campaign against the all-off campaign run directly. The case loop is
+/// written out so the tiers' own counters can be asserted over the whole
+/// case set: an oracle whose runs never forked from a golden pass, or
+/// whose blocks never ran, proves nothing.
 #[test]
 fn every_tier_combination_matches_the_cold_reference() {
     let cases = ProptestConfig::with_cases(20).resolved_cases();
-    let mut rng = TestRng::deterministic("every_tier_combination_matches_the_cold_reference");
-    let (mut forked, mut pass_forks, mut block_instrs, mut decode_lines) = (0, 0, 0, 0);
+    let programs = &["JB.team6", "JB.team11", "SOR"];
+    let name = "every_tier_combination_matches_the_cold_reference";
+    check_cases(name, cases, programs, 0..=3, |_, _| {});
+}
+
+/// The oracle on C.team10, a Camelot program: multi-page rungs and passes
+/// that pause at many fork points, on one input and a tile of 3 faults. A
+/// case costs seconds, so tier 1 leaves it to the gating `oracle-deep` CI
+/// job, which runs a sixteenth of its case count. The tier and fork draws
+/// cycle through every combination, so even a few cases cover them all.
+#[test]
+#[ignore = "seconds per case: run by the oracle-deep CI job"]
+fn every_tier_combination_matches_the_cold_reference_on_camelot() {
+    let cases = ProptestConfig::with_cases(20).resolved_cases().div_ceil(16);
+    let name = "every_tier_combination_matches_the_cold_reference_on_camelot";
+    check_cases(name, cases, &["C.team10"], 1..=1, |i, case| {
+        case.inputs = 1;
+        case.input = 0;
+        case.tier = [Tier::Blocks, Tier::Line, Tier::Reference][i as usize % 3];
+        case.fork = i % 2 == 0;
+    });
+}
+
+/// Draw and check `cases` cases of [`arb_case`], seeded from `name`,
+/// each as `adjust` leaves it.
+fn check_cases(
+    name: &str,
+    cases: u32,
+    programs: &'static [&'static str],
+    faults: std::ops::RangeInclusive<usize>,
+    adjust: impl Fn(u32, &mut Case),
+) {
+    let mut rng = TestRng::deterministic(name);
+    let (mut pass_forks, mut block_instrs, mut decode_lines) = (0, 0, 0);
     for i in 0..cases {
         proptest::set_current_case(u64::from(i));
-        let case = arb_case().sample(&mut rng);
+        let mut case = arb_case(programs, faults.clone()).sample(&mut rng);
+        adjust(i, &mut case);
         let target = program(case.program).unwrap();
         let compiled = compile(target.source_correct).unwrap();
-        let (stats, from_passes) = check_runs(&case, &compiled, target.family);
-        forked += u64::from(case.fork) * (stats.prefix_fork_hits + stats.prefix_snapshots_built);
-        pass_forks += from_passes;
+        let stats = check_runs(&case, &compiled, target.family);
+        pass_forks += stats.prefix_fork_hits;
         block_instrs += stats.block_instrs;
         decode_lines += u64::from(case.tier == Tier::Line) * stats.decode_lines_built;
         check_campaign(&case, &target);
     }
-    assert!(forked > 0 && block_instrs > 0 && decode_lines > 0);
+    assert!(block_instrs > 0 && decode_lines > 0);
     assert!(pass_forks > 0, "no run forked from a golden-pass rung");
 }
 
-/// Two warm sessions on the drawn tier, sharing one [`PrefixCache`] when
-/// fork is on (the way pool workers do), run every scheduled entry in
-/// turn: capture pass, then fork pass. With the watch list drawn, the
-/// cache watches every scheduled fault once per session, so each input's
-/// first run is its golden pass. Each run must equal the cold reference
-/// in failure mode, fired flag and retired instructions. Returns both
-/// sessions' counters summed, and the fork hits from golden-pass rungs:
-/// forks at a first-arrival key no capture run stored a rung for.
-fn check_runs(case: &Case, compiled: &Program, family: Family) -> (SessionStats, u64) {
+/// A warm session on the drawn tier runs the drawn tile through the
+/// matrix ([`Matrix::run`], as a campaign worker does): a clean run
+/// first, which warms every cache, then every fault of the tile on its
+/// input — holding the input's golden pass when fork is drawn — and the
+/// tile once more from the same ladder. Each run must equal the cold
+/// reference in failure mode, fired flag and retired instructions.
+/// Returns the session's counters.
+fn check_runs(case: &Case, compiled: &Program, family: Family) -> SessionStats {
     // The class campaign's own test case, so both levels run the same inputs.
     let inputs = family.test_case(case.inputs, case.seed ^ 0x5EED);
-    let cache = case.fork.then(PrefixCache::shared);
-    if let (Some(cache), true) = (&cache, case.watch) {
-        let specs: Vec<FaultSpec> = (case.schedule.iter())
-            .filter_map(|&(fault, _, _)| fault.map(|f| placed(f, compiled)))
-            .collect();
-        cache.set_watch_pcs(watch_pcs_of(specs.iter().chain(&specs)));
-    }
-    let mut captured = std::collections::HashSet::new();
-    let mut pass_forks = 0;
-    let mut sessions = [(); 2].map(|()| {
-        let mut s = RunSession::new(compiled, family);
-        s.set_block_cache(case.tier == Tier::Blocks);
-        s.set_reference_interp(case.tier == Tier::Reference);
-        s.set_prefix_cache(cache.clone());
-        s
-    });
-    for (i, &(fault, input, seed)) in case.schedule.iter().enumerate() {
-        let spec = fault.map(|f| placed(f, compiled));
-        let key = spec
-            .and_then(|s| s.fork_point())
-            .map(|at| (input % inputs.len(), at));
-        let input = &inputs[input % inputs.len()];
-        let want = execute_cold(compiled, family, input, spec.as_ref(), seed);
-        for (pass, s) in ["capture", "fork"].into_iter().zip(&mut sessions) {
+    let specs: Vec<FaultSpec> = (case.faults.iter())
+        .map(|&(f, _)| placed(f, compiled))
+        .collect();
+    let matrix = Matrix::new(&specs, &inputs);
+    let tile = Tile {
+        faults: 0..specs.len(),
+        inputs: case.input..case.input + 1,
+    };
+    let mut s = RunSession::new(compiled, family);
+    s.set_block_cache(case.tier == Tier::Blocks);
+    s.set_reference_interp(case.tier == Tier::Reference);
+    let input = &inputs[case.input];
+    let clean = s.run(input, None, 0);
+    let want = execute_cold(compiled, family, input, None, 0);
+    assert_eq!(
+        (clean.0, clean.1, s.last_retired()),
+        want,
+        "clean run: {}",
+        label(case)
+    );
+    for round in 1..=2 {
+        for (_, f, i) in matrix.runs(&tile) {
+            let seed = case.faults[f].1;
+            let want = execute_cold(compiled, family, &inputs[i], Some(&specs[f]), seed);
             let before = s.stats();
-            let (mode, fired) = s.run(input, spec.as_ref(), seed);
-            let what = format!("run {i} ({pass} pass) of {spec:?}: {}", label(case));
+            let (mode, fired) = matrix.run(&mut s, case.fork, f, i, seed);
+            let what = format!("round {round} of {:?}: {}", specs[f], label(case));
             assert_eq!((mode, fired, s.last_retired()), want, "{what}");
             // The reference tier fetches each instruction it retires on the
-            // slow path; only a crash (one fetched, never retired) or a hang
-            // (deadlocked cores burn budget) may differ.
+            // slow path (a golden pass included); only a crash (one
+            // fetched, never retired) or a hang (deadlocked cores burn
+            // budget) may differ.
             let (after, ended) = (
                 s.stats(),
                 matches!(mode, FailureMode::Crash | FailureMode::Hang),
@@ -434,23 +468,16 @@ fn check_runs(case: &Case, compiled: &Program, family: Family) -> (SessionStats,
                 case.tier != Tier::Reference || ended || fetched == retired,
                 "{what}"
             );
-            // A pass before a first-arrival run stores the only rungs of
-            // that run: a capture after it would have the same depth and
-            // fewer uses left, so the cost rule declines it too.
-            if let Some(key @ (_, (_, occ))) = key {
-                let passed = after.prefix_golden_passes > before.prefix_golden_passes;
-                if after.prefix_snapshots_built > before.prefix_snapshots_built
-                    && (!passed || occ != 1)
-                {
-                    captured.insert(key);
-                }
-                let forked = after.prefix_fork_hits > before.prefix_fork_hits;
-                pass_forks += u64::from(forked && occ == 1 && !captured.contains(&key));
-            }
         }
     }
-    let mut stats = SessionStats::default();
-    sessions.iter().for_each(|s| stats.merge(&s.stats()));
+    let stats = s.stats();
+    let passes = u64::from(case.fork && case.program != "SOR");
+    assert_eq!(
+        stats.prefix_golden_passes,
+        passes,
+        "one pass: {}",
+        label(case)
+    );
     let blocks = stats.blocks_built + stats.block_instrs;
     assert!(case.tier == Tier::Blocks || blocks == 0, "{}", label(case));
     assert!(
@@ -458,7 +485,7 @@ fn check_runs(case: &Case, compiled: &Program, family: Family) -> (SessionStats,
         "{}",
         label(case)
     );
-    (stats, pass_forks)
+    stats
 }
 
 /// The drawn flags, killed and resumed or sharded as drawn, must fold to
