@@ -95,18 +95,18 @@ pub fn throughput_line(tp: &Throughput) -> String {
 /// One-line summary of the sessions' decode-cache behaviour, e.g.
 /// `icache: 1204 lines built, 96 invalidated, 812 slow fetches (0.01% of 9.1M instrs)`.
 pub fn decode_cache_line(tp: &Throughput) -> String {
-    let slow_pct = if tp.retired_instrs > 0 {
-        tp.slow_fetches as f64 * 100.0 / tp.retired_instrs as f64
+    let slow_pct = if tp.engine.retired_instrs > 0 {
+        tp.engine.slow_fetches as f64 * 100.0 / tp.engine.retired_instrs as f64
     } else {
         0.0
     };
     format!(
         "icache: {} lines built, {} invalidated, {} slow fetches ({:.2}% of {:.1}M instrs)",
-        tp.decode_lines_built,
-        tp.decode_invalidations,
-        tp.slow_fetches,
+        tp.engine.decode_lines_built,
+        tp.engine.decode_invalidations,
+        tp.engine.slow_fetches,
         slow_pct,
-        tp.retired_instrs as f64 / 1e6,
+        tp.engine.retired_instrs as f64 / 1e6,
     )
 }
 
@@ -115,20 +115,20 @@ pub fn decode_cache_line(tp: &Throughput) -> String {
 /// 6 golden passes, 0.2 MiB peak retained, 12.3M instrs skipped (57.4% of
 /// total)`; the peak is the largest ladder one worker held.
 pub fn prefix_fork_line(tp: &Throughput) -> String {
-    let total = tp.retired_instrs + tp.prefix_instrs_skipped;
+    let total = tp.engine.retired_instrs + tp.engine.prefix_instrs_skipped;
     let skipped_pct = if total > 0 {
-        tp.prefix_instrs_skipped as f64 * 100.0 / total as f64
+        tp.engine.prefix_instrs_skipped as f64 * 100.0 / total as f64
     } else {
         0.0
     };
     format!(
         "prefix-fork: {} snapshots, {} fork hits, {} dormant short-circuits, {} golden passes, {:.1} MiB peak retained, {:.1}M instrs skipped ({:.1}% of total)",
-        tp.prefix_snapshots_built,
-        tp.prefix_fork_hits,
-        tp.prefix_dormant_short_circuits,
-        tp.prefix_golden_passes,
+        tp.engine.prefix_snapshots_built,
+        tp.engine.prefix_fork_hits,
+        tp.engine.prefix_dormant_short_circuits,
+        tp.engine.prefix_golden_passes,
         tp.prefix_peak_bytes as f64 / f64::from(1 << 20),
-        tp.prefix_instrs_skipped as f64 / 1e6,
+        tp.engine.prefix_instrs_skipped as f64 / 1e6,
         skipped_pct,
     )
 }
@@ -137,14 +137,14 @@ pub fn prefix_fork_line(tp: &Throughput) -> String {
 /// `blocks: 412 built, 9120 hits, 1820 fallback dispatches, 12
 /// invalidated, 78.4% of instrs in blocks`.
 pub fn block_cache_line(tp: &Throughput) -> String {
-    let block_pct = if tp.retired_instrs > 0 {
-        tp.block_instrs as f64 * 100.0 / tp.retired_instrs as f64
+    let block_pct = if tp.engine.retired_instrs > 0 {
+        tp.engine.block_instrs as f64 * 100.0 / tp.engine.retired_instrs as f64
     } else {
         0.0
     };
     format!(
         "blocks: {} built, {} hits, {} fallback dispatches, {} invalidated, {:.1}% of instrs in blocks",
-        tp.blocks_built, tp.block_hits, tp.block_fallbacks, tp.block_invalidations, block_pct,
+        tp.engine.blocks_built, tp.engine.block_hits, tp.engine.block_fallbacks, tp.engine.block_invalidations, block_pct,
     )
 }
 
@@ -255,6 +255,7 @@ fn push_abnormal_lines(out: &mut String, abnormal: &[crate::engine::AbnormalRun]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionStats;
 
     #[test]
     fn table_aligns_columns() {
@@ -299,7 +300,10 @@ mod tests {
         // Slow fetches with zero retired instructions (clean-only region
         // measured on a reference-mode session): still no NaN.
         let odd = Throughput {
-            slow_fetches: 5,
+            engine: SessionStats {
+                slow_fetches: 5,
+                ..SessionStats::default()
+            },
             ..Throughput::default()
         };
         assert!(!decode_cache_line(&odd).contains("NaN"));
@@ -325,7 +329,10 @@ mod tests {
             fired_runs: 90,
             dormant_runs: 10,
             elapsed_secs: 2.0,
-            retired_instrs: 8_000_000,
+            engine: SessionStats {
+                retired_instrs: 8_000_000,
+                ..SessionStats::default()
+            },
             ..Throughput::default()
         };
         let line = throughput_line(&tp);
@@ -338,10 +345,13 @@ mod tests {
     #[test]
     fn decode_cache_line_reports_slow_fraction() {
         let tp = Throughput {
-            retired_instrs: 2_000_000,
-            decode_lines_built: 1204,
-            decode_invalidations: 96,
-            slow_fetches: 20_000,
+            engine: SessionStats {
+                retired_instrs: 2_000_000,
+                decode_lines_built: 1204,
+                decode_invalidations: 96,
+                slow_fetches: 20_000,
+                ..SessionStats::default()
+            },
             ..Throughput::default()
         };
         let line = decode_cache_line(&tp);
@@ -358,12 +368,15 @@ mod tests {
     #[test]
     fn prefix_fork_line_reports_skipped_share() {
         let tp = Throughput {
-            retired_instrs: 1_000_000,
-            prefix_snapshots_built: 40,
-            prefix_fork_hits: 3960,
-            prefix_instrs_skipped: 3_000_000,
-            prefix_dormant_short_circuits: 120,
-            prefix_golden_passes: 3,
+            engine: SessionStats {
+                retired_instrs: 1_000_000,
+                prefix_snapshots_built: 40,
+                prefix_fork_hits: 3960,
+                prefix_instrs_skipped: 3_000_000,
+                prefix_dormant_short_circuits: 120,
+                prefix_golden_passes: 3,
+                ..SessionStats::default()
+            },
             prefix_peak_bytes: 3 << 19,
             ..Throughput::default()
         };
@@ -383,12 +396,15 @@ mod tests {
     #[test]
     fn block_cache_line_reports_block_share() {
         let tp = Throughput {
-            retired_instrs: 2_000_000,
-            blocks_built: 412,
-            block_hits: 9120,
-            block_instrs: 1_500_000,
-            block_fallbacks: 1820,
-            block_invalidations: 12,
+            engine: SessionStats {
+                retired_instrs: 2_000_000,
+                blocks_built: 412,
+                block_hits: 9120,
+                block_instrs: 1_500_000,
+                block_fallbacks: 1820,
+                block_invalidations: 12,
+                ..SessionStats::default()
+            },
             ..Throughput::default()
         };
         let line = block_cache_line(&tp);

@@ -13,8 +13,9 @@
 //! 2. take a [`MachineSnapshot`](swifi_vm::MachineSnapshot) of the clean
 //!    post-load state **once**;
 //! 3. for every run: [`Machine::restore`] (copies only the pages the
-//!    previous run dirtied), re-arm the injector with
-//!    [`Injector::reset`], and run.
+//!    previous run dirtied), or [`Machine::restore_fork`] to resume from a
+//!    golden-pass rung, re-arm the injector with [`Injector::reset`], and
+//!    run.
 //!
 //! The campaign drivers hold **one session per worker thread, not one per
 //! run** (see [`crate::pool::parallel_map_resilient`]); the equivalence of a
@@ -36,7 +37,9 @@ use swifi_trace::event::{arg_str, arg_u64};
 use swifi_trace::metrics::names as metric_names;
 use swifi_trace::{ProfiledInspector, WorkerTelemetry};
 use swifi_vm::inspect::Inspector;
-use swifi_vm::machine::{FetchStop, FetchWatch, Machine, MachineSnapshot, RunOutcome};
+use swifi_vm::machine::{
+    FetchStop, FetchWatch, ForkSnapshot, Machine, MachineSnapshot, RunOutcome,
+};
 use swifi_vm::Noop;
 
 use crate::plan::{self, RunPlan};
@@ -136,13 +139,12 @@ impl SessionStats {
 /// reports and the `swifi campaign` command.
 ///
 /// `PartialEq` compares through [`Throughput::equality_key`], which
-/// deliberately **ignores** `elapsed_secs` and the engine-level counters
-/// (`retired_instrs`, `decode_*`, `slow_fetches`, `prefix_*`,
-/// `block_*`): two campaigns with identical seeds must compare equal
-/// even though their wall-clock differs, their sessions split the work
-/// (and hence the per-worker caches) differently, and the prefix-fork
-/// and block caches may or may not be enabled — the seed-determinism
-/// and on/off equivalence tests rely on this.
+/// deliberately **ignores** `elapsed_secs` and the engine counters in
+/// `engine`: two campaigns with identical seeds must compare equal even
+/// though their wall-clock differs, their sessions split the work (and
+/// hence the per-worker caches) differently, and the prefix-fork and block
+/// caches may or may not be enabled — the seed-determinism and on/off
+/// equivalence tests rely on this.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct Throughput {
     /// Total runs executed.
@@ -153,38 +155,11 @@ pub struct Throughput {
     pub dormant_runs: u64,
     /// Wall-clock seconds for the measured region.
     pub elapsed_secs: f64,
-    /// Guest instructions retired across all runs.
-    pub retired_instrs: u64,
-    /// Translation-cache lines decoded across all sessions.
-    pub decode_lines_built: u64,
-    /// Translation-cache lines invalidated across all sessions.
-    pub decode_invalidations: u64,
-    /// Instructions executed via the slow fetch path across all sessions.
-    pub slow_fetches: u64,
-    /// Rungs stored across all sessions.
-    pub prefix_snapshots_built: u64,
-    /// Injected runs resumed from a cached prefix snapshot.
-    pub prefix_fork_hits: u64,
-    /// Guest instructions skipped by the prefix cache (not part of
-    /// `retired_instrs`).
-    pub prefix_instrs_skipped: u64,
-    /// Injected runs answered by the never-arrives verdict.
-    pub prefix_dormant_short_circuits: u64,
-    /// Golden passes made across all sessions.
-    pub prefix_golden_passes: u64,
+    /// The merged counters of the sessions that executed the region.
+    pub engine: SessionStats,
     /// The most bytes one session's ladder held (rungs, golden output
     /// and arrival totals of one input).
     pub prefix_peak_bytes: u64,
-    /// Basic blocks translated across all sessions.
-    pub blocks_built: u64,
-    /// Dispatches answered by executing a whole translated block.
-    pub block_hits: u64,
-    /// Guest instructions retired from inside translated blocks.
-    pub block_instrs: u64,
-    /// Block-mode dispatches that fell back to per-instruction execution.
-    pub block_fallbacks: u64,
-    /// Translated blocks discarded by code writes.
-    pub block_invalidations: u64,
     /// Always 0, and has no effect until the next benchmark change drops
     /// it: the benchmark harness still reads it.
     pub prune_sample_mispredicts: u64,
@@ -235,21 +210,8 @@ impl Throughput {
             fired_runs: stats.fired_runs,
             dormant_runs: stats.dormant_runs,
             elapsed_secs: elapsed.as_secs_f64(),
-            retired_instrs: stats.retired_instrs,
-            decode_lines_built: stats.decode_lines_built,
-            decode_invalidations: stats.decode_invalidations,
-            slow_fetches: stats.slow_fetches,
-            prefix_snapshots_built: stats.prefix_snapshots_built,
-            prefix_fork_hits: stats.prefix_fork_hits,
-            prefix_instrs_skipped: stats.prefix_instrs_skipped,
-            prefix_dormant_short_circuits: stats.prefix_dormant_short_circuits,
-            prefix_golden_passes: stats.prefix_golden_passes,
+            engine: *stats,
             prefix_peak_bytes,
-            blocks_built: stats.blocks_built,
-            block_hits: stats.block_hits,
-            block_instrs: stats.block_instrs,
-            block_fallbacks: stats.block_fallbacks,
-            block_invalidations: stats.block_invalidations,
             prune_sample_mispredicts: 0,
         }
     }
@@ -267,7 +229,7 @@ impl Throughput {
     /// measured) — the figure the translation cache exists to raise.
     pub fn instrs_per_sec(&self) -> f64 {
         if self.elapsed_secs > 0.0 {
-            self.retired_instrs as f64 / self.elapsed_secs
+            self.engine.retired_instrs as f64 / self.elapsed_secs
         } else {
             0.0
         }
@@ -544,23 +506,24 @@ impl RunSession {
         self.machine.set_block_interp(enabled);
     }
 
-    /// Warm-reboot to the clean snapshot and mount `input`.
-    fn begin(&mut self, input: &TestInput) {
-        self.machine.restore(&self.snapshot);
-        self.machine.set_input(input.to_tape());
+    /// Warm-reboot to the clean snapshot and mount `input`, or resume
+    /// from `fork` (which carries its own mid-run tape), and arm the
+    /// watchdog. The one place a run's machine is restored.
+    fn begin(&mut self, input: &TestInput, fork: Option<&ForkSnapshot>) {
+        match fork {
+            None => {
+                self.machine.restore(&self.snapshot);
+                self.machine.set_input(input.to_tape());
+            }
+            Some(fork) => self.machine.restore_fork(&self.snapshot, fork),
+        }
         self.machine
             .set_deadline(self.watchdog.map(|d| Instant::now() + d));
     }
 
     /// One fault-free run.
     pub fn run_clean(&mut self, input: &TestInput) -> RunOutcome {
-        self.begin(input);
-        let outcome = Self::machine_run(&mut self.machine, &mut self.telemetry, &mut Noop);
-        let retired = self.machine.retired();
-        self.stats.runs += 1;
-        self.stats.retired_instrs += retired;
-        self.last_retired = retired;
-        outcome
+        self.run_with(input, &mut Noop)
     }
 
     /// The golden pass for `input`: one clean run that pauses just before
@@ -573,7 +536,7 @@ impl RunSession {
         let mut ladder = Ladder::new(input, points);
         let mut watch = FetchWatch::new(points.iter().map(|&(point, _)| point));
         let mut pauses = 0;
-        self.begin(input);
+        self.begin(input, None);
         let finished = loop {
             if watch.is_empty() {
                 break None;
@@ -621,13 +584,15 @@ impl RunSession {
         self.watchdog.is_none() || !matches!(outcome, RunOutcome::Hang { .. })
     }
 
-    /// One run observed by a caller-supplied inspector (profilers etc.).
+    /// One fault-free run observed by a caller-supplied inspector
+    /// (profilers etc.).
     pub fn run_with<I: Inspector>(&mut self, input: &TestInput, inspector: &mut I) -> RunOutcome {
-        self.begin(input);
-        let outcome = self.machine.run(inspector);
+        self.begin(input, None);
+        let outcome = Self::machine_run(&mut self.machine, &mut self.telemetry, inspector);
+        let retired = self.machine.retired();
         self.stats.runs += 1;
-        self.stats.retired_instrs += self.machine.retired();
-        self.last_retired = self.machine.retired();
+        self.stats.retired_instrs += retired;
+        self.last_retired = retired;
         outcome
     }
 
@@ -718,14 +683,12 @@ impl RunSession {
                 });
             }
             RunPlan::Full => {
-                self.begin(input);
+                self.begin(input, None);
                 let (outcome, fired) = self.run_armed(specs, mode, seed, 0)?;
                 (outcome, fired, 0)
             }
             RunPlan::Fork(fork) => {
-                self.machine.restore_fork(&self.snapshot, fork);
-                self.machine
-                    .set_deadline(self.watchdog.map(|d| Instant::now() + d));
+                self.begin(input, Some(fork));
                 let seen = fork_point(specs).1 - 1;
                 let (outcome, fired) = self.run_armed(specs, mode, seed, seen)?;
                 (outcome, fired, fork.retired())
@@ -1086,7 +1049,7 @@ mod tests {
             std::slice::from_ref(&session),
             std::time::Duration::from_secs(1),
         );
-        assert_eq!(tp.retired_instrs, s2.retired_instrs);
+        assert_eq!(tp.engine, s2);
         assert!(tp.instrs_per_sec() > 0.0);
     }
 
@@ -1436,8 +1399,11 @@ mod tests {
             fired_runs: 6,
             dormant_runs: 4,
             elapsed_secs: 9.0,
-            retired_instrs: 1234,
-            slow_fetches: 55,
+            engine: SessionStats {
+                retired_instrs: 1234,
+                slow_fetches: 55,
+                ..SessionStats::default()
+            },
             ..Throughput::default()
         };
         assert_eq!(a, b, "interpreter counters do not affect equality");

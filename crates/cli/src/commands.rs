@@ -435,13 +435,14 @@ fn export_telemetry(
     if hub.config().metrics {
         let injected = tp.fired_runs + tp.dormant_runs;
         let prefix_rate = if injected > 0 {
-            (tp.prefix_fork_hits + tp.prefix_dormant_short_circuits) as f64 / injected as f64
+            (tp.engine.prefix_fork_hits + tp.engine.prefix_dormant_short_circuits) as f64
+                / injected as f64
         } else {
             0.0
         };
-        let dispatches = tp.block_hits + tp.block_fallbacks;
+        let dispatches = tp.engine.block_hits + tp.engine.block_fallbacks;
         let block_rate = if dispatches > 0 {
-            tp.block_hits as f64 / dispatches as f64
+            tp.engine.block_hits as f64 / dispatches as f64
         } else {
             0.0
         };

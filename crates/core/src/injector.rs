@@ -72,61 +72,6 @@ impl std::fmt::Display for InjectorError {
 
 impl std::error::Error for InjectorError {}
 
-/// Record of the guest-memory writes performed by [`Injector::prepare`]
-/// for memory-resident faults.
-///
-/// The warm-reboot engine snapshots the machine *before* `prepare`, so
-/// these writes land on pages the dirty tracker sees and a
-/// [`swifi_vm::Machine::restore`] rolls them back automatically. The
-/// record exists so callers can observe what was patched (and, for cold
-/// lifecycles without a snapshot, [`PreparedWrites::undo`] them by hand).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PreparedWrites {
-    writes: Vec<PreparedWrite>,
-}
-
-/// One guest-memory word patched during fault preparation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PreparedWrite {
-    /// Patched address.
-    pub addr: u32,
-    /// Word that was there before preparation.
-    pub old: u32,
-    /// Word written by the fault's error operation.
-    pub new: u32,
-}
-
-impl PreparedWrites {
-    /// Number of words patched.
-    pub fn len(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// Whether preparation touched guest memory at all.
-    pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
-    }
-
-    /// The individual patches, in application order.
-    pub fn writes(&self) -> &[PreparedWrite] {
-        &self.writes
-    }
-
-    /// Manually revert the patches (cold lifecycle without a snapshot).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`swifi_vm::Trap`] if an address became unmapped, which
-    /// cannot happen when undoing onto the same machine.
-    pub fn undo(&self, machine: &mut Machine) -> Result<(), swifi_vm::Trap> {
-        // Reverse order so overlapping patches unwind correctly.
-        for w in self.writes.iter().rev() {
-            machine.poke_u32(w.addr, w.old)?;
-        }
-        Ok(())
-    }
-}
-
 /// An armed set of faults, pluggable into
 /// [`Machine::run`](swifi_vm::machine::Machine::run) as an inspector.
 ///
@@ -304,29 +249,25 @@ impl Injector {
     /// machine — the paper's "error inserted in memory" fault model, which
     /// Xception realises by triggering at the first program instruction.
     ///
-    /// Returns the [`PreparedWrites`] record of every word patched, so the
-    /// run lifecycle can undo them: under the warm-reboot engine the
-    /// machine snapshot is taken *before* `prepare`, which makes
-    /// [`swifi_vm::Machine::restore`] revert these writes for free via the
-    /// dirty-page tracker.
+    /// The warm-reboot engine takes the machine snapshot *before*
+    /// `prepare`, so the patched words land on dirty pages and
+    /// [`swifi_vm::Machine::restore`] reverts them with the rest of the
+    /// run's writes.
     ///
     /// # Errors
     ///
     /// Propagates [`swifi_vm::Trap`] if a fault addresses unmapped memory.
-    pub fn prepare(&mut self, machine: &mut Machine) -> Result<PreparedWrites, swifi_vm::Trap> {
-        let mut writes = PreparedWrites::default();
+    pub fn prepare(&mut self, machine: &mut Machine) -> Result<(), swifi_vm::Trap> {
         for &i in &self.memory_faults.clone() {
             let spec = self.specs[i];
             if let Target::Memory(addr) = spec.target {
                 let old = machine.peek_u32(addr)?;
                 let random = self.rng.next_u32();
-                let new = spec.what.apply(old, random);
-                machine.poke_u32(addr, new)?;
-                writes.writes.push(PreparedWrite { addr, old, new });
+                machine.poke_u32(addr, spec.what.apply(old, random))?;
                 self.fired[i] += 1;
             }
         }
-        Ok(writes)
+        Ok(())
     }
 
     /// Re-arm the injector for another run without recompiling the trigger
@@ -1156,7 +1097,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_records_and_undoes_writes() {
+    fn restore_after_prepare_brings_the_original_word_back() {
         let image = assemble(STORE_SRC).unwrap();
         let slot_addr = image.data_base();
         let fault = FaultSpec {
@@ -1168,19 +1109,11 @@ mod tests {
         let mut inj = Injector::new(vec![fault], TriggerMode::Hardware, 7).unwrap();
         let mut m = Machine::new(MachineConfig::default());
         m.load(&image);
+        let snap = m.snapshot();
         let before = m.peek_u32(slot_addr).unwrap();
-        let writes = inj.prepare(&mut m).unwrap();
-        assert_eq!(writes.len(), 1);
-        assert_eq!(
-            writes.writes()[0],
-            PreparedWrite {
-                addr: slot_addr,
-                old: before,
-                new: 123
-            }
-        );
+        inj.prepare(&mut m).unwrap();
         assert_eq!(m.peek_u32(slot_addr).unwrap(), 123);
-        writes.undo(&mut m).unwrap();
+        m.restore(&snap);
         assert_eq!(m.peek_u32(slot_addr).unwrap(), before);
     }
 

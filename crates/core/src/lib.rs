@@ -58,8 +58,6 @@ pub mod source;
 
 pub use emulate::{emulation_faults, plan_emulation, EmulationStrategy, EmulationVerdict};
 pub use fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
-pub use injector::{
-    Injector, InjectorError, PreparedWrite, PreparedWrites, TriggerMode, HW_BREAKPOINTS,
-};
+pub use injector::{Injector, InjectorError, TriggerMode, HW_BREAKPOINTS};
 pub use locations::{generate_error_set, ErrorClass, ErrorSet, GeneratedFault, LocationPlan};
 pub use source::{BinarySwifiSource, FaultSource, InjectionPlan, PreparedFault};

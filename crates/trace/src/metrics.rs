@@ -95,9 +95,10 @@ impl Histogram {
     /// # Errors
     ///
     /// Merging only makes sense between registries built from the same
-    /// registration; mismatched bucket bounds are reported (not panicked)
-    /// so a campaign can surface the bad shard as an abnormal record
-    /// instead of dying.
+    /// registration; mismatched bucket bounds and counts that overflow are
+    /// reported (not panicked) so a campaign can surface the bad shard as
+    /// an abnormal record instead of dying. A failed merge leaves `self`
+    /// untouched.
     pub fn merge(&mut self, other: &Histogram) -> Result<(), String> {
         if self.bounds != other.bounds {
             return Err(format!(
@@ -106,10 +107,13 @@ impl Histogram {
                 other.bounds.len()
             ));
         }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
+        let overflow = || "count overflows".to_string();
+        let counts = (self.counts.iter().zip(&other.counts))
+            .map(|(a, b)| a.checked_add(*b))
+            .collect::<Option<Vec<u64>>>()
+            .ok_or_else(overflow)?;
+        self.count = self.count.checked_add(other.count).ok_or_else(overflow)?;
+        self.counts = counts;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -264,12 +268,16 @@ impl MetricsRegistry {
     ///
     /// # Errors
     ///
-    /// A histogram bucket-bound mismatch reports the offending metric by
-    /// name. Counters and gauges merged before the mismatch stay merged;
-    /// the caller is expected to surface the error and drop `other`.
+    /// A counter that overflows, or a histogram whose bucket bounds differ
+    /// or whose counts overflow, reports the offending metric by name.
+    /// Metrics merged before the error stay merged; the caller is expected
+    /// to surface the error and drop `other`.
     pub fn merge(&mut self, other: &MetricsRegistry) -> Result<(), String> {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            let c = self.counters.entry(k.clone()).or_insert(0);
+            *c = c
+                .checked_add(*v)
+                .ok_or_else(|| format!("cannot merge counter `{k}`: count overflows"))?;
         }
         for (k, v) in &other.gauges {
             self.gauges.insert(k.clone(), *v);
@@ -331,7 +339,8 @@ impl MetricsRegistry {
     ///
     /// # Errors
     ///
-    /// Reports the first malformed section or histogram by name.
+    /// Reports the first malformed section, or the first malformed or
+    /// repeated metric by name.
     pub fn from_value(v: &Value) -> Result<MetricsRegistry, String> {
         let obj = v.as_object().ok_or("metrics snapshot is not an object")?;
         let section = |name: &str| -> Result<&Vec<(String, Value)>, String> {
@@ -342,18 +351,25 @@ impl MetricsRegistry {
                 .as_object()
                 .ok_or_else(|| format!("metrics `{name}` is not an object"))
         };
+        let twice = |kind: &str, k: &str| format!("{kind} `{k}` appears twice");
         let mut reg = MetricsRegistry::new();
         for (k, v) in section("counters")? {
             let n = num_u64(v).ok_or_else(|| format!("counter `{k}` is not an integer"))?;
-            reg.counters.insert(k.clone(), n);
+            if reg.counters.insert(k.clone(), n).is_some() {
+                return Err(twice("counter", k));
+            }
         }
         for (k, v) in section("gauges")? {
             let n = num_f64(v).ok_or_else(|| format!("gauge `{k}` is not a number"))?;
-            reg.gauges.insert(k.clone(), n);
+            if reg.gauges.insert(k.clone(), n).is_some() {
+                return Err(twice("gauge", k));
+            }
         }
         for (k, v) in section("histograms")? {
             let h = Histogram::from_value(v).map_err(|e| format!("histogram `{k}`: {e}"))?;
-            reg.histograms.insert(k.clone(), h);
+            if reg.histograms.insert(k.clone(), h).is_some() {
+                return Err(twice("histogram", k));
+            }
         }
         Ok(reg)
     }
@@ -510,5 +526,137 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.observe("nope", 1.0);
         assert!(r.histogram("nope").is_none());
+    }
+
+    #[test]
+    fn merge_reports_overflow_by_name() {
+        let mut a = MetricsRegistry::new();
+        a.counter_add("runs", u64::MAX);
+        let mut b = MetricsRegistry::new();
+        b.counter_add("runs", 1);
+        let err = a.merge(&b).unwrap_err();
+        assert!(err.contains("counter `runs`"), "{err}");
+
+        let mut h = Histogram::new(vec![1.0]);
+        h.observe(0.5);
+        h.counts[0] = u64::MAX;
+        let mut a = MetricsRegistry::new();
+        a.register_histogram("lat", h.clone());
+        let mut b = MetricsRegistry::new();
+        b.register_histogram("lat", h);
+        let before = a.clone();
+        let err = a.merge(&b).unwrap_err();
+        assert!(err.contains("histogram `lat`"), "{err}");
+        assert_eq!(a, before, "a failed histogram merge leaves it untouched");
+    }
+
+    #[test]
+    fn from_json_rejects_deep_nesting_without_overflowing_the_stack() {
+        let deep = format!(r#"{{"counters":{}}}"#, "[".repeat(1 << 20));
+        let err = MetricsRegistry::from_json(&deep).unwrap_err();
+        assert!(err.contains("recursion limit"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_repeated_metric_names() {
+        let hist =
+            r#"{"bounds":[],"counts":[0],"count":0,"sum":0.0,"mean":0.0,"min":null,"max":null}"#;
+        for (snapshot, name) in [
+            (
+                r#"{"counters":{"a":1,"a":2},"gauges":{},"histograms":{}}"#.to_string(),
+                "counter `a`",
+            ),
+            (
+                r#"{"counters":{},"gauges":{"g":1.0,"g":1.0},"histograms":{}}"#.to_string(),
+                "gauge `g`",
+            ),
+            (
+                format!(
+                    r#"{{"counters":{{}},"gauges":{{}},"histograms":{{"h":{hist},"h":{hist}}}}}"#
+                ),
+                "histogram `h`",
+            ),
+        ] {
+            let err = MetricsRegistry::from_json(&snapshot).unwrap_err();
+            assert!(err.contains(name) && err.contains("twice"), "{err}");
+        }
+    }
+
+    /// Metric names that stress the JSON string escapes.
+    const NAMES: [&str; 5] = ["runs", "a\"b", "\\", "\u{e9}\u{1}", ""];
+
+    /// A registry built from fuzzed operations: (kind, name, value) sets a
+    /// counter to any `u64` (so merges can overflow), sets a gauge,
+    /// registers a histogram over `value`-derived bounds, or observes
+    /// into one.
+    fn registry_of(ops: &[(u8, usize, u64)]) -> MetricsRegistry {
+        let mut r = MetricsRegistry::new();
+        for &(kind, name, value) in ops {
+            let name = NAMES[name % NAMES.len()];
+            let x = value as f64 / 1024.0;
+            match kind {
+                0 => {
+                    r.counters.insert(name.to_string(), value);
+                }
+                1 => r.gauge_set(name, x - 1e9),
+                2 => r.register_histogram(
+                    name,
+                    Histogram::exponential(x.max(1e-3), 4.0, (value % 6) as usize),
+                ),
+                _ => r.observe(name, x),
+            }
+        }
+        r
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The metrics snapshot importer, fuzzed. A registry's snapshot
+        /// parses back to the same registry. The snapshot truncated at
+        /// any byte (edit kind 0), with a byte flipped (1), a line
+        /// duplicated (2) or a byte inserted (3), and arbitrary bytes,
+        /// parse to `Ok` or `Err` and never panic; whatever parses merges
+        /// into the original and into itself without panicking.
+        #[test]
+        fn from_json_survives_fuzzed_snapshots(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..5, proptest::prelude::any::<u64>()),
+                0..24,
+            ),
+            edits in proptest::collection::vec(
+                (0u8..4, proptest::prelude::any::<usize>(), 1u8..=255),
+                1..4,
+            ),
+            garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let reg = registry_of(&ops);
+            let text = reg.to_json();
+            proptest::prop_assert_eq!(MetricsRegistry::from_json(&text).as_ref(), Ok(&reg));
+            let mut bytes = text.into_bytes();
+            for &(kind, at, mask) in &edits {
+                let len = bytes.len();
+                match kind {
+                    0 => bytes.truncate(at % (len + 1)),
+                    1 if len > 0 => bytes[at % len] ^= mask,
+                    2 if len > 0 => {
+                        let newline = |b: &u8| *b == b'\n';
+                        let start = bytes[..at % len].iter().rposition(newline);
+                        let start = start.map_or(0, |i| i + 1);
+                        let end = bytes[start..].iter().position(newline);
+                        let end = end.map_or(len, |i| start + i + 1);
+                        let line = bytes[start..end].to_vec();
+                        bytes.splice(end..end, line);
+                    }
+                    _ => bytes.insert(at % (len + 1), mask),
+                }
+            }
+            for input in [bytes, garbage] {
+                if let Ok(parsed) = MetricsRegistry::from_json(&String::from_utf8_lossy(&input)) {
+                    let _ = reg.clone().merge(&parsed);
+                    let _ = parsed.clone().merge(&parsed);
+                }
+            }
+        }
     }
 }

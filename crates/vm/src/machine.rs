@@ -387,8 +387,7 @@ pub enum FetchStop {
 ///
 /// A fork snapshot may be restored on a *different* machine than it was
 /// captured on, provided both were built from the same config and image
-/// (byte-identical base snapshots) — how pooled campaign workers share one
-/// prefix cache.
+/// (byte-identical base snapshots).
 #[derive(Debug, Clone)]
 pub struct ForkSnapshot {
     mem: MemoryDelta,
@@ -416,8 +415,10 @@ impl ForkSnapshot {
     }
 }
 
-/// A point-in-time capture of a loaded [`Machine`]: memory, cores, heap
-/// allocator bookkeeping, input tape, and instruction counter.
+/// A point-in-time capture of a loaded [`Machine`]: a full copy of
+/// memory, plus the clean state itself as a [`ForkSnapshot`] with an empty
+/// delta (cores, heap allocator bookkeeping, input tape, output and
+/// instruction counter).
 ///
 /// Taken with [`Machine::snapshot`] (normally right after
 /// [`Machine::load`]) and applied with [`Machine::restore`], which rolls
@@ -427,11 +428,7 @@ impl ForkSnapshot {
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     mem: MemorySnapshot,
-    cores: Vec<Cpu>,
-    alloc: Allocator,
-    input: InputTape,
-    output: Vec<u8>,
-    retired: u64,
+    clean: ForkSnapshot,
 }
 
 impl MachineSnapshot {
@@ -588,37 +585,28 @@ impl Machine {
     /// is a lifecycle error.
     pub fn snapshot(&mut self) -> MachineSnapshot {
         assert!(self.loaded, "Machine::load must be called before snapshot");
+        let mem = self.mem.snapshot();
         MachineSnapshot {
-            mem: self.mem.snapshot(),
-            cores: self.cores.clone(),
-            alloc: self.alloc.clone(),
-            input: self.input.clone(),
-            output: self.output.clone(),
-            retired: self.retired,
+            mem,
+            clean: self.fork_snapshot(),
         }
     }
 
-    /// Warm reboot: roll the machine back to `snap`.
+    /// Warm reboot: roll the machine back to `snap`, as a
+    /// [`Machine::restore_fork`] of the snapshot's own empty-delta fork.
     ///
-    /// Memory is restored by copying only the pages dirtied since the
-    /// snapshot (or since the previous restore); cores, allocator, input
-    /// tape, output stream, and the retired-instruction counter are reset
-    /// wholesale (they are tiny). After `restore` the machine is
-    /// observably identical to one freshly built and loaded — the
-    /// warm-reboot equivalence invariant.
+    /// Memory is restored by copying only the pages that may differ from
+    /// the snapshot; cores, allocator, input tape, output stream, and the
+    /// retired-instruction counter are reset wholesale (they are tiny).
+    /// After `restore` the machine is observably identical to one freshly
+    /// built and loaded — the warm-reboot equivalence invariant.
     ///
     /// # Panics
     ///
     /// Panics if `snap` was taken from a machine with a different memory
     /// size (a configuration error, not a guest fault).
     pub fn restore(&mut self, snap: &MachineSnapshot) {
-        self.mem.restore_from(&snap.mem);
-        self.cores.clone_from(&snap.cores);
-        self.alloc.clone_from(&snap.alloc);
-        self.input.clone_from(&snap.input);
-        self.output.clone_from(&snap.output);
-        self.retired = snap.retired;
-        self.loaded = true;
+        self.restore_fork(snap, &snap.clean);
     }
 
     /// Capture the current state as a sparse [`ForkSnapshot`] relative to
@@ -673,9 +661,9 @@ impl Machine {
         self.config.num_cores
     }
 
-    /// Number of memory pages currently dirty relative to the last
-    /// snapshot/restore (diagnostic; a warm restore copies exactly this
-    /// many pages).
+    /// Number of memory pages that may differ from the base snapshot:
+    /// written since the last restore, or overlaid by it (diagnostic; the
+    /// next restore copies exactly these pages back).
     pub fn dirty_pages(&self) -> usize {
         self.mem.dirty_pages()
     }

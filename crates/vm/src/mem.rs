@@ -79,7 +79,7 @@ enum Line {
 /// Indexed by `(pc - CODE_BASE) / 4`. Lives *inside* [`Memory`] so that the
 /// only three mutating accessors ([`Memory::write_u32`],
 /// [`Memory::write_u8`], [`Memory::write_bytes`]) and the dirty-page
-/// rollback ([`Memory::restore_from`]) invalidate covering lines at the
+/// rollback ([`Memory::restore_fork_from`]) invalidate covering lines at the
 /// source — self-modifying guests, injector pokes, and warm-reboot restores
 /// all funnel through those four paths, so no staleness can escape.
 #[derive(Clone, Default)]
@@ -135,14 +135,10 @@ impl ICache {
 #[derive(Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
-    /// One bit per [`PAGE_SIZE`]-byte page, set by every write since the
-    /// last [`Memory::snapshot`] / [`Memory::restore_from`].
+    /// One bit per [`PAGE_SIZE`]-byte page that may differ from the last
+    /// [`Memory::snapshot`]: set by every write, and by
+    /// [`Memory::restore_fork_from`] for the pages it overlays.
     dirty: Vec<u64>,
-    /// One bit per page overlaid by the last [`Memory::restore_fork_from`]:
-    /// pages whose *current* contents differ from the base snapshot even
-    /// though no write dirtied them afterwards. The next restore (plain or
-    /// fork) must treat them exactly like dirty pages.
-    restored_delta: Vec<u64>,
     /// Predecoded translation cache over the code region (disabled until
     /// [`Memory::init_decode_cache`]).
     icache: ICache,
@@ -187,7 +183,7 @@ impl MemoryDelta {
 }
 
 /// A point-in-time full copy of guest memory, produced by
-/// [`Memory::snapshot`] and consumed by [`Memory::restore_from`].
+/// [`Memory::snapshot`] and consumed by [`Memory::restore_fork_from`].
 ///
 /// The snapshot itself is a plain byte copy; the *restore* is what is
 /// incremental (only pages dirtied since the snapshot are copied back).
@@ -233,7 +229,6 @@ impl Memory {
         Memory {
             bytes: vec![0; size as usize],
             dirty: vec![0; pages.div_ceil(64)],
-            restored_delta: vec![0; pages.div_ceil(64)],
             icache: ICache::default(),
         }
     }
@@ -264,10 +259,9 @@ impl Memory {
 
     /// Take a full-copy snapshot of the current contents and reset the
     /// dirty bitmap, establishing the baseline that a later
-    /// [`Memory::restore_from`] rolls back to.
+    /// [`Memory::restore_fork_from`] rolls back to.
     pub fn snapshot(&mut self) -> MemorySnapshot {
         self.dirty.iter_mut().for_each(|w| *w = 0);
-        self.restored_delta.iter_mut().for_each(|w| *w = 0);
         MemorySnapshot {
             bytes: self.bytes.clone(),
         }
@@ -290,53 +284,16 @@ impl Memory {
         self.bytes[start..end].copy_from_slice(src);
     }
 
-    /// Roll memory back to `snap`, copying **only the pages dirtied since
-    /// the snapshot was taken** (or since the last restore), then clear
-    /// the dirty bitmap.
-    ///
-    /// This is semantically identical to replacing the whole contents with
-    /// the snapshot — provided `snap` was taken from *this* memory and no
-    /// other snapshot baseline has been interleaved, which is the contract
-    /// the warm-reboot engine maintains (one snapshot per loaded machine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` has a different size (a configuration error).
-    pub fn restore_from(&mut self, snap: &MemorySnapshot) {
-        assert_eq!(
-            self.bytes.len(),
-            snap.bytes.len(),
-            "snapshot/memory size mismatch: snapshot is for a different machine"
-        );
-        let size = self.bytes.len();
-        for word_idx in 0..self.dirty.len() {
-            // Pages overlaid by a fork restore diverge from the baseline
-            // even when nothing wrote to them afterwards; fold them in.
-            let mut w = self.dirty[word_idx] | self.restored_delta[word_idx];
-            self.dirty[word_idx] = 0;
-            self.restored_delta[word_idx] = 0;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                let page = word_idx * 64 + bit;
-                let start = page << PAGE_SHIFT;
-                let end = (start + PAGE_SIZE as usize).min(size);
-                self.copy_page_checked(start, end, &snap.bytes[start..end]);
-            }
-        }
-    }
-
     /// Capture the pages that currently diverge from the base snapshot
-    /// (dirty since the last restore, plus any pages overlaid by a prior
-    /// [`Memory::restore_fork_from`]) as a sparse [`MemoryDelta`].
+    /// (the dirty pages) as a sparse [`MemoryDelta`].
     ///
-    /// Non-destructive: the dirty bitmaps are left untouched, so the run
+    /// Non-destructive: the dirty bitmap is left untouched, so the run
     /// that produced the state can simply continue.
     pub fn fork_delta(&self) -> MemoryDelta {
         let size = self.bytes.len();
         let mut pages = Vec::new();
         for word_idx in 0..self.dirty.len() {
-            let mut w = self.dirty[word_idx] | self.restored_delta[word_idx];
+            let mut w = self.dirty[word_idx];
             while w != 0 {
                 let bit = w.trailing_zeros() as usize;
                 w &= w - 1;
@@ -356,17 +313,17 @@ impl Memory {
     }
 
     /// Restore to `base` *overlaid with* `delta`: the memory state a run
-    /// had when [`Memory::fork_delta`] was captured.
+    /// had when [`Memory::fork_delta`] was captured. An empty delta rolls
+    /// memory back to `base` itself, which is how a warm reboot restores.
     ///
-    /// Cost is O(pages currently diverging from base + pages in the
-    /// delta). Afterwards the dirty bitmap is clear and the delta's pages
-    /// are remembered in `restored_delta`, so the next restore (plain or
-    /// fork) knows to roll them back too. Decoded lines covering changed
-    /// code words are invalidated exactly as in [`Memory::restore_from`].
+    /// Cost is O(pages currently dirty + pages in the delta): dirty pages
+    /// outside the delta are copied back from `base`, then the delta's
+    /// pages are overlaid and marked dirty, so afterwards the dirty bitmap
+    /// is exactly the set of pages that may differ from `base`. Decoded
+    /// lines covering changed code words are invalidated.
     ///
     /// `delta` may come from a *different* `Memory` as long as both were
-    /// loaded identically (same size, byte-identical base snapshot) —
-    /// which is how pooled campaign workers share one prefix cache.
+    /// loaded identically (same size, byte-identical base snapshot).
     ///
     /// # Panics
     ///
@@ -385,9 +342,7 @@ impl Memory {
         let size = self.bytes.len();
         let in_delta = |page: u32| delta.pages.binary_search_by_key(&page, |&(p, _)| p).is_ok();
         for word_idx in 0..self.dirty.len() {
-            let mut w = self.dirty[word_idx] | self.restored_delta[word_idx];
-            self.dirty[word_idx] = 0;
-            self.restored_delta[word_idx] = 0;
+            let mut w = std::mem::take(&mut self.dirty[word_idx]);
             while w != 0 {
                 let bit = w.trailing_zeros() as usize;
                 w &= w - 1;
@@ -405,12 +360,14 @@ impl Memory {
             let start = page << PAGE_SHIFT;
             let end = (start + PAGE_SIZE as usize).min(size);
             self.copy_page_checked(start, end, bytes);
-            self.restored_delta[page / 64] |= 1u64 << (page % 64);
+            self.dirty[page / 64] |= 1u64 << (page % 64);
         }
     }
 
-    /// Number of pages currently marked dirty (diagnostic: a warm restore
-    /// copies exactly this many pages).
+    /// Number of pages currently marked dirty: the pages that may differ
+    /// from the base snapshot (written since the last restore, or overlaid
+    /// by it). The next restore copies exactly these pages back, and a
+    /// [`Memory::fork_delta`] captures exactly these.
     pub fn dirty_pages(&self) -> usize {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -834,6 +791,15 @@ impl Allocator {
 mod tests {
     use super::*;
 
+    /// Roll `m` back to `base` itself: a fork restore of the empty delta.
+    fn restore(m: &mut Memory, base: &MemorySnapshot) {
+        let empty = MemoryDelta {
+            pages: Vec::new(),
+            size: base.size(),
+        };
+        m.restore_fork_from(base, &empty);
+    }
+
     #[test]
     fn null_page_traps() {
         let m = Memory::new(4096);
@@ -883,7 +849,7 @@ mod tests {
         m.write_bytes(0x8FFE, &[1, 2, 3, 4]).unwrap(); // straddles a page boundary
         assert_eq!(m.dirty_pages(), 4);
 
-        m.restore_from(&snap);
+        restore(&mut m, &snap);
         assert_eq!(m.read_u32(0x200).unwrap(), 0x11111111);
         assert_eq!(m.read_u8(0x5000).unwrap(), 0);
         assert_eq!(m.read_u8(0x8FFF).unwrap(), 0);
@@ -908,7 +874,7 @@ mod tests {
             let addr = 0x100 + (state >> 33) as u32 % (128 * 1024 - 0x110);
             m.write_u8(addr, (state >> 16) as u8).unwrap();
         }
-        m.restore_from(&snap);
+        restore(&mut m, &snap);
         for i in 0..32u32 {
             assert_eq!(m.read_u32(0x100 + i * 4096).unwrap(), i);
         }
@@ -927,7 +893,7 @@ mod tests {
             m.write_bytes(0x400, &[round; 8]).unwrap();
             m.write_u8(0x3FF0 - u32::from(round) * 16, round + 1)
                 .unwrap();
-            m.restore_from(&snap);
+            restore(&mut m, &snap);
             assert_eq!(m.read_cstr(0x400, 16).unwrap(), b"baseline".to_vec());
             assert_eq!(m.read_u8(0x3FF0 - u32::from(round) * 16).unwrap(), 0);
         }
@@ -954,11 +920,11 @@ mod tests {
         assert_eq!(m.read_cstr(0x400, 8).unwrap(), b"frk!".to_vec());
         assert_eq!(m.read_u8(0x5000).unwrap(), 9);
         assert_eq!(m.read_u8(0x8000).unwrap(), 0);
-        assert_eq!(m.dirty_pages(), 0, "fork restore clears the dirty bitmap");
+        assert_eq!(m.dirty_pages(), 2, "the delta's pages are dirty");
 
         // A plain restore afterwards recovers the baseline even though the
         // delta pages were never re-dirtied.
-        m.restore_from(&base);
+        restore(&mut m, &base);
         assert_eq!(m.read_cstr(0x400, 8).unwrap(), b"base".to_vec());
         assert_eq!(m.read_u8(0x5000).unwrap(), 0);
     }
@@ -969,7 +935,7 @@ mod tests {
         let base = m.snapshot();
         m.write_u8(0x5000, 1).unwrap();
         let d1 = m.fork_delta();
-        m.restore_from(&base);
+        restore(&mut m, &base);
         m.write_u8(0x9000, 2).unwrap();
         let d2 = m.fork_delta();
         m.restore_fork_from(&base, &d1);
@@ -990,11 +956,11 @@ mod tests {
         m.write_u32(CODE_BASE, isa::encode(isa::Instr::Halt))
             .unwrap();
         let delta = m.fork_delta();
-        m.restore_from(&base);
+        restore(&mut m, &base);
         assert_eq!(m.fetch_decoded(CODE_BASE), Some(nop_i));
         m.restore_fork_from(&base, &delta);
         assert_eq!(m.fetch_decoded(CODE_BASE), Some(isa::Instr::Halt));
-        m.restore_from(&base);
+        restore(&mut m, &base);
         assert_eq!(m.fetch_decoded(CODE_BASE), Some(nop_i));
     }
 
@@ -1023,7 +989,7 @@ mod tests {
         let mut a = Memory::new(4096);
         let mut b = Memory::new(8192);
         let snap = a.snapshot();
-        b.restore_from(&snap);
+        restore(&mut b, &snap);
     }
 
     #[test]
@@ -1032,7 +998,7 @@ mod tests {
         let snap = m.snapshot();
         m.write_bytes(0x200, &[]).unwrap();
         assert_eq!(m.dirty_pages(), 0);
-        m.restore_from(&snap);
+        restore(&mut m, &snap);
     }
 
     #[test]
@@ -1112,7 +1078,7 @@ mod tests {
         m.write_u32(CODE_BASE, isa::encode(isa::Instr::Halt))
             .unwrap();
         assert_eq!(m.fetch_decoded(CODE_BASE), Some(isa::Instr::Halt));
-        m.restore_from(&snap);
+        restore(&mut m, &snap);
         // The restored word must be re-decoded, not served stale.
         assert_eq!(m.fetch_decoded(CODE_BASE), Some(nop_i));
     }

@@ -1,11 +1,13 @@
 //! Property-based tests for the P601-lite ISA, assembler, allocator, and
 //! machine determinism.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use swifi_vm::asm::{assemble, CodeBuilder};
 use swifi_vm::inspect::{FetchPolicy, Inspector, Noop};
 use swifi_vm::isa::{decode, encode, AluOp, CrBit, Instr, Syscall};
-use swifi_vm::machine::{Machine, MachineConfig, RunOutcome};
+use swifi_vm::machine::{ForkSnapshot, Machine, MachineConfig, RunOutcome};
 use swifi_vm::mem::Allocator;
 
 fn arb_reg() -> impl Strategy<Value = u8> {
@@ -199,6 +201,55 @@ impl Inspector for HookLog {
     }
 }
 
+/// One step of [`restore_sequences_match_a_byte_model`].
+#[derive(Debug, Clone, Copy)]
+enum RestoreOp {
+    /// Poke `value` into the word at `slot`: the whole word (`whole`), or
+    /// only its byte `slot % 4` (the other three bytes are poked back
+    /// unchanged). `code` aims the write at the program's code words.
+    Write {
+        code: bool,
+        whole: bool,
+        slot: u32,
+        value: u32,
+    },
+    /// Capture a fork of the current state.
+    Fork,
+    /// Restore captured fork number `n` (modulo the forks captured).
+    RestoreFork(usize),
+    /// Warm-reboot to the base snapshot.
+    Restore,
+}
+
+fn arb_restore_op() -> impl Strategy<Value = RestoreOp> {
+    (
+        0u8..8,
+        any::<bool>(),
+        any::<bool>(),
+        any::<u32>(),
+        any::<u32>(),
+    )
+        .prop_map(|(kind, code, whole, slot, value)| match kind {
+            0..=3 => RestoreOp::Write {
+                code,
+                whole,
+                slot,
+                value,
+            },
+            4 => RestoreOp::Fork,
+            5 | 6 => RestoreOp::RestoreFork(slot as usize),
+            _ => RestoreOp::Restore,
+        })
+}
+
+/// Guest memory from `CODE_BASE` up, as bytes.
+fn guest_bytes(m: &Machine, size: u32) -> Vec<u8> {
+    (swifi_vm::CODE_BASE..size)
+        .step_by(4)
+        .flat_map(|a| m.peek_u32(a).unwrap().to_le_bytes())
+        .collect()
+}
+
 proptest! {
     /// encode ∘ decode is the identity on valid instructions.
     #[test]
@@ -369,5 +420,136 @@ proptest! {
         let case = proptest::current_case();
         prop_assert_eq!(&blocks, &run(1), "blocks vs line cache, case {}", case);
         prop_assert_eq!(&blocks, &run(2), "blocks vs reference, case {}", case);
+    }
+
+    /// The restore-sequence property: random word and byte writes into
+    /// code and data pages, fork captures, fork restores and warm reboots,
+    /// applied to a block-cached machine and to a reference-interpreter
+    /// twin. After every op both machines' memory equals a byte model, and
+    /// `dirty_pages` counts exactly the pages written since the last
+    /// restore or overlaid by it (a superset of the pages that differ from
+    /// base). After every restore both machines run from the restored
+    /// state and must agree on the outcome and the final state — a stale
+    /// decoded line or translated block would replay old code — and a
+    /// fork restore of the state captured before that run must undo it.
+    #[test]
+    fn restore_sequences_match_a_byte_model(
+        code in proptest::collection::vec(arb_runnable_instr(), 1..48),
+        ops in proptest::collection::vec(arb_restore_op(), 1..40),
+    ) {
+        const SIZE: u32 = 32 << 10;
+        let page = |addr: u32| (addr / swifi_vm::PAGE_SIZE) as usize;
+        let image = swifi_vm::Image {
+            code: loop_program(&code),
+            data: (0..=255).collect(),
+            entry: swifi_vm::CODE_BASE,
+        };
+        let code_words = image.code.len() as u32;
+        let cfg = MachineConfig {
+            mem_size: SIZE,
+            stack_size: 4 << 10,
+            budget: 2_000,
+            ..MachineConfig::default()
+        };
+        let mut m = Machine::new(cfg.clone());
+        let mut r = Machine::new(cfg);
+        r.set_reference_interp(true);
+        m.load(&image);
+        r.load(&image);
+        let (base_m, base_r) = (m.snapshot(), r.snapshot());
+        let base = guest_bytes(&m, SIZE);
+        // The model: guest bytes and the pages written or overlaid since
+        // the last restore; each fork keeps its own copy of both.
+        let mut bytes = base.clone();
+        let mut touched = BTreeSet::new();
+        let mut forks: Vec<(ForkSnapshot, Vec<u8>, BTreeSet<usize>)> = Vec::new();
+        let case = proptest::current_case();
+        for (step, &op) in ops.iter().enumerate() {
+            let restored = match op {
+                RestoreOp::Write { code, whole, slot, value } => {
+                    let words = if code { code_words } else { (SIZE - swifi_vm::CODE_BASE) / 4 };
+                    let addr = swifi_vm::CODE_BASE + 4 * (slot % words);
+                    let old = m.peek_u32(addr).unwrap();
+                    let new = if whole {
+                        value
+                    } else {
+                        let shift = 8 * (slot % 4);
+                        old & !(0xFF << shift) | (value & 0xFF) << shift
+                    };
+                    m.poke_u32(addr, new).unwrap();
+                    r.poke_u32(addr, new).unwrap();
+                    let at = (addr - swifi_vm::CODE_BASE) as usize;
+                    bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+                    touched.insert(page(addr));
+                    false
+                }
+                RestoreOp::Fork => {
+                    forks.push((m.fork_snapshot(), bytes.clone(), touched.clone()));
+                    false
+                }
+                RestoreOp::RestoreFork(n) if !forks.is_empty() => {
+                    let (fork, fork_bytes, fork_touched) = &forks[n % forks.len()];
+                    m.restore_fork(&base_m, fork);
+                    r.restore_fork(&base_r, fork);
+                    bytes.clone_from(fork_bytes);
+                    touched.clone_from(fork_touched);
+                    true
+                }
+                RestoreOp::RestoreFork(_) | RestoreOp::Restore => {
+                    m.restore(&base_m);
+                    r.restore(&base_r);
+                    bytes.clone_from(&base);
+                    touched.clear();
+                    true
+                }
+            };
+            for (name, machine) in [("cached", &m), ("reference", &r)] {
+                prop_assert!(
+                    guest_bytes(machine, SIZE) == bytes,
+                    "case {}, step {} ({:?}): {} memory differs from the model",
+                    case, step, op, name
+                );
+                prop_assert_eq!(
+                    machine.dirty_pages(),
+                    touched.len(),
+                    "case {}, step {} ({:?}): {} dirty pages",
+                    case, step, op, name
+                );
+            }
+            for p in 0..page(SIZE) {
+                // Offsets into `bytes`, which starts at CODE_BASE.
+                let start = (p as u32 * swifi_vm::PAGE_SIZE).max(swifi_vm::CODE_BASE);
+                let at = (start - swifi_vm::CODE_BASE) as usize;
+                let end = ((p as u32 + 1) * swifi_vm::PAGE_SIZE - swifi_vm::CODE_BASE) as usize;
+                prop_assert!(
+                    bytes[at..end] == base[at..end] || touched.contains(&p),
+                    "case {}, step {}: page {} differs from base but is not dirty",
+                    case, step, p
+                );
+            }
+            if restored {
+                let (here_m, here_r) = (m.fork_snapshot(), r.fork_snapshot());
+                let observe = |machine: &mut Machine| {
+                    let out = machine.run(&mut Noop);
+                    let c = machine.core(0);
+                    (out, machine.retired(), c.regs, c.pc, c.lr, guest_bytes(machine, SIZE))
+                };
+                let cached = observe(&mut m);
+                prop_assert!(
+                    cached == observe(&mut r),
+                    "case {}, step {} ({:?}): cached run differs from the reference",
+                    case, step, op
+                );
+                m.restore_fork(&base_m, &here_m);
+                r.restore_fork(&base_r, &here_r);
+                for machine in [&m, &r] {
+                    prop_assert!(
+                        guest_bytes(machine, SIZE) == bytes && machine.dirty_pages() == touched.len(),
+                        "case {}, step {}: a fork restore did not undo the run",
+                        case, step
+                    );
+                }
+            }
+        }
     }
 }
