@@ -10,7 +10,7 @@
 //! [`TriggerMode::IntrusiveTraps`] — the "insert trap instructions"
 //! fallback the paper calls *very intrusive*.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -98,9 +98,11 @@ impl std::error::Error for InjectorError {}
 #[derive(Debug)]
 pub struct Injector {
     specs: Vec<FaultSpec>,
-    by_fetch: HashMap<u32, Vec<usize>>,
-    by_load: HashMap<u32, Vec<usize>>,
-    by_store: HashMap<u32, Vec<usize>>,
+    /// Trigger sites per kind: the one dispatch structure that both the
+    /// hooks' fast rejects and the slow bodies read.
+    fetch: Sites,
+    load: Sites,
+    store: Sites,
     temporal: Vec<usize>,
     always: Vec<usize>,
     memory_faults: Vec<usize>,
@@ -110,53 +112,77 @@ pub struct Injector {
     fired: Vec<u64>,
     retired: u64,
     rng: StdRng,
-    /// Exact trigger-address sets mirroring the `by_*` table keys, used by
-    /// the hooks to reject uninteresting fetches/loads/stores in a couple
-    /// of integer compares instead of a hash lookup per event. Purely an
-    /// accelerator: membership is exact, so dispatch is unchanged.
-    hot_fetch: AddrSet,
-    hot_load: AddrSet,
-    hot_store: AddrSet,
-    /// When set, skip the fast-rejection filters and walk the dispatch
-    /// tables on every event — the seed implementation's behaviour, kept
-    /// for differential testing and as the benchmark baseline.
+    /// When set, skip the fast rejects and enter the slow bodies on every
+    /// event — the seed implementation's behaviour, kept for differential
+    /// testing and as the benchmark baseline.
     reference_dispatch: bool,
 }
 
-/// A tiny exact address set: range pre-check plus a linear scan. Campaign
-/// fault sets carry at most a handful of trigger addresses (hardware mode
-/// allows two), so misses cost one or two compares.
-#[derive(Debug, Clone, Default)]
-struct AddrSet {
+/// The trigger sites of one kind (fetch, load or store): sorted distinct
+/// trigger addresses, each owning a run of spec indices in one flat
+/// vector. Campaign fault sets carry a handful of addresses (hardware mode
+/// allows two), so a miss costs one or two compares and a hit a short
+/// binary search; nothing is hashed, cloned or allocated per event.
+#[derive(Debug)]
+struct Sites {
     addrs: Vec<u32>,
+    /// `specs[starts[k]..starts[k + 1]]` are the specs triggered at
+    /// `addrs[k]`, in spec order.
+    starts: Vec<usize>,
+    specs: Vec<usize>,
     lo: u32,
     hi: u32,
 }
 
-impl AddrSet {
-    fn build(keys: impl Iterator<Item = u32>) -> AddrSet {
-        let mut addrs: Vec<u32> = keys.collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        let (lo, hi) = match (addrs.first(), addrs.last()) {
-            (Some(&lo), Some(&hi)) => (lo, hi),
-            // Empty: an impossible range so `contains` is always false.
-            _ => (1, 0),
-        };
-        AddrSet { addrs, lo, hi }
+impl Sites {
+    /// Build from `(trigger address, spec index)` pairs.
+    fn build(mut sites: Vec<(u32, usize)>) -> Sites {
+        sites.sort_unstable();
+        let (mut addrs, mut starts) = (Vec::new(), Vec::new());
+        for (k, &(a, _)) in sites.iter().enumerate() {
+            if addrs.last() != Some(&a) {
+                addrs.push(a);
+                starts.push(k);
+            }
+        }
+        starts.push(sites.len());
+        // Empty: an impossible range, so `contains` is always false.
+        let lo = addrs.first().copied().unwrap_or(1);
+        let hi = addrs.last().copied().unwrap_or(0);
+        let specs = sites.into_iter().map(|(_, i)| i).collect();
+        Sites {
+            addrs,
+            starts,
+            specs,
+            lo,
+            hi,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.addrs.is_empty()
     }
 
     #[inline(always)]
     fn contains(&self, a: u32) -> bool {
-        a >= self.lo && a <= self.hi && (self.addrs.len() == 1 || self.addrs.contains(&a))
+        a >= self.lo && a <= self.hi && (self.lo == self.hi || self.addrs.binary_search(&a).is_ok())
     }
 
-    /// Conservative overlap test against `[first, last]` on the set's
-    /// bounding range: may report `true` when no member is actually inside
+    /// Conservative overlap test against `[first, last]` on the sites'
+    /// bounding range: may report `true` when no site is actually inside
     /// (which only costs a fast path), never `false` when one is.
     #[inline(always)]
     fn intersects_range(&self, first: u32, last: u32) -> bool {
         self.lo <= last && self.hi >= first
+    }
+
+    /// Positions in `specs` of the specs triggered at `a` (empty if none).
+    #[inline]
+    fn get(&self, a: u32) -> Range<usize> {
+        match self.addrs.binary_search(&a) {
+            Ok(k) => self.starts[k]..self.starts[k + 1],
+            Err(_) => 0..0,
+        }
     }
 }
 
@@ -196,49 +222,44 @@ impl Injector {
                 });
             }
         }
+        let (mut fetch, mut load, mut store) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut temporal, mut always, mut memory_faults) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, s) in specs.iter().enumerate() {
+            if matches!(s.target, Target::Memory(_)) {
+                memory_faults.push(i);
+                continue;
+            }
+            match s.trigger {
+                Trigger::OpcodeFetch(a) => fetch.push((a, i)),
+                Trigger::OperandLoad(a) => load.push((a, i)),
+                Trigger::OperandStore(a) => store.push((a, i)),
+                Trigger::AfterInstructions(_) => temporal.push(i),
+                Trigger::Always => always.push(i),
+            }
+        }
         let n = specs.len();
-        let mut inj = Injector {
-            by_fetch: HashMap::new(),
-            by_load: HashMap::new(),
-            by_store: HashMap::new(),
-            temporal: Vec::new(),
-            always: Vec::new(),
-            memory_faults: Vec::new(),
+        Ok(Injector {
+            specs,
+            fetch: Sites::build(fetch),
+            load: Sites::build(load),
+            store: Sites::build(store),
+            temporal,
+            always,
+            memory_faults,
             occurrences: vec![0; n],
             armed: vec![false; n],
             latched: vec![false; n],
             fired: vec![0; n],
             retired: 0,
             rng: StdRng::seed_from_u64(seed),
-            specs,
-            hot_fetch: AddrSet::default(),
-            hot_load: AddrSet::default(),
-            hot_store: AddrSet::default(),
             reference_dispatch: false,
-        };
-        for (i, s) in inj.specs.iter().enumerate() {
-            if matches!(s.target, Target::Memory(_)) {
-                inj.memory_faults.push(i);
-                continue;
-            }
-            match s.trigger {
-                Trigger::OpcodeFetch(a) => inj.by_fetch.entry(a).or_default().push(i),
-                Trigger::OperandLoad(a) => inj.by_load.entry(a).or_default().push(i),
-                Trigger::OperandStore(a) => inj.by_store.entry(a).or_default().push(i),
-                Trigger::AfterInstructions(_) => inj.temporal.push(i),
-                Trigger::Always => inj.always.push(i),
-            }
-        }
-        inj.hot_fetch = AddrSet::build(inj.by_fetch.keys().copied());
-        inj.hot_load = AddrSet::build(inj.by_load.keys().copied());
-        inj.hot_store = AddrSet::build(inj.by_store.keys().copied());
-        Ok(inj)
+        })
     }
 
-    /// Disable (or re-enable) the hot-path address filters, falling back to
-    /// the exhaustive table walk of the original implementation.
+    /// Disable (or re-enable) the hooks' fast rejects, entering the slow
+    /// bodies on every event as the original implementation did.
     ///
-    /// The filters are exact, so both dispatchers are observably identical
+    /// The rejects are exact, so both dispatchers are observably identical
     /// (a tested invariant); the reference mode exists for differential
     /// testing and as the cold-boot benchmark baseline.
     pub fn set_reference_dispatch(&mut self, on: bool) {
@@ -258,7 +279,8 @@ impl Injector {
     ///
     /// Propagates [`swifi_vm::Trap`] if a fault addresses unmapped memory.
     pub fn prepare(&mut self, machine: &mut Machine) -> Result<(), swifi_vm::Trap> {
-        for &i in &self.memory_faults.clone() {
+        for k in 0..self.memory_faults.len() {
+            let i = self.memory_faults[k];
             let spec = self.specs[i];
             if let Target::Memory(addr) = spec.target {
                 let old = machine.peek_u32(addr)?;
@@ -343,7 +365,7 @@ impl Inspector for Injector {
     /// `on_fetch` at its trigger address, because that call is where
     /// occurrence counting and arming happen (a `Gpr`-target fault armed
     /// at a fetch address fires later in `on_reg_write` only if the fetch
-    /// hook armed it). So the pin set is the `by_fetch` key set, not just
+    /// hook armed it). So the pin set is every fetch site, not just
     /// the instruction-bus faults. Temporal (`AfterInstructions`) and
     /// `Always` triggers observe *every* fetch, and reference dispatch
     /// promises seed-exact hook sequencing; those demand
@@ -352,9 +374,7 @@ impl Inspector for Injector {
         if self.reference_dispatch || !self.temporal.is_empty() || !self.always.is_empty() {
             return FetchPolicy::All;
         }
-        let mut pcs: Vec<u32> = self.by_fetch.keys().copied().collect();
-        pcs.sort_unstable();
-        FetchPolicy::Pcs(pcs)
+        FetchPolicy::Pcs(self.fetch.addrs.clone())
     }
 
     #[inline]
@@ -362,7 +382,7 @@ impl Inspector for Injector {
         if !self.reference_dispatch
             && self.temporal.is_empty()
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
+            && !self.fetch.contains(pc)
         {
             return;
         }
@@ -373,8 +393,8 @@ impl Inspector for Injector {
     fn on_load_addr(&mut self, _core: usize, pc: u32, addr: &mut u32) {
         if !self.reference_dispatch
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
-            && !self.hot_load.contains(*addr)
+            && !self.fetch.contains(pc)
+            && !self.load.contains(*addr)
         {
             return;
         }
@@ -385,8 +405,8 @@ impl Inspector for Injector {
     fn on_load_value(&mut self, _core: usize, pc: u32, addr: u32, value: &mut u32) {
         if !self.reference_dispatch
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
-            && !self.hot_load.contains(addr)
+            && !self.fetch.contains(pc)
+            && !self.load.contains(addr)
         {
             return;
         }
@@ -397,8 +417,8 @@ impl Inspector for Injector {
     fn on_store_addr(&mut self, _core: usize, pc: u32, addr: &mut u32) {
         if !self.reference_dispatch
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
-            && !self.hot_store.contains(*addr)
+            && !self.fetch.contains(pc)
+            && !self.store.contains(*addr)
         {
             return;
         }
@@ -409,8 +429,8 @@ impl Inspector for Injector {
     fn on_store_value(&mut self, _core: usize, pc: u32, addr: u32, value: &mut u32) {
         if !self.reference_dispatch
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
-            && !self.hot_store.contains(addr)
+            && !self.fetch.contains(pc)
+            && !self.store.contains(addr)
         {
             return;
         }
@@ -419,7 +439,7 @@ impl Inspector for Injector {
 
     #[inline]
     fn on_reg_write(&mut self, _core: usize, pc: u32, reg: u8, value: &mut u32) {
-        if !self.reference_dispatch && !self.hot_fetch.contains(pc) {
+        if !self.reference_dispatch && !self.fetch.contains(pc) {
             return;
         }
         self.reg_write_slow(pc, reg, value);
@@ -430,21 +450,20 @@ impl Inspector for Injector {
         self.retired += 1;
     }
 
-    /// A translated block never contains a pinned (`by_fetch`) PC, so
-    /// inside one every hook above reduces to its fast-reject unless a
-    /// data-address trigger could match a load/store effective address
-    /// (`by_load`/`by_store`), an `Always` spec observes everything, or
-    /// reference dispatch demands seed-exact sequencing. Quiescence is
-    /// exactly the complement of those conditions; the `hot_fetch` range
-    /// check is a defensive overlap test (the translator already refuses
-    /// pinned words).
+    /// A translated block never contains a pinned (fetch-site) PC, so
+    /// inside one every hook above reduces to its fast reject unless a
+    /// load or store site could match an effective address, an `Always`
+    /// spec observes everything, or reference dispatch demands seed-exact
+    /// sequencing. Quiescence is exactly the complement of those
+    /// conditions; the fetch-site range check is a defensive overlap test
+    /// (the translator already refuses pinned words).
     #[inline]
     fn block_quiescent(&self, _core: usize, first_pc: u32, last_pc: u32) -> bool {
         !self.reference_dispatch
             && self.always.is_empty()
-            && self.by_load.is_empty()
-            && self.by_store.is_empty()
-            && !self.hot_fetch.intersects_range(first_pc, last_pc)
+            && self.load.is_empty()
+            && self.store.is_empty()
+            && !self.fetch.intersects_range(first_pc, last_pc)
     }
 
     /// `on_retire` is a bare order-insensitive counter, so a quiescent
@@ -457,11 +476,14 @@ impl Inspector for Injector {
     }
 }
 
-/// The rarely-taken hook bodies, kept out of line so the `Inspector`
-/// methods above inline into the interpreter loops as a couple of
-/// compares. The fast-reject conditions in the trait impl are the exact
-/// complement of what these bodies can react to, so splitting them off is
-/// behaviour-preserving; the differential dispatch test below pins that.
+/// The rarely-taken hook bodies, kept out of line so that each hook above
+/// is a fast reject of a few compares. The hooks themselves are not
+/// inlined everywhere: a release build calls `on_reg_write`,
+/// `on_load_addr`, `on_store_addr` and `on_store_value` as functions from
+/// dozens of sites in the interpreter loops. The fast-reject conditions
+/// are the exact complement of what these bodies can react to, so
+/// splitting them off is behaviour-preserving; the dispatch differentials
+/// pin that.
 impl Injector {
     #[inline(never)]
     fn fetch_slow(&mut self, pc: u32, word: &mut u32) {
@@ -487,10 +509,8 @@ impl Injector {
                 self.fire_value(i, word);
             }
         }
-        let Some(idxs) = self.by_fetch.get(&pc) else {
-            return;
-        };
-        for i in idxs.clone() {
+        for k in self.fetch.get(pc) {
+            let i = self.fetch.specs[k];
             let fires = self.occur(i);
             self.armed[i] = fires;
             match self.specs[i].target {
@@ -512,115 +532,83 @@ impl Injector {
 
     #[inline(never)]
     fn load_addr_slow(&mut self, pc: u32, addr: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::LoadAddress) {
-                    self.fire_value(i, addr);
-                }
-            }
-        }
-        if let Some(idxs) = self.by_load.get(addr) {
-            for i in idxs.clone() {
-                let fires = self.occur(i);
-                self.armed[i] = fires;
-                if fires && matches!(self.specs[i].target, Target::LoadAddress) {
-                    self.fire_value(i, addr);
-                }
-            }
-        }
-        for k in 0..self.always.len() {
-            let i = self.always[k];
-            if self.armed[i] && matches!(self.specs[i].target, Target::LoadAddress) {
-                self.fire_value(i, addr);
-            }
-        }
+        self.fire_armed(|s| &s.fetch, pc, Target::LoadAddress, addr);
+        self.occur_and_fire(|s| &s.load, *addr, Target::LoadAddress, addr);
+        self.fire_armed_always(Target::LoadAddress, addr);
     }
 
     #[inline(never)]
     fn load_value_slow(&mut self, pc: u32, addr: u32, value: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::DataBusLoad) {
-                    self.fire_value(i, value);
-                }
-            }
-        }
-        if let Some(idxs) = self.by_load.get(&addr) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::DataBusLoad) {
-                    self.fire_value(i, value);
-                }
-            }
-        }
-        for k in 0..self.always.len() {
-            let i = self.always[k];
-            if self.armed[i] && matches!(self.specs[i].target, Target::DataBusLoad) {
-                self.fire_value(i, value);
-            }
-        }
+        self.fire_armed(|s| &s.fetch, pc, Target::DataBusLoad, value);
+        self.fire_armed(|s| &s.load, addr, Target::DataBusLoad, value);
+        self.fire_armed_always(Target::DataBusLoad, value);
     }
 
     #[inline(never)]
     fn store_addr_slow(&mut self, pc: u32, addr: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::StoreAddress) {
-                    self.fire_value(i, addr);
-                }
-            }
-        }
-        if let Some(idxs) = self.by_store.get(addr) {
-            for i in idxs.clone() {
-                let fires = self.occur(i);
-                self.armed[i] = fires;
-                if fires && matches!(self.specs[i].target, Target::StoreAddress) {
-                    self.fire_value(i, addr);
-                }
-            }
-        }
-        for k in 0..self.always.len() {
-            let i = self.always[k];
-            if self.armed[i] && matches!(self.specs[i].target, Target::StoreAddress) {
-                self.fire_value(i, addr);
-            }
-        }
+        self.fire_armed(|s| &s.fetch, pc, Target::StoreAddress, addr);
+        self.occur_and_fire(|s| &s.store, *addr, Target::StoreAddress, addr);
+        self.fire_armed_always(Target::StoreAddress, addr);
     }
 
     #[inline(never)]
     fn store_value_slow(&mut self, pc: u32, addr: u32, value: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::DataBusStore) {
-                    self.fire_value(i, value);
-                }
-            }
-        }
-        if let Some(idxs) = self.by_store.get(&addr) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::DataBusStore) {
-                    self.fire_value(i, value);
-                }
-            }
-        }
-        for k in 0..self.always.len() {
-            let i = self.always[k];
-            if self.armed[i] && matches!(self.specs[i].target, Target::DataBusStore) {
+        self.fire_armed(|s| &s.fetch, pc, Target::DataBusStore, value);
+        self.fire_armed(|s| &s.store, addr, Target::DataBusStore, value);
+        self.fire_armed_always(Target::DataBusStore, value);
+    }
+
+    #[inline(never)]
+    fn reg_write_slow(&mut self, pc: u32, reg: u8, value: &mut u32) {
+        self.fire_armed(|s| &s.fetch, pc, Target::Gpr(reg), value);
+    }
+
+    /// Fire the armed specs triggered at `a` in `sites` whose target is
+    /// `target`.
+    #[inline]
+    fn fire_armed(
+        &mut self,
+        sites: impl Fn(&Self) -> &Sites,
+        a: u32,
+        target: Target,
+        value: &mut u32,
+    ) {
+        for k in sites(self).get(a) {
+            let i = sites(self).specs[k];
+            if self.armed[i] && self.specs[i].target == target {
                 self.fire_value(i, value);
             }
         }
     }
 
-    #[inline(never)]
-    fn reg_write_slow(&mut self, pc: u32, reg: u8, value: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] {
-                    if let Target::Gpr(r) = self.specs[i].target {
-                        if r == reg {
-                            self.fire_value(i, value);
-                        }
-                    }
-                }
+    /// Count an occurrence of each spec triggered at data address `a` in
+    /// `sites`, arming it when it fires, and fire the armed ones whose
+    /// target is `target`.
+    #[inline]
+    fn occur_and_fire(
+        &mut self,
+        sites: impl Fn(&Self) -> &Sites,
+        a: u32,
+        target: Target,
+        value: &mut u32,
+    ) {
+        for k in sites(self).get(a) {
+            let i = sites(self).specs[k];
+            let fires = self.occur(i);
+            self.armed[i] = fires;
+            if fires && self.specs[i].target == target {
+                self.fire_value(i, value);
+            }
+        }
+    }
+
+    /// Fire the armed `Always` specs whose target is `target`.
+    #[inline]
+    fn fire_armed_always(&mut self, target: Target, value: &mut u32) {
+        for k in 0..self.always.len() {
+            let i = self.always[k];
+            if self.armed[i] && self.specs[i].target == target {
+                self.fire_value(i, value);
             }
         }
     }
@@ -705,6 +693,24 @@ mod tests {
                 results[0], results[1],
                 "spec {k} diverged between dispatchers"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sites_map_each_address_to_exactly_its_specs(
+            addrs in proptest::collection::vec(0u32..6, 0..8)
+        ) {
+            // Fast and reference dispatch read the same table, so the
+            // dispatch differentials cannot see a table that drops or
+            // misroutes a spec; this checks the table against its input.
+            let sites = Sites::build(addrs.iter().map(|&a| a * 4).zip(0..).collect());
+            for a in 0..28 {
+                let expect: Vec<usize> = (0..addrs.len()).filter(|&i| addrs[i] * 4 == a).collect();
+                let got: Vec<usize> = sites.get(a).map(|k| sites.specs[k]).collect();
+                proptest::prop_assert_eq!(&got, &expect, "address {}", a);
+                proptest::prop_assert_eq!(sites.contains(a), !expect.is_empty(), "address {}", a);
+            }
         }
     }
 

@@ -227,9 +227,17 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Add `delta` to a counter (created at 0 on first touch).
+    /// Add `delta` to a counter (created at 0 on first touch). The sum
+    /// saturates at `u64::MAX` rather than panicking or wrapping; only
+    /// [`MetricsRegistry::merge`] reports overflow, because it combines
+    /// counts imported from elsewhere.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(c) => *c = c.saturating_add(delta),
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Current counter value (0 when never touched).
@@ -526,6 +534,16 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.observe("nope", 1.0);
         assert!(r.histogram("nope").is_none());
+    }
+
+    #[test]
+    fn counter_add_saturates_past_u64_max() {
+        let mut r = MetricsRegistry::new();
+        r.counter_add("runs", u64::MAX - 1);
+        r.counter_add("runs", 5);
+        assert_eq!(r.counter("runs"), u64::MAX);
+        r.counter_add("runs", u64::MAX);
+        assert_eq!(r.counter("runs"), u64::MAX);
     }
 
     #[test]
