@@ -1,11 +1,21 @@
 //! Per-arrival cost of a pinned fault trigger.
 //!
-//! Runs a 20-instruction loop (one load, one store, one register write at
-//! the top) under an `EveryTime` opcode-fetch trigger for each per-event
-//! target kind, and under `Noop` in the same process. Every fault applies
-//! an identity corruption (XOR 0), so the injected run executes exactly
-//! the clean run's instructions: the difference in wall clock is what
-//! reaching the trigger costs, divided by the number of arrivals.
+//! Runs two loop shapes under an `EveryTime` opcode-fetch trigger and
+//! under `Noop` in the same process:
+//!
+//! * a 20-instruction loop (one load, one store, one register write at
+//!   the top), once per per-event target kind;
+//! * the shape of JB.team6's Hang loop (`0x1dc`–`0x228`): a 4-instruction
+//!   head that tests the counter, a 14-instruction body, the counter's
+//!   `stw` (the trigger) and a one-instruction `b` back to the head.
+//!
+//! Every fault applies an identity corruption (XOR 0), so the injected run
+//! executes exactly the clean run's instructions: the difference in wall
+//! clock is what reaching the trigger costs, divided by the number of
+//! arrivals. Each line also prints the block interpreter's fallback
+//! dispatches per arrival (`Machine::block_cache_stats`): about 1 when an
+//! arrival leaves its translated block for the single-step path, about 0
+//! when the trigger runs inside the block as a fetch step.
 //!
 //! `cargo run --release -p swifi-bench --example trigger_arrival`; run by
 //! `scripts/perf_smoke.sh` in its non-gating speedup mode.
@@ -15,7 +25,7 @@ use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
 use swifi_core::injector::{Injector, TriggerMode};
 use swifi_vm::asm::assemble;
 use swifi_vm::machine::{Machine, MachineConfig};
-use swifi_vm::{Inspector, Noop};
+use swifi_vm::{Image, Inspector, Noop};
 
 /// Loop iterations per run: one trigger arrival each.
 const ITERS: u64 = 200_000;
@@ -24,7 +34,7 @@ const REPS: usize = 7;
 
 /// Five words of set-up (`li` of a 32-bit value and `la` take two each),
 /// then the 20-instruction loop.
-const SRC: &str = "
+const LOOP20: &str = "
     li r5, 0
     li r9, 200000
     la r4, slot
@@ -54,35 +64,66 @@ loop:
     .data
     slot: .word 0";
 
-const LOOP: u32 = 0x100 + 5 * 4;
-const LWZ: u32 = LOOP;
-const ADDI: u32 = LOOP + 4;
-const STW: u32 = LOOP + 8;
+const LOOP20_TOP: u32 = 0x100 + 5 * 4;
+const LOOP20_LWZ: u32 = LOOP20_TOP;
+const LOOP20_ADDI: u32 = LOOP20_TOP + 4;
+const LOOP20_STW: u32 = LOOP20_TOP + 8;
 
-/// Run the loop once under `inspector`; returns (retired, seconds).
-fn run<I: Inspector>(inspector: &mut I) -> (u64, f64) {
-    let image = assemble(SRC).expect("probe program assembles");
+/// JB.team6's Hang loop with its registers and stack slots mapped onto a
+/// data block: two words of set-up (`la`), then the loop.
+const SPLIT: &str = "
+    la r4, count
+loop:
+    lwz r14, 0(r4)
+    lwz r15, 4(r4)
+    cmp cr0, r14, r15
+    bc cr0.lt, 0, done
+    lwz r14, 8(r4)
+    addi r15, r4, 12
+    lwz r16, 0(r4)
+    add r15, r15, r16
+    lbz r15, 0(r15)
+    lwz r16, 0(r4)
+    addi r17, r0, 1
+    add r16, r16, r17
+    mullw r15, r15, r16
+    add r14, r14, r15
+    stw r14, 8(r4)
+    lwz r14, 0(r4)
+    addi r15, r0, 1
+    add r14, r14, r15
+    stw r14, 0(r4)
+    b loop
+done:
+    li r3, 0
+    halt
+    .data
+    count: .word 0
+    limit: .word 200000
+    sum: .word 0
+    bytes: .word 0";
+
+/// The counter's `stw`: set-up, 4-instruction head, 14-instruction body.
+const SPLIT_STW: u32 = 0x100 + (2 + 4 + 14) * 4;
+
+/// Run `image` once under `inspector`; returns (retired, seconds,
+/// fallback dispatches).
+fn run<I: Inspector>(image: &Image, inspector: &mut I) -> (u64, f64, u64) {
     let mut m = Machine::new(MachineConfig::default());
-    m.load(&image);
+    m.load(image);
     let t0 = Instant::now();
     let out = m.run(inspector);
     let dt = t0.elapsed().as_secs_f64();
     assert!(out.is_normal(), "probe loop must complete: {out:?}");
-    (m.retired(), dt)
+    (m.retired(), dt, m.block_cache_stats().fallback_dispatches)
 }
 
-fn main() {
-    let cases = [
-        ("InstrBus", Target::InstrBus, ADDI),
-        ("InstrMemory", Target::InstrMemory, ADDI),
-        ("Gpr", Target::Gpr(7), ADDI),
-        ("DataBusLoad", Target::DataBusLoad, LWZ),
-        ("LoadAddress", Target::LoadAddress, LWZ),
-        ("DataBusStore", Target::DataBusStore, STW),
-        ("StoreAddress", Target::StoreAddress, STW),
-    ];
+/// Time `cases` (name, target, trigger pc) on `src` against its `Noop`
+/// run and print one line per case; returns the best `Noop` time.
+fn probe(src: &str, cases: &[(&str, Target, u32)]) -> f64 {
+    let image = assemble(src).expect("probe program assembles");
     let mut noop_best = f64::INFINITY;
-    for (name, target, pc) in cases {
+    for &(name, target, pc) in cases {
         let spec = FaultSpec {
             what: ErrorOp::Xor(0),
             target,
@@ -91,12 +132,14 @@ fn main() {
         };
         let mut noop = f64::INFINITY;
         let mut fault = f64::INFINITY;
+        let mut fallbacks = 0;
         for _ in 0..REPS {
-            let (clean_retired, dt) = run(&mut Noop);
+            let (clean_retired, dt, _) = run(&image, &mut Noop);
             noop = noop.min(dt);
             let mut inj = Injector::new(vec![spec], TriggerMode::Hardware, 1).unwrap();
-            let (retired, dt) = run(&mut inj);
+            let (retired, dt, fb) = run(&image, &mut inj);
             fault = fault.min(dt);
+            fallbacks = fb;
             assert_eq!(
                 retired, clean_retired,
                 "{name}: an identity fault must retire the clean run's instructions"
@@ -105,12 +148,37 @@ fn main() {
         }
         noop_best = noop_best.min(noop);
         println!(
-            "{name:12} {:>6.1} ns per arrival",
-            (fault - noop) * 1e9 / ITERS as f64
+            "{name:18} {:>6.1} ns per arrival, {:.2} fallback dispatches per arrival",
+            (fault - noop) * 1e9 / ITERS as f64,
+            fallbacks as f64 / ITERS as f64
         );
     }
+    noop_best
+}
+
+fn main() {
+    let noop = probe(
+        LOOP20,
+        &[
+            ("InstrBus", Target::InstrBus, LOOP20_ADDI),
+            ("InstrMemory", Target::InstrMemory, LOOP20_ADDI),
+            ("Gpr", Target::Gpr(7), LOOP20_ADDI),
+            ("DataBusLoad", Target::DataBusLoad, LOOP20_LWZ),
+            ("LoadAddress", Target::LoadAddress, LOOP20_LWZ),
+            ("DataBusStore", Target::DataBusStore, LOOP20_STW),
+            ("StoreAddress", Target::StoreAddress, LOOP20_STW),
+        ],
+    );
     println!(
-        "Noop loop    {:>6.1} ns per iteration (20 instructions)",
-        noop_best * 1e9 / ITERS as f64
+        "Noop loop          {:>6.1} ns per iteration (20 instructions)",
+        noop * 1e9 / ITERS as f64
+    );
+    let noop = probe(
+        SPLIT,
+        &[("JB.team6-shape stw", Target::DataBusStore, SPLIT_STW)],
+    );
+    println!(
+        "Noop loop          {:>6.1} ns per iteration (JB.team6 shape, 20 instructions)",
+        noop * 1e9 / ITERS as f64
     );
 }

@@ -95,7 +95,8 @@ pub struct SessionStats {
     /// (a subset of `retired_instrs`).
     pub block_instrs: u64,
     /// Block-mode dispatches that fell back to per-instruction execution
-    /// (untranslatable or pinned words, nearly-exhausted quanta).
+    /// (untranslatable or breakpoint-pinned words, trigger fetches
+    /// corrupted into control words, nearly-exhausted quanta).
     pub block_fallbacks: u64,
     /// Translated blocks discarded because a write touched their words.
     pub block_invalidations: u64,

@@ -168,14 +168,6 @@ impl Sites {
         a >= self.lo && a <= self.hi && (self.lo == self.hi || self.addrs.binary_search(&a).is_ok())
     }
 
-    /// Conservative overlap test against `[first, last]` on the sites'
-    /// bounding range: may report `true` when no site is actually inside
-    /// (which only costs a fast path), never `false` when one is.
-    #[inline(always)]
-    fn intersects_range(&self, first: u32, last: u32) -> bool {
-        self.lo <= last && self.hi >= first
-    }
-
     /// Positions in `specs` of the specs triggered at `a` (empty if none).
     #[inline]
     fn get(&self, a: u32) -> Range<usize> {
@@ -450,20 +442,19 @@ impl Inspector for Injector {
         self.retired += 1;
     }
 
-    /// A translated block never contains a pinned (fetch-site) PC, so
-    /// inside one every hook above reduces to its fast reject unless a
-    /// load or store site could match an effective address, an `Always`
-    /// spec observes everything, or reference dispatch demands seed-exact
-    /// sequencing. Quiescence is exactly the complement of those
-    /// conditions; the fetch-site range check is a defensive overlap test
-    /// (the translator already refuses pinned words).
+    /// A fetch site inside a translated block is a fetch step, which
+    /// calls `on_fetch` and runs its instruction with every hook whatever
+    /// this returns. Every other hook above reduces to its fast reject
+    /// unless a load or store site could match an effective address, an
+    /// `Always` spec observes everything, or reference dispatch demands
+    /// seed-exact sequencing. Quiescence is exactly the complement of
+    /// those conditions.
     #[inline]
-    fn block_quiescent(&self, _core: usize, first_pc: u32, last_pc: u32) -> bool {
+    fn block_quiescent(&self, _core: usize, _first_pc: u32, _last_pc: u32) -> bool {
         !self.reference_dispatch
             && self.always.is_empty()
             && self.load.is_empty()
             && self.store.is_empty()
-            && !self.fetch.intersects_range(first_pc, last_pc)
     }
 
     /// `on_retire` is a bare order-insensitive counter, so a quiescent

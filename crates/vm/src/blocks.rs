@@ -24,32 +24,44 @@
 //!   ([`Term::Fallthrough`]); the instruction itself executes on the
 //!   single-step path, where scheduler state changes and the inlined
 //!   syscall handlers live;
-//! * an unavailable line (pinned PC, illegal word, PC outside the cached
-//!   region) — the block ends before it and the slow fetch path takes
-//!   over, preserving fetch corruption, fetch breakpoints, and precise
+//! * an unavailable line (a fetch-breakpoint pin, an illegal word, a PC
+//!   outside the cached region) — the block ends before it and the slow
+//!   fetch path takes over, preserving fetch breakpoints and precise
 //!   illegal-instruction traps;
+//! * a fault-trigger pin whose word is a branch, syscall, halt or illegal
+//!   word — the block ends before it, as for the unpinned word;
 //! * the block length cap ([`MAX_BLOCK_OPS`]), bounding translation cost
 //!   and quantum interaction.
+//!
+//! A fault-trigger pin whose word is a straight-line instruction does not
+//! end the block: it becomes a [`Step::Fetch`], which offers the word to
+//! `Inspector::on_fetch` in place and runs the instruction with every
+//! hook, so a trigger arrival costs one hooked instruction rather than a
+//! block exit and a single step. If the hook corrupts the word into
+//! something other than a straight-line instruction, the block stops
+//! there and hands the corrupted word to the single-step path.
 //!
 //! Straight-line register ops are additionally collapsed into multi-op
 //! steps where profitable (consecutive `addi` pairs → [`Step::Addi2`], a
 //! `cmpi` feeding the block-ending conditional branch →
 //! [`Term::CmpiCondJump`]), so common loop idioms retire two instructions
-//! per dispatch step.
+//! per dispatch step. Neither fusion takes in a fetch step.
 //!
 //! # Invalidation
 //!
 //! Blocks cache decoded *words*, so any write into the code region must
 //! kill every block covering a written word. All such writes already
 //! funnel through `Memory::invalidate_decoded` (guest stores, injector
-//! pokes, warm-restore and fork-restore word diffs) and the fetch-pin
-//! hooks; those paths append to a small code-write log inside [`Memory`]
+//! pokes, warm-restore and fork-restore word diffs) and every pin
+//! change; those paths append to a small code-write log inside [`Memory`]
 //! which the block interpreter drains before every block dispatch. A store
 //! executed *inside* a block checks the log immediately afterwards and
 //! aborts the block at that point, so self-modifying code observes its own
-//! writes exactly like the per-instruction interpreters.
+//! writes exactly like the per-instruction interpreters. A pin change
+//! also kills the block that ends just before the pinned word, so a block
+//! cut short by a breakpoint pin is rebuilt whole once the pin goes.
 
-use crate::isa::{CrBit, Instr};
+use crate::isa::{self, CrBit, Instr};
 use crate::mem::{Memory, CODE_BASE};
 
 /// Maximum straight-line instructions per translated block. Bounds the cost
@@ -77,8 +89,8 @@ pub struct BlockCacheStats {
     /// session's total retired count).
     pub block_instrs: u64,
     /// Dispatches that fell back to the per-instruction cached/slow paths
-    /// while the block interpreter was active (syscalls, pinned PCs,
-    /// quantum tails, untranslatable words).
+    /// while the block interpreter was active (syscalls, breakpoint pins,
+    /// quantum tails, untranslatable words, corrupted trigger fetches).
     pub fallback_dispatches: u64,
     /// Blocks killed by a write into code they cover, by a fetch-pin
     /// change, or by a whole-cache flush.
@@ -110,16 +122,39 @@ pub(crate) enum Step {
         /// Second `addi`: immediate.
         imm2: i16,
     },
+    /// A straight-line instruction at a fault-trigger pin: its fetch is
+    /// offered to `Inspector::on_fetch` before it runs, and it runs with
+    /// every hook even in a quiescent block.
+    Fetch {
+        /// The code word as translated (blocks die when it is written).
+        word: u32,
+        /// `word` decoded.
+        instr: Instr,
+    },
 }
 
 impl Step {
     /// Instructions this step retires when fully executed.
     fn ops(&self) -> u32 {
         match self {
-            Step::Op(_) => 1,
+            Step::Op(_) | Step::Fetch { .. } => 1,
             Step::Addi2 { .. } => 2,
         }
     }
+}
+
+/// Whether `instr` is a straight-line instruction: one a block body may
+/// hold, as opposed to a control transfer, syscall or halt.
+pub(crate) fn is_straight(instr: &Instr) -> bool {
+    !matches!(
+        instr,
+        Instr::B { .. }
+            | Instr::Bl { .. }
+            | Instr::Bc { .. }
+            | Instr::Blr
+            | Instr::Sc { .. }
+            | Instr::Halt
+    )
 }
 
 /// How a translated block ends. Branch targets are pre-resolved to
@@ -175,8 +210,9 @@ pub(crate) enum Term {
     /// Return through the link register (`blr`); the target is dynamic.
     Return,
     /// The block ends without a control transfer: the next word is a
-    /// syscall/halt, unavailable (pinned/illegal/out of range), or the
-    /// length cap was hit. Execution continues at `next` on the
+    /// syscall/halt, unavailable (breakpoint pin, illegal, out of range),
+    /// a trigger pin on a non-straight-line word, or the length cap was
+    /// hit. Execution continues at `next` on the
     /// per-instruction paths (which re-attempt block dispatch).
     Fallthrough {
         /// PC of the first instruction *not* part of the block.
@@ -230,7 +266,8 @@ impl Block {
 /// Per-word dispatch map entry: no translation attempted yet.
 const NOT_TRANSLATED: u32 = u32::MAX;
 /// Per-word dispatch map entry: translation was attempted and produced no
-/// usable block (word is a syscall/halt/pinned/illegal/out of range).
+/// usable block (word is a syscall/halt/breakpoint-pinned/illegal/out of
+/// range, or a trigger pin on such a word).
 /// Cleared back to [`NOT_TRANSLATED`] when the word is written or a pin
 /// changes, so the situation can be re-evaluated.
 const NO_BLOCK: u32 = u32::MAX - 1;
@@ -278,8 +315,8 @@ impl BlockStore {
     /// Fetch the block starting at `pc`, translating it on first touch.
     ///
     /// Returns `None` when no usable block starts at `pc` (misaligned or
-    /// out-of-range PC, or the word is a syscall/halt/pinned/illegal) —
-    /// the caller falls back to per-instruction dispatch.
+    /// out-of-range PC, or the word is a syscall/halt/breakpoint-pinned/
+    /// illegal) — the caller falls back to per-instruction dispatch.
     #[inline]
     pub(crate) fn lookup_or_translate(
         &mut self,
@@ -305,6 +342,8 @@ impl BlockStore {
     /// Translate the block starting at `pc` (word `idx`), pulling decoded
     /// instructions through the line cache so decode statistics, pins, and
     /// illegal-word handling stay identical to the per-instruction path.
+    /// A trigger-pinned word is read raw and becomes a [`Step::Fetch`]
+    /// when it decodes to a straight-line instruction.
     #[cold]
     fn translate(
         &mut self,
@@ -313,13 +352,22 @@ impl BlockStore {
         mem: &mut Memory,
         stats: &mut BlockCacheStats,
     ) -> Option<&Block> {
-        let mut ops: Vec<Instr> = Vec::new();
+        let mut ops: Vec<Step> = Vec::new();
         let mut cur = pc;
         let term = loop {
             if ops.len() >= MAX_BLOCK_OPS {
                 break Term::Fallthrough { next: cur };
             }
             let Some(instr) = mem.fetch_decoded(cur) else {
+                if let Some(word) = mem.trigger_word(cur) {
+                    if let Ok(instr) = isa::decode(word) {
+                        if is_straight(&instr) {
+                            ops.push(Step::Fetch { word, instr });
+                            cur = cur.wrapping_add(4);
+                            continue;
+                        }
+                    }
+                }
                 break Term::Fallthrough { next: cur };
             };
             match instr {
@@ -347,11 +395,11 @@ impl BlockStore {
                     let fallthrough = cur.wrapping_add(4);
                     cur = cur.wrapping_add(4);
                     // Fuse a compare feeding this branch on the same field.
-                    if let Some(&Instr::Cmpi {
+                    if let Some(&Step::Op(Instr::Cmpi {
                         crf: cmp_crf,
                         ra,
                         imm,
-                    }) = ops.last()
+                    })) = ops.last()
                     {
                         if cmp_crf == crf {
                             ops.pop();
@@ -384,12 +432,12 @@ impl BlockStore {
                     break Term::Fallthrough { next: cur };
                 }
                 straight => {
-                    ops.push(straight);
+                    ops.push(Step::Op(straight));
                     cur = cur.wrapping_add(4);
                 }
             }
         };
-        let cost = ops.len() as u32 + term.ops();
+        let cost = ops.iter().map(Step::ops).sum::<u32>() + term.ops();
         if cost == 0 {
             // Nothing executable from here on the block path; remember
             // that so dispatch stops re-attempting translation.
@@ -400,17 +448,17 @@ impl BlockStore {
         let mut body: Vec<Step> = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
-            if let Instr::Addi {
+            if let Step::Op(Instr::Addi {
                 rd: rd1,
                 ra: ra1,
                 imm: imm1,
-            } = ops[i]
+            }) = ops[i]
             {
-                if let Some(&Instr::Addi {
+                if let Some(&Step::Op(Instr::Addi {
                     rd: rd2,
                     ra: ra2,
                     imm: imm2,
-                }) = ops.get(i + 1)
+                })) = ops.get(i + 1)
                 {
                     body.push(Step::Addi2 {
                         rd1,
@@ -424,7 +472,7 @@ impl BlockStore {
                     continue;
                 }
             }
-            body.push(Step::Op(ops[i]));
+            body.push(ops[i]);
             i += 1;
         }
         debug_assert_eq!(
@@ -604,15 +652,113 @@ mod tests {
                 next: CODE_BASE + 12
             }
         );
-        // Pinned words refuse to head blocks.
+        // Breakpoint-pinned words refuse to head blocks.
         let mut mem2 = code_mem(&[addi(3, 0, 1), addi(4, 0, 2)]);
-        mem2.pin_fetch_slow(CODE_BASE);
+        mem2.pin_breakpoint(CODE_BASE);
         let mut cache2 = BlockCache::default();
         cache2.init(2);
         assert!(cache2
             .store
             .lookup_or_translate(CODE_BASE, &mut mem2, &mut cache2.stats)
             .is_none());
+    }
+
+    #[test]
+    fn trigger_pins_become_fetch_steps_that_nothing_fuses_across() {
+        let cmpi = isa::encode(Instr::Cmpi {
+            crf: 0,
+            ra: 5,
+            imm: 0,
+        });
+        let bc = isa::encode(Instr::Bc {
+            crf: 0,
+            bit: CrBit::Eq,
+            expect: true,
+            off: -3,
+        });
+        let mut mem = code_mem(&[addi(3, 0, 1), addi(4, 0, 2), addi(5, 5, -1), cmpi, bc]);
+        // A trigger on the second addi and one on the cmpi: the addi pair
+        // and the cmpi/bc pair must both stay unfused.
+        mem.pin_trigger(CODE_BASE + 4);
+        mem.pin_trigger(CODE_BASE + 12);
+        let mut cache = BlockCache::default();
+        cache.init(5);
+        let b = cache
+            .store
+            .lookup_or_translate(CODE_BASE, &mut mem, &mut cache.stats)
+            .expect("a trigger pin does not end the block");
+        assert_eq!(b.cost, 5);
+        assert_eq!(
+            &b.body[..],
+            &[
+                Step::Op(Instr::Addi {
+                    rd: 3,
+                    ra: 0,
+                    imm: 1
+                }),
+                Step::Fetch {
+                    word: addi(4, 0, 2),
+                    instr: Instr::Addi {
+                        rd: 4,
+                        ra: 0,
+                        imm: 2
+                    }
+                },
+                Step::Op(Instr::Addi {
+                    rd: 5,
+                    ra: 5,
+                    imm: -1
+                }),
+                Step::Fetch {
+                    word: cmpi,
+                    instr: isa::decode(cmpi).unwrap()
+                },
+            ]
+        );
+        assert!(matches!(b.term, Term::CondJump { .. }));
+        // A block may start at a trigger pin.
+        let b2 = cache
+            .store
+            .lookup_or_translate(CODE_BASE + 4, &mut mem, &mut cache.stats)
+            .unwrap();
+        assert!(matches!(b2.body[0], Step::Fetch { .. }));
+    }
+
+    #[test]
+    fn trigger_pins_on_control_words_still_end_blocks() {
+        let sc = isa::encode(Instr::Sc {
+            call: Syscall::PrintInt,
+        });
+        let mut mem = code_mem(&[
+            addi(3, 0, 1),
+            isa::encode(Instr::Blr),
+            addi(3, 0, 1),
+            sc,
+            addi(3, 0, 1),
+            0, /* illegal */
+        ]);
+        for w in [1, 3, 5] {
+            mem.pin_trigger(CODE_BASE + w * 4);
+        }
+        let mut cache = BlockCache::default();
+        cache.init(6);
+        for (start, next) in [(0, 1), (2, 3), (4, 5)] {
+            let b = cache
+                .store
+                .lookup_or_translate(CODE_BASE + start * 4, &mut mem, &mut cache.stats)
+                .unwrap();
+            assert_eq!(b.cost, 1, "block at word {start}");
+            assert_eq!(
+                b.term,
+                Term::Fallthrough {
+                    next: CODE_BASE + next * 4
+                }
+            );
+            assert!(cache
+                .store
+                .lookup_or_translate(CODE_BASE + next * 4, &mut mem, &mut cache.stats)
+                .is_none());
+        }
     }
 
     #[test]

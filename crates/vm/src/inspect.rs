@@ -114,14 +114,18 @@ pub trait Inspector {
     /// `[first_pc, last_pc]` (inclusive, contiguous code words) without
     /// calling the per-instruction hooks?
     ///
-    /// Returning `true` is a promise that, for every pc in the range and
-    /// for loads/stores at *any* effective address, `on_load_addr`,
-    /// `on_load_value`, `on_store_addr`, `on_store_value`, and
-    /// `on_reg_write` would not observe or mutate anything, and that
-    /// `on_retire` is insensitive to being replaced by one
+    /// Returning `true` is a promise that, for every pc in the range other
+    /// than the [`FetchPolicy::Pcs`] trigger pins, and for loads/stores
+    /// at *any* effective address, `on_load_addr`, `on_load_value`,
+    /// `on_store_addr`, `on_store_value`, and `on_reg_write` would not
+    /// observe or mutate anything, and that `on_retire` is insensitive to
+    /// being replaced by one
     /// [`on_block_retire`](Inspector::on_block_retire) call at the end of
     /// the range. The interpreter then runs the block on a hook-free fast
     /// path; per-instruction trap PCs and retired counts are unchanged.
+    /// Hooks at a trigger pin inside the block always fire: the block
+    /// calls `on_fetch` there and runs that instruction with every hook
+    /// (its `on_retire` is batched with the block's).
     ///
     /// The conservative default is `false` (always correct: every hook is
     /// delivered per instruction). Queried once per block dispatch, so it

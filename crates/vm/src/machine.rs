@@ -49,7 +49,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
 
-use crate::blocks::{Block, BlockCache, BlockCacheStats, Step, Term};
+use crate::blocks::{is_straight, Block, BlockCache, BlockCacheStats, Step, Term};
 use crate::inspect::{FetchPolicy, Inspector};
 use crate::isa::{self, AluOp, CrBit, Instr, Syscall};
 use crate::mem::{
@@ -294,8 +294,10 @@ enum RunControl {
 /// machine pauses just before the listed arrivals `(pc, occurrence)` at
 /// each watched PC.
 ///
-/// A PC stays pinned and counted until its last listed occurrence pauses
-/// the machine; it then leaves the set and is unpinned, so calling
+/// A PC stays breakpoint-pinned and counted until its last listed
+/// occurrence pauses the machine; it then leaves the set and loses its
+/// breakpoint pin (a PC the fetch policy pins is a trigger pin again), so
+/// calling
 /// [`Machine::run_to_watch`] again continues the same run to the next
 /// watched arrival. One clean run thus pauses at every listed arrival of
 /// every watched PC, and the rest of the run stays in blocks.
@@ -309,9 +311,9 @@ pub struct FetchWatch {
     /// The 1-based arrivals each PC of `pcs` still pauses at, descending,
     /// so the next one is last.
     pauses: Vec<Vec<u64>>,
-    /// Whether each PC of `pcs` was pinned by this watch rather than by
-    /// the inspector's fetch policy, so a finished PC unpins only its own
-    /// pins.
+    /// Whether each PC of `pcs` was pinned by this watch alone rather than
+    /// also by the inspector's fetch policy: a finished PC drops its
+    /// breakpoint pin, and a PC the policy pins gets its trigger pin back.
     owned: Vec<bool>,
     /// Set by the first [`Machine::run_to_watch`], which installs the
     /// run's fetch policy and pins the watched PCs; later calls continue.
@@ -468,10 +470,17 @@ pub struct Machine {
     /// (default). When `false` they use the per-instruction line-cached
     /// path — an execution-strategy toggle, never a semantic change.
     block_interp: bool,
-    /// PCs pinned to the slow path for the current run (the active
-    /// inspector's [`FetchPolicy::Pcs`] set); unpinned when the next run
+    /// PCs pinned for the current run: the active inspector's
+    /// [`FetchPolicy::Pcs`] set (trigger pins) and the PCs a fetch watch
+    /// pinned for itself (breakpoint pins); unpinned when the next run
     /// installs its own policy.
     pinned_pcs: Vec<u32>,
+    /// A word a block's fetch step fetched and offered to `on_fetch`, and
+    /// that the hook turned into something the block cannot run (a
+    /// branch, syscall, halt or illegal word): the next
+    /// [`Machine::step`] executes it instead of fetching again, so the
+    /// arrival reaches the hook once.
+    pending_fetch: Option<u32>,
     /// Wall-clock watchdog for the current run: when set, [`Machine::run`]
     /// returns [`RunOutcome::Hang`] once the deadline passes — defense in
     /// depth above the instruction budget for runs that are slow rather
@@ -518,6 +527,7 @@ impl Machine {
             pin_all: false,
             block_interp: true,
             pinned_pcs: Vec::new(),
+            pending_fetch: None,
             deadline: None,
             poll_at: u64::MAX,
             fetch_break: None,
@@ -771,24 +781,27 @@ impl Machine {
         self.blocks.stats
     }
 
-    /// Install `policy` for the coming run: drop pins from the previous
-    /// run, then pin the PCs the new inspector may corrupt at fetch time.
+    /// Install `policy` for the coming run: drop the previous run's pins
+    /// that the new policy does not keep, then trigger-pin the PCs the new
+    /// inspector may corrupt at fetch time. A PC pinned for both runs
+    /// keeps its pin, so the blocks built over it stay valid.
     fn apply_fetch_policy(&mut self, policy: FetchPolicy) {
         let old = std::mem::take(&mut self.pinned_pcs);
+        let (pin_all, pcs) = match policy {
+            FetchPolicy::None => (false, Vec::new()),
+            FetchPolicy::All => (true, Vec::new()),
+            FetchPolicy::Pcs(pcs) => (false, pcs),
+        };
+        self.pin_all = pin_all;
         for pc in old {
-            self.mem.unpin_fetch(pc);
-        }
-        match policy {
-            FetchPolicy::None => self.pin_all = false,
-            FetchPolicy::All => self.pin_all = true,
-            FetchPolicy::Pcs(pcs) => {
-                self.pin_all = false;
-                for &pc in &pcs {
-                    self.mem.pin_fetch_slow(pc);
-                }
-                self.pinned_pcs = pcs;
+            if !pcs.contains(&pc) {
+                self.mem.unpin_fetch(pc);
             }
         }
+        for &pc in &pcs {
+            self.mem.pin_trigger(pc);
+        }
+        self.pinned_pcs = pcs;
     }
 
     /// Execute until completion, trap, or budget/output exhaustion.
@@ -809,13 +822,15 @@ impl Machine {
     /// Execute until a PC of `watch` is about to be fetched for one of its
     /// listed occurrences, or until the run ends first.
     ///
-    /// The first call installs `inspector`'s fetch policy and pins every
-    /// watched PC to the slow fetch path, so the cached interpreter funnels
-    /// each arrival through the step path where the breakpoints are
-    /// checked. A hit at a PC's last listed occurrence removes the PC from
-    /// `watch` and unpins it; calling again with the same watch and
-    /// inspector continues the paused run. Pins left at the end are
-    /// dropped when the next run installs its policy.
+    /// The first call installs `inspector`'s fetch policy and puts a
+    /// breakpoint pin on every watched PC, trigger-pinned or not, so no
+    /// translated block covers it and the cached interpreter funnels each
+    /// arrival through the step path where the breakpoints are checked. A
+    /// hit at a PC's last listed occurrence removes the PC from `watch`
+    /// and drops its breakpoint pin, restoring the trigger pin where the
+    /// policy has one; calling again with the same watch and inspector
+    /// continues the paused run. Pins left at the end are dropped when
+    /// the next run installs its policy.
     ///
     /// # Panics
     ///
@@ -836,8 +851,8 @@ impl Machine {
         if !watch.armed {
             self.apply_fetch_policy(inspector.fetch_policy());
             for (&pc, owned) in watch.pcs.iter().zip(&mut watch.owned) {
+                self.mem.pin_breakpoint(pc);
                 if !self.pinned_pcs.contains(&pc) {
-                    self.mem.pin_fetch_slow(pc);
                     self.pinned_pcs.push(pc);
                     *owned = true;
                 }
@@ -863,6 +878,8 @@ impl Machine {
                     if watch.owned.remove(i) {
                         self.mem.unpin_fetch(pc);
                         self.pinned_pcs.retain(|&p| p != pc);
+                    } else {
+                        self.mem.pin_trigger(pc);
                     }
                 }
                 FetchStop::Hit(pc, occ)
@@ -1015,9 +1032,11 @@ impl Machine {
     /// the differential property suite pins both paths to `step`.
     ///
     /// With `BLOCKS`, each dispatch first tries a whole translated block
-    /// (see [`crate::blocks`] and [`run_block`]). Anything a block cannot
-    /// represent — pinned PCs, syscalls, halts, illegal words, PCs outside
-    /// the cache, a block that would overrun the quantum or budget
+    /// (see [`crate::blocks`] and [`run_block`]); a trigger-pinned data
+    /// instruction runs inside its block as a fetch step. Anything a block
+    /// cannot represent — breakpoint pins, syscalls, halts, illegal words,
+    /// PCs outside the cache, a trigger fetch corrupted into one of
+    /// those, a block that would overrun the quantum or budget
     /// countdown — falls through to the per-instruction code, so
     /// observables and accounting are byte-for-byte the same. The const
     /// generic compiles each mode to its own loop with no dynamic dispatch,
@@ -1052,6 +1071,7 @@ impl Machine {
                     alloc,
                     input,
                     output,
+                    pending_fetch,
                     ..
                 } = &mut *self;
                 let num_cores = cores.len();
@@ -1133,10 +1153,18 @@ impl Machine {
                                 };
                                 match ran {
                                     Ok(next) => pc = next,
-                                    Err((t, at)) => {
+                                    Err((Stop::Trap(t), at)) => {
                                         pc = at;
                                         commit!();
                                         return Err((t, at));
+                                    }
+                                    Err((Stop::Fetched(word), at)) => {
+                                        // `step` executes the fetched
+                                        // word without fetching it again.
+                                        pc = at;
+                                        *pending_fetch = Some(word);
+                                        commit!();
+                                        break 'tight true;
                                     }
                                 }
                                 continue;
@@ -1267,6 +1295,8 @@ impl Machine {
     /// corruption, decode the (possibly corrupted) result. Taken for pinned
     /// PCs, PCs outside the cached code region, words that do not decode,
     /// and — for every PC — under `FetchPolicy::All` or reference mode.
+    /// A word left pending by a block's fetch step was already read,
+    /// counted and offered to the inspector; it is only decoded here.
     #[inline]
     fn fetch_slow<I: Inspector>(
         &mut self,
@@ -1274,9 +1304,15 @@ impl Machine {
         pc: u32,
         insp: &mut I,
     ) -> Result<Instr, (Trap, u32)> {
-        self.mem.note_slow_fetch();
-        let mut word = self.mem.read_u32(pc).map_err(|t| (t, pc))?;
-        insp.on_fetch(c, pc, &mut word);
+        let word = match self.pending_fetch.take() {
+            Some(word) => word,
+            None => {
+                self.mem.note_slow_fetch();
+                let mut word = self.mem.read_u32(pc).map_err(|t| (t, pc))?;
+                insp.on_fetch(c, pc, &mut word);
+                word
+            }
+        };
         isa::decode(word).map_err(|e| (Trap::IllegalInstruction { word: e.word }, pc))
     }
 
@@ -1303,8 +1339,15 @@ impl Machine {
             // case that needs fetch semantics (pin, illegal word, PC
             // outside the cache, misalignment) — fall back to the exact
             // seed path so traps and `on_fetch` corruption are identical.
+            // A pending fetch is always at a trigger pin, hence `None`.
             match self.mem.fetch_decoded(pc) {
-                Some(i) => i,
+                Some(i) => {
+                    debug_assert!(
+                        self.pending_fetch.is_none(),
+                        "pending fetch at a cached line"
+                    );
+                    i
+                }
                 None => self.fetch_slow(c, pc, insp)?,
             }
         };
@@ -1679,6 +1722,17 @@ fn exec_data<I: Inspector, const HOOKS: bool>(
     Ok(false)
 }
 
+/// Why a block stopped before its end, other than a store into code.
+#[derive(Debug)]
+enum Stop {
+    /// An instruction trapped.
+    Trap(Trap),
+    /// A fetch step's hook corrupted its word into one the block cannot
+    /// run (a branch, syscall, halt or illegal word); `Machine::step`
+    /// executes it.
+    Fetched(u32),
+}
+
 /// Run translated block `blk` on core `c` from `start`: the block
 /// interpreter's dispatch body. `left` is the caller's fused
 /// quantum/budget countdown, already charged the block's full cost; an
@@ -1687,13 +1741,16 @@ fn exec_data<I: Inspector, const HOOKS: bool>(
 /// With `HOOKS`, every instruction fires its hooks and then its own
 /// `on_retire`, in the line loop's order. Without, the inspector has
 /// vouched (see `Inspector::block_quiescent`) that every per-instruction
-/// hook over the block is a no-op and that retires may be batched: the
-/// block makes one `on_block_retire` call. Block instructions are
-/// contiguous, so the pc of the `n`-th is `start + 4·n` either way.
+/// hook over the block's plain steps is a no-op and that retires may be
+/// batched: the block makes one `on_block_retire` call. Fetch steps call
+/// `on_fetch` and run their instruction with every hook either way; their
+/// retires are batched with the rest. Block instructions are contiguous,
+/// so the pc of the `n`-th is `start + 4·n`.
 ///
 /// Returns the pc execution continues at: the terminator's successor, or
 /// the word after a store into code (the block stops there so the next
-/// dispatch re-reads the patched code); or a trap and the faulting pc.
+/// dispatch re-reads the patched code); or why the block stopped early
+/// and the pc of the instruction that stopped it.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn run_block<I: Inspector, const HOOKS: bool>(
@@ -1705,38 +1762,45 @@ fn run_block<I: Inspector, const HOOKS: bool>(
     blk: &Block,
     stats: &mut BlockCacheStats,
     left: &mut u64,
-) -> Result<u32, (Trap, u32)> {
+) -> Result<u32, (Stop, u32)> {
     let mut done: u32 = 0;
+    macro_rules! pc {
+        () => {
+            start.wrapping_add(done.wrapping_mul(4))
+        };
+    }
     macro_rules! retire {
         () => {{
             if HOOKS {
-                insp.on_retire(c, start.wrapping_add(done.wrapping_mul(4)));
+                insp.on_retire(c, pc!());
             }
             done += 1;
         }};
     }
-    // One body instruction: a trap, or a store into code, leaves `'body`.
-    macro_rules! op {
-        ($body:lifetime, $instr:expr) => {
-            match exec_data::<I, HOOKS>(
-                core,
-                mem,
-                insp,
-                c,
-                start.wrapping_add(done.wrapping_mul(4)),
-                $instr,
-            ) {
+    // Settle one body instruction's result: a stop, or a store into code,
+    // leaves `'body`.
+    macro_rules! settle {
+        ($body:lifetime, $ran:expr) => {
+            match $ran {
                 Ok(stored) => {
                     retire!();
                     if stored && mem.has_code_writes() {
                         break $body None;
                     }
                 }
-                Err(t) => break $body Some(t),
+                Err(stop) => break $body Some(stop),
             }
         };
     }
-    let trap = 'body: {
+    macro_rules! op {
+        ($body:lifetime, $instr:expr) => {
+            settle!(
+                $body,
+                exec_data::<I, HOOKS>(core, mem, insp, c, pc!(), $instr).map_err(Stop::Trap)
+            )
+        };
+    }
+    let stop = 'body: {
         for step in blk.body.iter() {
             match *step {
                 Step::Op(ref instr) => op!('body, instr),
@@ -1751,6 +1815,10 @@ fn run_block<I: Inspector, const HOOKS: bool>(
                     op!('body, &Instr::Addi { rd: rd1, ra: ra1, imm: imm1 });
                     op!('body, &Instr::Addi { rd: rd2, ra: ra2, imm: imm2 });
                 }
+                Step::Fetch { word, ref instr } => settle!(
+                    'body,
+                    fetch_step(core, mem, insp, c, pc!(), word, instr)
+                ),
             }
         }
         let next = match blk.term {
@@ -1816,11 +1884,45 @@ fn run_block<I: Inspector, const HOOKS: bool>(
     }
     stats.block_instrs += u64::from(done);
     *left += u64::from(blk.cost - done);
-    let at = start.wrapping_add(done.wrapping_mul(4));
-    match trap {
-        Some(t) => Err((t, at)),
+    let at = pc!();
+    match stop {
+        Some(stop) => Err((stop, at)),
         None => Ok(at),
     }
+}
+
+/// A block's fetch step at trigger pin `pc`: count the slow fetch, offer
+/// `word` to `on_fetch`, and run the instruction with every hook — the
+/// predecoded `instr` if the hook left the word alone, the corrupted
+/// word's instruction if it is still straight-line. Any other corrupted
+/// word stops the block. Out of line: it runs once per trigger arrival,
+/// and inlining it would grow every block dispatch loop.
+#[inline(never)]
+fn fetch_step<I: Inspector>(
+    core: &mut Cpu,
+    mem: &mut Memory,
+    insp: &mut I,
+    c: usize,
+    pc: u32,
+    word: u32,
+    instr: &Instr,
+) -> Result<bool, Stop> {
+    mem.note_slow_fetch();
+    let mut fetched = word;
+    insp.on_fetch(c, pc, &mut fetched);
+    let corrupted;
+    let instr = if fetched == word {
+        instr
+    } else {
+        match isa::decode(fetched) {
+            Ok(i) if is_straight(&i) => {
+                corrupted = i;
+                &corrupted
+            }
+            _ => return Err(Stop::Fetched(fetched)),
+        }
+    };
+    exec_data::<I, true>(core, mem, insp, c, pc, instr).map_err(Stop::Trap)
 }
 
 #[cfg(test)]
@@ -2632,6 +2734,86 @@ mod tests {
             assert!(matches!(stop, FetchStop::Finished(ref o) if o.output() == b"....."));
             assert_eq!(watch.pending().collect::<Vec<_>>(), [(body, 5)]);
             assert!(!watch.is_empty());
+        }
+    }
+
+    #[test]
+    fn run_to_watch_on_a_trigger_pin_pauses_then_restores_the_trigger() {
+        // The watched PC is also in the inspector's fetch policy, on a data
+        // instruction in the middle of the loop's block. The pass must
+        // pause at each listed arrival, and every arrival, paused or not,
+        // must reach `on_fetch` exactly once. After the last pause the PC
+        // is a trigger pin again, so the block the breakpoint cut short
+        // is rebuilt whole and the rest of the loop runs as one block per
+        // iteration, with the arrival as a fetch step.
+        struct CountAt {
+            pc: u32,
+            seen: u64,
+        }
+        impl Inspector for CountAt {
+            fn fetch_policy(&self) -> FetchPolicy {
+                FetchPolicy::Pcs(vec![self.pc])
+            }
+            fn on_fetch(&mut self, _c: usize, pc: u32, _word: &mut u32) {
+                assert_eq!(pc, self.pc, "only the trigger pin reaches on_fetch");
+                self.seen += 1;
+            }
+        }
+        let image = assemble(
+            "addi r5, r0, 20
+             loop:
+             addi r7, r7, 2
+             addi r6, r6, 1
+             addi r5, r5, -1
+             cmpi cr0, r5, 0
+             bc cr0.gt, 1, loop
+             addi r3, r0, 0
+             halt",
+        )
+        .expect("assembles");
+        let pc = CODE_BASE + 8;
+        for block_interp in [true, false] {
+            let fresh = || {
+                let mut m = Machine::new(MachineConfig::default());
+                m.set_block_interp(block_interp);
+                m.load(&image);
+                m
+            };
+            let mut m = fresh();
+            let mut insp = CountAt { pc, seen: 0 };
+            let mut watch = FetchWatch::new([(pc, 3), (pc, 7)]);
+            for occ in [3, 7] {
+                assert_eq!(
+                    m.run_to_watch(&mut watch, &mut insp),
+                    FetchStop::Hit(pc, occ)
+                );
+                assert_eq!(insp.seen, occ - 1, "the paused arrival is not fetched yet");
+                let mut single = fresh();
+                run_to_fetch(&mut single, pc, occ);
+                assert_eq!(m.retired(), single.retired(), "blocks={block_interp}");
+            }
+            assert!(watch.is_empty());
+            let (blocks, slow) = (m.block_cache_stats(), m.decode_cache_stats().slow_fetches);
+            let stop = m.run_to_watch(&mut watch, &mut insp);
+            assert!(matches!(
+                stop,
+                FetchStop::Finished(RunOutcome::Completed { exit_code: 0, .. })
+            ));
+            assert_eq!(
+                insp.seen, 20,
+                "one on_fetch per arrival, blocks={block_interp}"
+            );
+            assert_eq!(m.decode_cache_stats().slow_fetches - slow, 14);
+            if block_interp {
+                // The resumed arrival runs in the block that starts at
+                // the pin, the other 13 iterations take one block each,
+                // then the exit block; only the `halt` falls back. A
+                // block left cut short at the pin would double the hits.
+                let after = m.block_cache_stats();
+                let fallbacks = after.fallback_dispatches - blocks.fallback_dispatches;
+                let hits = after.block_hits - blocks.block_hits;
+                assert_eq!((fallbacks, hits), (1, 15), "after the last pause");
+            }
         }
     }
 

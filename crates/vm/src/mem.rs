@@ -68,10 +68,19 @@ enum Line {
     Decoded(Instr),
     /// The word does not decode; the slow path re-raises the precise trap.
     Illegal,
-    /// An inspector may corrupt fetches from this PC: always take the slow
-    /// path. Pins survive invalidation — a guest store to a pinned address
-    /// changes the word but not the fact that the PC is armed.
-    Pinned,
+    /// A fetch breakpoint (`Machine::run_to_watch`) is armed at this PC:
+    /// every arrival must reach the single-step path, where breakpoints
+    /// are checked, so no translated block covers the word.
+    Break,
+    /// A fault trigger (the inspector's `FetchPolicy::Pcs`) is armed at
+    /// this PC: every fetch must be offered to `on_fetch`. The line loop
+    /// and the single-step path take the slow fetch path here; the block
+    /// translator instead emits a fetch step that calls the hook inside
+    /// the block (see `crate::blocks`).
+    ///
+    /// Both pin states survive invalidation: a guest store to a pinned
+    /// address changes the word but not the fact that the PC is armed.
+    Trigger,
 }
 
 /// Lazily built predecoded instruction cache over the code region.
@@ -107,7 +116,7 @@ struct ICache {
 const CODE_WRITE_LOG_CAP: usize = 32;
 
 impl ICache {
-    /// Record that words `first..=last` changed (or changed pin state).
+    /// Record that words `first..=last` changed.
     #[inline]
     fn log_code_write(&mut self, first: u32, last: u32) {
         if self.code_writes.len() < CODE_WRITE_LOG_CAP {
@@ -115,6 +124,16 @@ impl ICache {
         } else {
             self.code_writes_overflow = true;
         }
+    }
+
+    /// Record that word `idx` changed pin state. The blocks built for its
+    /// old state are the ones covering it (a fetch step, or a word a
+    /// trigger pin now needs as one) and the one that ends just before
+    /// it (cut short by a breakpoint pin, or by a trigger pin on a
+    /// control word): logging the word before it too kills both, so each
+    /// retranslates in the form the new state allows.
+    fn log_pin_change(&mut self, idx: usize) {
+        self.log_code_write((idx as u32).saturating_sub(1), idx as u32);
     }
 }
 
@@ -429,9 +448,9 @@ impl Memory {
     ///
     /// Returns `None` whenever the slow fetch→hook→decode path must run
     /// instead: `pc` outside or misaligned within the cached region, a
-    /// pinned (fetch-armed) line, or a word that previously failed to
-    /// decode (the slow path re-raises the precise `IllegalInstruction`
-    /// trap with the offending word).
+    /// pinned (breakpoint or trigger) line, or a word that previously
+    /// failed to decode (the slow path re-raises the precise
+    /// `IllegalInstruction` trap with the offending word).
     #[inline]
     pub(crate) fn fetch_decoded(&mut self, pc: u32) -> Option<Instr> {
         // `pc < CODE_BASE` wraps to a huge offset and `pc >= limit` lands
@@ -446,8 +465,26 @@ impl Memory {
             None => None,
             Some(Line::Decoded(i)) => Some(i),
             Some(Line::Empty) => self.build_line(pc, idx),
-            Some(Line::Illegal) | Some(Line::Pinned) => None,
+            Some(Line::Illegal | Line::Break | Line::Trigger) => None,
         }
+    }
+
+    /// The raw code word at `pc` if a fault trigger is pinned there (see
+    /// [`Memory::pin_trigger`]); `None` for every other line. The block
+    /// translator reads trigger words through this to emit fetch steps.
+    pub(crate) fn trigger_word(&self, pc: u32) -> Option<u32> {
+        let idx = self.line_index(pc)?;
+        if self.icache.lines[idx] != Line::Trigger {
+            return None;
+        }
+        self.read_u32(pc).ok()
+    }
+
+    /// The line of `pc`, if it is a word-aligned PC of the cached region.
+    fn line_index(&self, pc: u32) -> Option<usize> {
+        let off = pc.wrapping_sub(CODE_BASE);
+        let idx = (off >> 2) as usize;
+        (off & 3 == 0 && idx < self.icache.lines.len()).then_some(idx)
     }
 
     /// Decode the code word at `pc` into line `idx` (first touch after
@@ -478,7 +515,8 @@ impl Memory {
     /// Invalidate every decoded line covering `[addr, addr + len)`.
     ///
     /// Pinned lines stay pinned: a write to an armed PC changes the word
-    /// but not the fact that fetches from it must take the slow path.
+    /// but not the fact that fetches from it must be offered to the
+    /// inspector or the breakpoint check.
     /// The early-out makes this free for the overwhelmingly common case of
     /// stores above the code region (data/heap/stack).
     #[inline]
@@ -489,7 +527,7 @@ impl Memory {
         let first = (addr.max(CODE_BASE) - CODE_BASE) as usize / 4;
         let last = (((addr + len - 1).min(self.icache.limit - 1)) - CODE_BASE) as usize / 4;
         // The block cache must see every write into code, even to words
-        // whose lines are Empty or Pinned — a block can cover those too.
+        // whose lines are Empty or Trigger — a block can cover those too.
         self.icache.log_code_write(first as u32, last as u32);
         for line in &mut self.icache.lines[first..=last] {
             match *line {
@@ -497,34 +535,44 @@ impl Memory {
                     *line = Line::Empty;
                     self.icache.stats.lines_invalidated += 1;
                 }
-                Line::Empty | Line::Pinned => {}
+                Line::Empty | Line::Break | Line::Trigger => {}
             }
         }
     }
 
-    /// Pin `pc` to the slow fetch path (an inspector may corrupt fetches
-    /// from it). No-op outside the cached region — the slow path already
-    /// covers such PCs.
-    pub(crate) fn pin_fetch_slow(&mut self, pc: u32) {
-        if pc >= CODE_BASE && pc < self.icache.limit && pc.is_multiple_of(4) {
-            let idx = ((pc - CODE_BASE) / 4) as usize;
-            self.icache.lines[idx] = Line::Pinned;
-            // Blocks covering a newly armed PC must die so fetches from it
-            // funnel through the single-step slow path.
-            self.icache.log_code_write(idx as u32, idx as u32);
+    /// Arm a fetch breakpoint at `pc`: no translated block may cover the
+    /// word, so every arrival takes the single-step path. Overrides a
+    /// trigger pin until [`Memory::pin_trigger`] restores it. No-op
+    /// outside the cached region — the slow path already covers such PCs.
+    pub(crate) fn pin_breakpoint(&mut self, pc: u32) {
+        self.set_pin(pc, Line::Break);
+    }
+
+    /// Arm a fault trigger at `pc`: every fetch from it is offered to the
+    /// inspector's `on_fetch`, on the slow path or in a block's fetch
+    /// step. No-op outside the cached region, and on a line already
+    /// trigger-pinned (blocks built over it stay valid).
+    pub(crate) fn pin_trigger(&mut self, pc: u32) {
+        self.set_pin(pc, Line::Trigger);
+    }
+
+    fn set_pin(&mut self, pc: u32, pin: Line) {
+        if let Some(idx) = self.line_index(pc) {
+            if self.icache.lines[idx] != pin {
+                self.icache.lines[idx] = pin;
+                self.icache.log_pin_change(idx);
+            }
         }
     }
 
-    /// Remove a pin installed by [`Memory::pin_fetch_slow`], returning the
-    /// line to the lazily-decoded state.
+    /// Remove a pin installed by [`Memory::pin_breakpoint`] or
+    /// [`Memory::pin_trigger`], returning the line to the lazily-decoded
+    /// state.
     pub(crate) fn unpin_fetch(&mut self, pc: u32) {
-        if pc >= CODE_BASE && pc < self.icache.limit && pc.is_multiple_of(4) {
-            let idx = ((pc - CODE_BASE) / 4) as usize;
-            if self.icache.lines[idx] == Line::Pinned {
+        if let Some(idx) = self.line_index(pc) {
+            if matches!(self.icache.lines[idx], Line::Break | Line::Trigger) {
                 self.icache.lines[idx] = Line::Empty;
-                // Blocks truncated at the pin may now be extendable;
-                // invalidating them lets translation take the longer form.
-                self.icache.log_code_write(idx as u32, idx as u32);
+                self.icache.log_pin_change(idx);
             }
         }
     }
@@ -1091,17 +1139,35 @@ mod tests {
         m.write_u32(CODE_BASE, nop).unwrap();
         m.init_decode_cache(CODE_BASE + 4);
 
-        m.pin_fetch_slow(CODE_BASE);
-        assert_eq!(m.fetch_decoded(CODE_BASE), None, "pinned → slow path");
-        // A write to the pinned word must not quietly unpin it.
-        m.write_u32(CODE_BASE, nop).unwrap();
-        assert_eq!(m.fetch_decoded(CODE_BASE), None, "pin survives writes");
+        for pin in [Memory::pin_breakpoint, Memory::pin_trigger] {
+            pin(&mut m, CODE_BASE);
+            assert_eq!(m.fetch_decoded(CODE_BASE), None, "pinned → slow path");
+            // A write to the pinned word must not quietly unpin it.
+            m.write_u32(CODE_BASE, nop).unwrap();
+            assert_eq!(m.fetch_decoded(CODE_BASE), None, "pin survives writes");
 
-        m.unpin_fetch(CODE_BASE);
-        assert_eq!(m.fetch_decoded(CODE_BASE), Some(nop_i));
-        // Unpinning a non-pinned (now decoded) line is a no-op.
-        m.unpin_fetch(CODE_BASE);
-        assert_eq!(m.fetch_decoded(CODE_BASE), Some(nop_i));
+            m.unpin_fetch(CODE_BASE);
+            assert_eq!(m.fetch_decoded(CODE_BASE), Some(nop_i));
+            // Unpinning a non-pinned (now decoded) line is a no-op.
+            m.unpin_fetch(CODE_BASE);
+            assert_eq!(m.fetch_decoded(CODE_BASE), Some(nop_i));
+        }
+    }
+
+    #[test]
+    fn trigger_word_reads_only_trigger_pinned_lines() {
+        let mut m = Memory::new(4096);
+        m.write_u32(CODE_BASE, isa::NOP).unwrap();
+        m.init_decode_cache(CODE_BASE + 4);
+        assert_eq!(m.trigger_word(CODE_BASE), None, "unpinned");
+        m.pin_breakpoint(CODE_BASE);
+        assert_eq!(m.trigger_word(CODE_BASE), None, "breakpoint pin");
+        m.pin_trigger(CODE_BASE);
+        assert_eq!(m.trigger_word(CODE_BASE), Some(isa::NOP));
+        // The word is read live, so a store to the pinned word shows.
+        m.write_u32(CODE_BASE, 7).unwrap();
+        assert_eq!(m.trigger_word(CODE_BASE), Some(7));
+        assert_eq!(m.trigger_word(CODE_BASE + 4), None, "outside the cache");
     }
 
     #[test]
@@ -1116,13 +1182,16 @@ mod tests {
 
         m.write_u32(CODE_BASE + 8, nop).unwrap();
         m.write_u8(CODE_BASE + 13, 1).unwrap();
-        m.pin_fetch_slow(CODE_BASE + 20);
+        m.pin_trigger(CODE_BASE + 20);
+        // Re-pinning in the same state changes nothing and does not log.
+        m.pin_trigger(CODE_BASE + 20);
+        m.pin_breakpoint(CODE_BASE + 20);
         m.unpin_fetch(CODE_BASE + 20);
         assert!(m.has_code_writes());
         let mut ranges = Vec::new();
         let overflow = m.drain_code_writes(|a, b| ranges.push((a, b)));
         assert!(!overflow);
-        assert_eq!(ranges, vec![(2, 2), (3, 3), (5, 5), (5, 5)]);
+        assert_eq!(ranges, vec![(2, 2), (3, 3), (4, 5), (4, 5), (4, 5)]);
         assert!(!m.has_code_writes(), "drain empties the log");
 
         // Stores above the code region never log.

@@ -144,9 +144,10 @@ fn loop_program(code: &[Instr]) -> Vec<u32> {
         .collect()
 }
 
-/// Which post-decode [`Inspector`] hook a [`HookLog`] entry records.
+/// Which [`Inspector`] hook a [`HookLog`] entry records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Hook {
+    Fetch,
     LoadAddr,
     LoadValue,
     StoreAddr,
@@ -155,49 +156,102 @@ enum Hook {
     Retire,
 }
 
-/// Records every post-decode hook call in order as (hook, pc, value) and
-/// corrupts register write-back and inbound load values at one pc. It
-/// never declares a block quiescent, so the block interpreter must run
-/// every block on its hooked body.
+/// Records hook calls in order as (hook, pc, value) and corrupts three
+/// things at one pc: register write-back, inbound load values, and (on
+/// the arrivals whose bit is set in `corrupt`) the fetched word. The pc is
+/// a trigger pin ([`FetchPolicy::Pcs`]), so the block interpreter runs it
+/// as a fetch step; `on_fetch` is logged there only, because the
+/// reference interpreter offers every fetch.
+///
+/// A loud log records every hook and never declares a block quiescent, so
+/// blocks run on their hooked body. A quiet log records only the hooks at
+/// its pc and counts retires, so it may declare every block quiescent:
+/// blocks then run hook-free except at their fetch steps.
 struct HookLog {
     calls: Vec<(Hook, u32, u32)>,
     pc: u32,
     mask: u32,
+    corrupt: u64,
+    arrivals: u64,
+    quiet: bool,
+    retired: u64,
+}
+
+impl HookLog {
+    fn new(pc: u32, mask: u32, corrupt: u64, quiet: bool) -> HookLog {
+        HookLog {
+            calls: Vec::new(),
+            pc,
+            mask,
+            corrupt,
+            arrivals: 0,
+            quiet,
+            retired: 0,
+        }
+    }
+
+    fn log(&mut self, hook: Hook, pc: u32, value: u32) {
+        if !self.quiet || pc == self.pc {
+            self.calls.push((hook, pc, value));
+        }
+    }
 }
 
 impl Inspector for HookLog {
     fn fetch_policy(&self) -> FetchPolicy {
-        FetchPolicy::None
+        FetchPolicy::Pcs(vec![self.pc])
+    }
+
+    fn on_fetch(&mut self, _core: usize, pc: u32, word: &mut u32) {
+        if pc != self.pc {
+            return;
+        }
+        if self.corrupt >> (self.arrivals % 64) & 1 == 1 {
+            *word ^= self.mask;
+        }
+        self.arrivals += 1;
+        self.calls.push((Hook::Fetch, pc, *word));
     }
 
     fn on_load_addr(&mut self, _core: usize, pc: u32, addr: &mut u32) {
-        self.calls.push((Hook::LoadAddr, pc, *addr));
+        self.log(Hook::LoadAddr, pc, *addr);
     }
 
     fn on_load_value(&mut self, _core: usize, pc: u32, _addr: u32, value: &mut u32) {
         if pc == self.pc {
             *value ^= self.mask;
         }
-        self.calls.push((Hook::LoadValue, pc, *value));
+        self.log(Hook::LoadValue, pc, *value);
     }
 
     fn on_store_addr(&mut self, _core: usize, pc: u32, addr: &mut u32) {
-        self.calls.push((Hook::StoreAddr, pc, *addr));
+        self.log(Hook::StoreAddr, pc, *addr);
     }
 
     fn on_store_value(&mut self, _core: usize, pc: u32, _addr: u32, value: &mut u32) {
-        self.calls.push((Hook::StoreValue, pc, *value));
+        self.log(Hook::StoreValue, pc, *value);
     }
 
     fn on_reg_write(&mut self, _core: usize, pc: u32, reg: u8, value: &mut u32) {
         if pc == self.pc {
             *value ^= self.mask;
         }
-        self.calls.push((Hook::RegWrite(reg), pc, *value));
+        self.log(Hook::RegWrite(reg), pc, *value);
     }
 
     fn on_retire(&mut self, _core: usize, pc: u32) {
-        self.calls.push((Hook::Retire, pc, 0));
+        self.retired += 1;
+        if !self.quiet {
+            self.calls.push((Hook::Retire, pc, 0));
+        }
+    }
+
+    fn block_quiescent(&self, _core: usize, _first_pc: u32, _last_pc: u32) -> bool {
+        self.quiet
+    }
+
+    fn on_block_retire(&mut self, _core: usize, _first_pc: u32, n: u32) {
+        self.retired += u64::from(n);
     }
 }
 
@@ -382,18 +436,30 @@ proptest! {
     }
 
     /// The hooked-block oracle: with an inspector that hooks every
-    /// post-decode interface and perturbs two of them, the block
-    /// interpreter, the line cache and the reference interpreter agree on
-    /// the outcome, the retired count, the final registers, pc and lr,
-    /// and the exact sequence of hook calls. Programs are encoded
-    /// instructions rather than random words, so most words decode and
-    /// blocks run several steps (fused `addi` pairs included) before a
-    /// branch or a trap ends them.
+    /// interface, pins one pc as a fault trigger and perturbs three of its
+    /// interfaces there, the block interpreter, the line cache and the
+    /// reference interpreter agree on the outcome, the retired count, the
+    /// final registers, pc and lr, and the exact sequence of hook calls.
+    /// The trigger's fetch is corrupted on the drawn arrivals, into a
+    /// drawn instruction (data op, branch, syscall or halt) or by a raw
+    /// mask (often an illegal word), so a block's fetch step must run the
+    /// unchanged or corrupted data op in place and hand anything else to
+    /// the single-step path, reaching `on_fetch` once per arrival. Each
+    /// case runs on one core and on two cores with a small quantum, with
+    /// a loud log (every block hooked) and a quiet one (blocks hook-free
+    /// but for their fetch steps). Programs are encoded instructions
+    /// rather than random words, so most words decode and blocks run
+    /// several steps (fused `addi` pairs included) before a branch or a
+    /// trap ends them.
     #[test]
     fn hooked_blocks_match_reference_on_random_code(
         code in proptest::collection::vec(arb_runnable_instr(), 1..96),
         perturb_index in 0usize..96,
-        mask in 1u32..=u32::MAX,
+        raw_mask in 1u32..=u32::MAX,
+        use_raw in any::<bool>(),
+        corrupt_to in arb_runnable_instr(),
+        corrupt in any::<u64>(),
+        quantum in 1u32..16,
     ) {
         let len = code.len();
         let image = swifi_vm::Image {
@@ -401,25 +467,49 @@ proptest! {
             data: vec![],
             entry: swifi_vm::CODE_BASE,
         };
-        let cfg = MachineConfig { budget: 20_000, ..MachineConfig::default() };
-        let pc = swifi_vm::CODE_BASE + 4 + ((perturb_index % len) as u32) * 4;
-        let run = |tier: usize| {
-            let mut m = Machine::new(cfg.clone());
-            match tier {
-                0 => {}                              // blocks (default)
-                1 => m.set_block_interp(false),      // line cache only
-                _ => m.set_reference_interp(true),   // seed interpreter
-            }
-            m.load(&image);
-            let mut log = HookLog { calls: Vec::new(), pc, mask };
-            let out = m.run(&mut log);
-            let c = m.core(0);
-            (out, m.retired(), c.regs, c.pc, c.lr, log.calls)
+        let index = perturb_index % len;
+        let pc = swifi_vm::CODE_BASE + 4 + (index as u32) * 4;
+        let mask = if use_raw || corrupt_to == code[index] {
+            raw_mask
+        } else {
+            encode(corrupt_to) ^ image.code[index + 1]
         };
-        let blocks = run(0);
         let case = proptest::current_case();
-        prop_assert_eq!(&blocks, &run(1), "blocks vs line cache, case {}", case);
-        prop_assert_eq!(&blocks, &run(2), "blocks vs reference, case {}", case);
+        for (cores, quantum) in [(1, 64), (2, quantum)] {
+            let cfg = MachineConfig {
+                budget: 20_000,
+                num_cores: cores,
+                quantum,
+                ..MachineConfig::default()
+            };
+            for quiet in [false, true] {
+                let run = |tier: usize| {
+                    let mut m = Machine::new(cfg.clone());
+                    match tier {
+                        0 => {}                              // blocks (default)
+                        1 => m.set_block_interp(false),      // line cache only
+                        _ => m.set_reference_interp(true),   // seed interpreter
+                    }
+                    m.load(&image);
+                    let mut log = HookLog::new(pc, mask, corrupt, quiet);
+                    let out = m.run(&mut log);
+                    let state: Vec<_> = (0..cores).map(|i| {
+                        let c = m.core(i);
+                        (c.regs, c.pc, c.lr)
+                    }).collect();
+                    (out, m.retired(), log.retired, state, log.calls)
+                };
+                let blocks = run(0);
+                prop_assert_eq!(
+                    &blocks, &run(1),
+                    "blocks vs line cache, case {}, {} cores, quiet {}", case, cores, quiet
+                );
+                prop_assert_eq!(
+                    &blocks, &run(2),
+                    "blocks vs reference, case {}, {} cores, quiet {}", case, cores, quiet
+                );
+            }
+        }
     }
 
     /// The restore-sequence property: random word and byte writes into

@@ -39,8 +39,10 @@ if [ "$MODE" = equivalence ]; then
   filter() { grep -v -e '^throughput:' -e '^icache:' -e '^prefix-fork:' -e '^blocks:' -e '^phases:'; }
   # C.team10 is the program where golden passes fork nearly every run.
   # JB.team6 at seed 7 draws Hang runs that loop through a pinned `stw`
-  # at 0x224, so its runs are dominated by trigger arrivals.
-  for run in "JB.team11 4 2024" "JB.team6 4 2024" "C.team10 2 2024" "JB.team6 2 7"; do
+  # at 0x224, so its runs are dominated by trigger arrivals. SOR is the
+  # 4-core guest: its quanta interleave cores through blocks that hold
+  # trigger fetch steps.
+  for run in "JB.team11 4 2024" "JB.team6 4 2024" "C.team10 2 2024" "JB.team6 2 7" "SOR 2 7"; do
     read -r t inputs seed <<< "$run"
     "$BIN" campaign "$t" --inputs "$inputs" --seed "$seed" | filter > "$TMP/on.txt" || exit 2
     for flag in --no-prefix-fork --no-block-cache; do

@@ -149,8 +149,9 @@ proptest! {
         prop_assert_eq!(clean, double);
     }
 
-    /// Fetch-time corruption (`Target::InstrBus`) lives on the slow path:
-    /// the armed trigger PC is pinned out of the decode cache, so
+    /// Fetch-time corruption (`Target::InstrBus`) needs every fetch: the
+    /// armed trigger PC is pinned, so the line cache sends it down the
+    /// slow path and a translated block runs it as a fetch step, and
     /// `on_fetch` still sees — and may corrupt — the fetched word. The raw
     /// [`swifi_vm::machine::RunOutcome`], fired flag, and retired
     /// instruction count must all be bit-identical across interpreters.
