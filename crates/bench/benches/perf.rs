@@ -60,7 +60,8 @@ enum Rung {
     ColdReference,
     /// One warm session on the reference interpreter.
     WarmReference,
-    /// One warm session on the predecoded line cache, no block layer.
+    /// One warm session with the block layer off: every instruction
+    /// through `Machine::step` over the predecoded lines.
     Line,
     /// One warm session on the block interpreter.
     Blocks,

@@ -418,8 +418,8 @@ pub struct CampaignOptions {
     /// execution strategy, not a semantic change); the flag exists for
     /// A/B measurement and as an escape hatch.
     pub no_prefix_fork: bool,
-    /// Disable the basic-block translation layer: sessions execute on
-    /// the predecoded line cache alone (the PR 2 path). Like
+    /// Disable the basic-block translation layer: sessions run every
+    /// instruction through `Machine::step` over the predecoded lines. Like
     /// `no_prefix_fork`, purely an execution-strategy toggle — reports
     /// are identical either way — kept for A/B measurement and as an
     /// escape hatch.

@@ -499,8 +499,8 @@ impl RunSession {
     }
 
     /// Enable (`true`, the default) or disable the basic-block
-    /// translation layer on this session's machine. Disabling pins the
-    /// PR 2 predecoded-line path (`--no-block-cache`); like prefix
+    /// translation layer on this session's machine. Disabling it runs
+    /// every instruction through `step` (`--no-block-cache`); like prefix
     /// forking this is purely an execution strategy — runs are
     /// bit-identical either way.
     pub fn set_block_cache(&mut self, enabled: bool) {

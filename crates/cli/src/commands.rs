@@ -57,8 +57,8 @@ CAMPAIGN OPTIONS:
                     mutants); the run becomes one `abnormal:` line
   --no-prefix-fork  make no golden passes and fork no run (full prefix per
                     run; reported results are identical either way)
-  --no-block-cache  disable basic-block translation (predecoded line
-                    cache only; reported results are identical either way)
+  --no-block-cache  disable basic-block translation (every instruction
+                    through `step`; reported results are identical either way)
 
 TELEMETRY OPTIONS (campaign / source-campaign; reported results are
 identical with or without telemetry):
@@ -225,11 +225,15 @@ fn print_sites(p: &swifi_lang::Program) {
 pub fn run_cmd(parsed: &ParsedArgs) -> CmdResult {
     let (path, src) = read_source(parsed)?;
     let p = compile(&src).map_err(|e| format!("{path}: {e}"))?;
-    let cores = parsed.int_opt("cores", 1)? as usize;
-    let mut m = Machine::new(MachineConfig {
-        num_cores: cores.max(1),
+    let cores = parsed.int_opt("cores", 1)?;
+    let config = MachineConfig {
+        num_cores: usize::try_from(cores).unwrap_or(usize::MAX).max(1),
         ..MachineConfig::default()
-    });
+    };
+    config
+        .check_fit(&p.image)
+        .map_err(|e| format!("{path}: {e}"))?;
+    let mut m = Machine::new(config);
     m.load(&p.image);
     m.set_input(input_from_args(parsed)?);
     report_outcome(m.run(&mut Noop));
@@ -304,7 +308,11 @@ pub fn inject(parsed: &ParsedArgs) -> CmdResult {
     );
     let mut inj =
         Injector::new(vec![fault.spec], TriggerMode::Hardware, seed).map_err(|e| e.to_string())?;
-    let mut m = Machine::new(MachineConfig::default());
+    let config = MachineConfig::default();
+    config
+        .check_fit(&p.image)
+        .map_err(|e| format!("{path}: {e}"))?;
+    let mut m = Machine::new(config);
     m.load(&p.image);
     m.set_input(input_from_args(parsed)?);
     inj.prepare(&mut m).map_err(|e| e.to_string())?;

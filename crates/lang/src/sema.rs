@@ -31,13 +31,27 @@ pub enum Type {
 
 impl Type {
     /// Size in bytes given the struct table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the size does not fit in `u32`; semantic analysis
+    /// rejects every such type where it is declared.
     pub fn size(&self, structs: &[StructLayout]) -> u32 {
+        self.checked_size(structs)
+            .expect("type sizes are checked where types are resolved")
+    }
+
+    /// Size in bytes given the struct table, or `None` if it does not
+    /// fit in `u32`.
+    pub fn checked_size(&self, structs: &[StructLayout]) -> Option<u32> {
         match self {
-            Type::Int | Type::Ptr(_) => 4,
-            Type::Char => 1,
-            Type::Void => 0,
-            Type::Array(t, n) => t.size(structs) * *n as u32,
-            Type::Struct(i) => structs[*i].size,
+            Type::Int | Type::Ptr(_) => Some(4),
+            Type::Char => Some(1),
+            Type::Void => Some(0),
+            Type::Array(t, n) => t
+                .checked_size(structs)?
+                .checked_mul(u32::try_from(*n).ok()?),
+            Type::Struct(i) => Some(structs[*i].size),
         }
     }
 
@@ -227,6 +241,15 @@ pub fn analyze(prog: &Program) -> Result<SemaOutput, CompileError> {
     Ok(s.out)
 }
 
+/// The error for a `what` (type, struct or frame) whose size in bytes
+/// does not fit in 32 bits.
+fn too_large(line: u32, what: &str) -> CompileError {
+    CompileError::new(
+        line,
+        format!("{what} too large: its size overflows 32 bits"),
+    )
+}
+
 impl<'a> Sema<'a> {
     fn resolve_type(&self, te: &TypeExpr, line: u32) -> Result<Type, CompileError> {
         let mut t = match &te.base {
@@ -245,6 +268,9 @@ impl<'a> Sema<'a> {
         }
         for &d in te.dims.iter().rev() {
             t = Type::Array(Box::new(t), d);
+        }
+        if t.checked_size(&self.out.structs).is_none() {
+            return Err(too_large(line, "type"));
         }
         Ok(t)
     }
@@ -285,16 +311,22 @@ impl<'a> Sema<'a> {
                 }
                 let a = ty.align(&self.out.structs);
                 let size = ty.size(&self.out.structs);
-                offset = offset.div_ceil(a) * a;
+                offset = offset
+                    .checked_next_multiple_of(a)
+                    .ok_or_else(|| too_large(sd.line, "struct"))?;
                 fields.push(FieldLayout {
                     name: fname.clone(),
                     ty,
                     offset,
                 });
-                offset += size;
+                offset = offset
+                    .checked_add(size)
+                    .ok_or_else(|| too_large(sd.line, "struct"))?;
                 align = align.max(a);
             }
-            let size = offset.div_ceil(align) * align;
+            let size = offset
+                .checked_next_multiple_of(align)
+                .ok_or_else(|| too_large(sd.line, "struct"))?;
             let entry = &mut self.out.structs[idx];
             entry.fields = fields;
             entry.size = size.max(1);
@@ -391,9 +423,15 @@ impl<'a> Sema<'a> {
         }
         let a = ty.align(&self.out.structs);
         let size = ty.size(&self.out.structs);
-        self.next_offset = self.next_offset.div_ceil(a) * a;
-        let off = self.next_offset;
-        self.next_offset += size;
+        let off = self
+            .next_offset
+            .checked_next_multiple_of(a)
+            .ok_or_else(|| too_large(line, "frame"))?;
+        // Room for the frame's final 8-byte rounding too.
+        self.next_offset = off
+            .checked_add(size)
+            .filter(|end| end.checked_next_multiple_of(8).is_some())
+            .ok_or_else(|| too_large(line, "frame"))?;
         self.scopes
             .last_mut()
             .unwrap()
@@ -426,7 +464,7 @@ impl<'a> Sema<'a> {
             param_offsets.push(self.alloc_slot(pname, pty, f.line)?);
         }
         self.block(&f.body)?;
-        let locals_size = (self.next_offset + 7) & !7;
+        let locals_size = self.next_offset.next_multiple_of(8);
         debug_assert_eq!(self.out.functions.len(), idx);
         self.out.functions.push(FnLayout {
             name: f.name.clone(),
@@ -903,6 +941,22 @@ mod tests {
         };
         assert_eq!(off(&a, "q"), 80);
         assert_eq!(off(&b, "q"), 81);
+    }
+
+    #[test]
+    fn sizes_that_overflow_32_bits_are_rejected_on_their_line() {
+        // 1073741825 ints is 4 bytes past 2^32.
+        let e = fails("int g;\nint a[1073741825];\nvoid main() { a[0] = 7; }");
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("too large"), "{}", e.msg);
+        // Two fields that each fit but not together.
+        let e = fails("struct S {\n char a[2147483648]; char b[2147483648];\n};\nvoid main() {}");
+        assert_eq!(e.line, 1);
+        assert!(e.msg.contains("struct too large"), "{}", e.msg);
+        // Two locals that each fit but not together.
+        let e = fails("void main() {\n char a[4294967288];\n char b[2];\n}");
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("frame too large"), "{}", e.msg);
     }
 
     #[test]

@@ -167,11 +167,11 @@ proptest! {
     /// Structured garbage: random token soup from a C-ish alphabet.
     #[test]
     fn token_soup_is_rejected_gracefully(
-        toks in proptest::collection::vec(0usize..20, 0..120)
+        toks in proptest::collection::vec(0usize..21, 0..120)
     ) {
         let alphabet = [
             "int", "char", "void", "if", "else", "while", "for", "return", "{", "}", "(",
-            ")", ";", "=", "+", "*", "x", "1", "[3]", "struct",
+            ")", ";", "=", "+", "*", "x", "1", "[3]", "struct", "[1073741825]",
         ];
         let src: String = toks
             .iter()

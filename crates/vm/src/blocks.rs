@@ -1,13 +1,14 @@
 //! Basic-block superinstruction translation over the predecoded line cache.
 //!
-//! The PR 2 line cache removed decode from the hot loop but still pays a
-//! per-instruction dispatch: every retired instruction does a cache lookup
-//! (range check, `Line` match) plus loop bookkeeping before its actual
-//! work. This module translates straight-line runs of code — *basic
+//! The predecoded line cache removes decode from the fetch path but still
+//! pays a per-instruction dispatch: every retired instruction does a cache
+//! lookup (range check, `Line` match) plus loop bookkeeping before its
+//! actual work. This module translates straight-line runs of code — *basic
 //! blocks* — into dense superinstruction buffers that the interpreter
 //! executes in one dispatch: one block lookup, then a tight walk over
 //! pre-extracted operands with the program counter reconstructed
-//! arithmetically (`start + 4·i`).
+//! arithmetically (`start + 4·i`). Blocks are one of the VM's two tiers;
+//! whatever a block cannot run goes to the other, `Machine::step`.
 //!
 //! # Block discovery
 //!
@@ -15,23 +16,22 @@
 //! the block interpreter dispatches at a PC with no translation, it pulls
 //! decoded instructions word-by-word **through
 //! [`Memory::fetch_decoded`]** — so line-cache statistics and pin
-//! semantics are byte-identical to the PR 2 path — until it reaches a
+//! semantics are byte-identical to `Machine::step`'s — until it reaches a
 //! terminator:
 //!
 //! * a control transfer (`b`, `bl`, `bc`, `blr`) — translated into a
 //!   pre-resolved [`Term`] with absolute targets;
 //! * a syscall or halt — the block ends *before* it
-//!   ([`Term::Fallthrough`]); the instruction itself executes on the
-//!   single-step path, where scheduler state changes and the inlined
-//!   syscall handlers live;
+//!   ([`Term::Fallthrough`]); the instruction itself executes in
+//!   `Machine::step`, which owns core-state changes and the one syscall
+//!   implementation;
 //! * an unavailable line (a fetch-breakpoint pin, an illegal word, a PC
 //!   outside the cached region) — the block ends before it and the slow
 //!   fetch path takes over, preserving fetch breakpoints and precise
 //!   illegal-instruction traps;
 //! * a fault-trigger pin whose word is a branch, syscall, halt or illegal
 //!   word — the block ends before it, as for the unpinned word;
-//! * the block length cap ([`MAX_BLOCK_OPS`]), bounding translation cost
-//!   and quantum interaction.
+//! * the block length cap ([`MAX_BLOCK_OPS`]), bounding translation cost.
 //!
 //! A fault-trigger pin whose word is a straight-line instruction does not
 //! end the block: it becomes a [`Step::Fetch`], which offers the word to
@@ -47,6 +47,17 @@
 //! [`Term::CmpiCondJump`]), so common loop idioms retire two instructions
 //! per dispatch step. Neither fusion takes in a fetch step.
 //!
+//! # Quantum and budget tails
+//!
+//! A dispatch may retire no more instructions than are left of the
+//! scheduling quantum and the budget. A block that does not fit runs the
+//! longest prefix of whole body steps that does and skips its terminator
+//! ([`Block::prefix`]), so a quantum ends mid-block exactly where the
+//! reference interpreter's would; the next dispatch starts a block at the
+//! first instruction left out. Only when not even the first step fits (a
+//! fused pair with one instruction left) does the instruction go to
+//! `Machine::step`.
+//!
 //! # Invalidation
 //!
 //! Blocks cache decoded *words*, so any write into the code region must
@@ -57,7 +68,7 @@
 //! which the block interpreter drains before every block dispatch. A store
 //! executed *inside* a block checks the log immediately afterwards and
 //! aborts the block at that point, so self-modifying code observes its own
-//! writes exactly like the per-instruction interpreters. A pin change
+//! writes exactly like `Machine::step`. A pin change
 //! also kills the block that ends just before the pinned word, so a block
 //! cut short by a breakpoint pin is rebuilt whole once the pin goes.
 
@@ -65,9 +76,8 @@ use crate::isa::{self, CrBit, Instr};
 use crate::mem::{Memory, CODE_BASE};
 
 /// Maximum straight-line instructions per translated block. Bounds the cost
-/// of a translation that is immediately invalidated and keeps whole blocks
-/// small relative to the multi-core scheduling quantum (64), so block
-/// dispatch rarely has to fall back near quantum boundaries.
+/// of a translation that is immediately invalidated; a block longer than
+/// what is left of a quantum runs a prefix (see the [module docs](self)).
 pub(crate) const MAX_BLOCK_OPS: usize = 48;
 
 /// Counters describing the basic-block translation cache's behaviour.
@@ -88,9 +98,11 @@ pub struct BlockCacheStats {
     /// "how much ran on the fast path" ratio; the denominator is the
     /// session's total retired count).
     pub block_instrs: u64,
-    /// Dispatches that fell back to the per-instruction cached/slow paths
-    /// while the block interpreter was active (syscalls, breakpoint pins,
-    /// quantum tails, untranslatable words, corrupted trigger fetches).
+    /// Dispatches handed to `Machine::step` while the block interpreter
+    /// was active: syscalls, halts, breakpoint pins, untranslatable words,
+    /// and a fused step that does not fit what is left of a quantum or
+    /// the budget. (A trigger fetch corrupted into a word a block cannot
+    /// run also goes to `step`, but is counted as its block's hit.)
     pub fallback_dispatches: u64,
     /// Blocks killed by a write into code they cover, by a fetch-pin
     /// change, or by a whole-cache flush.
@@ -212,8 +224,8 @@ pub(crate) enum Term {
     /// The block ends without a control transfer: the next word is a
     /// syscall/halt, unavailable (breakpoint pin, illegal, out of range),
     /// a trigger pin on a non-straight-line word, or the length cap was
-    /// hit. Execution continues at `next` on the
-    /// per-instruction paths (which re-attempt block dispatch).
+    /// hit. Execution continues at `next`, through `Machine::step` when
+    /// no block starts there.
     Fallthrough {
         /// PC of the first instruction *not* part of the block.
         next: u32,
@@ -260,6 +272,22 @@ impl Block {
     /// query must vouch for.
     pub(crate) fn last_pc(&self) -> u32 {
         CODE_BASE + (self.first_word + self.word_len - 1) * 4
+    }
+
+    /// What a dispatch with only `left` instructions to go, fewer than the
+    /// block's cost, may run: the longest prefix of whole body steps that
+    /// retires at most `left` instructions, as its step count and the
+    /// instructions it retires. A fused step never runs in part, and the
+    /// terminator never runs.
+    pub(crate) fn prefix(&self, left: u64) -> (usize, u32) {
+        let mut ops = 0;
+        for (k, step) in self.body.iter().enumerate() {
+            if u64::from(ops + step.ops()) > left {
+                return (k, ops);
+            }
+            ops += step.ops();
+        }
+        (self.body.len(), ops)
     }
 }
 
@@ -316,7 +344,7 @@ impl BlockStore {
     ///
     /// Returns `None` when no usable block starts at `pc` (misaligned or
     /// out-of-range PC, or the word is a syscall/halt/breakpoint-pinned/
-    /// illegal) — the caller falls back to per-instruction dispatch.
+    /// illegal) — the caller hands the instruction to `Machine::step`.
     #[inline]
     pub(crate) fn lookup_or_translate(
         &mut self,
@@ -341,7 +369,7 @@ impl BlockStore {
 
     /// Translate the block starting at `pc` (word `idx`), pulling decoded
     /// instructions through the line cache so decode statistics, pins, and
-    /// illegal-word handling stay identical to the per-instruction path.
+    /// illegal-word handling stay identical to `Machine::step`'s.
     /// A trigger-pinned word is read raw and becomes a [`Step::Fetch`]
     /// when it decodes to a straight-line instruction.
     #[cold]

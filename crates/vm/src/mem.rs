@@ -73,8 +73,8 @@ enum Line {
     /// are checked, so no translated block covers the word.
     Break,
     /// A fault trigger (the inspector's `FetchPolicy::Pcs`) is armed at
-    /// this PC: every fetch must be offered to `on_fetch`. The line loop
-    /// and the single-step path take the slow fetch path here; the block
+    /// this PC: every fetch must be offered to `on_fetch`. The
+    /// single-step path takes the slow fetch path here; the block
     /// translator instead emits a fetch step that calls the hook inside
     /// the block (see `crate::blocks`).
     ///

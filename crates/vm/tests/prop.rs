@@ -110,6 +110,12 @@ prop_compose! {
     }
 }
 
+/// An instruction budget for the random-code differentials: short ones,
+/// which end runs inside their first blocks, as often as long ones.
+fn arb_budget() -> impl Strategy<Value = u64> {
+    prop_oneof![1u64..200, 200u64..=20_000]
+}
+
 /// Encode `code` as a loop body that cannot run off its ends. A leading
 /// `bl` sets the link register to the body's first word, so `blr`
 /// returns there; a trailing `b` jumps back to it; and a branch at body
@@ -390,21 +396,23 @@ proptest! {
     }
 
     /// The blocks ≡ reference oracle on arbitrary code: the block
-    /// interpreter, the line-cached interpreter, and the seed
+    /// interpreter, `step` over the decoded lines, and the seed
     /// decode-every-fetch reference interpreter agree on the outcome,
     /// the retired-instruction count, and the final architectural state
     /// — both on the pristine program and after a mid-run code patch
     /// poked into a warm machine (where a stale translation would
-    /// replay the unpatched block).
+    /// replay the unpatched block). The budget is drawn, so a run that
+    /// hangs ends mid-block at any offset, inside fused steps included.
     #[test]
     fn block_interpreter_matches_reference_on_random_code(
         words in proptest::collection::vec(any::<u32>(), 1..128),
         patch_index in 0usize..128,
         patch_mask in 1u32..=u32::MAX,
+        budget in arb_budget(),
     ) {
         let len = words.len();
         let image = swifi_vm::Image { code: words, data: vec![], entry: swifi_vm::CODE_BASE };
-        let cfg = MachineConfig { budget: 20_000, ..MachineConfig::default() };
+        let cfg = MachineConfig { budget, ..MachineConfig::default() };
         let patch_addr = swifi_vm::CODE_BASE + ((patch_index % len) as u32) * 4;
         let observe = |m: &Machine, out: RunOutcome| {
             let c = m.core(0);
@@ -414,7 +422,7 @@ proptest! {
             let mut m = Machine::new(cfg.clone());
             match tier {
                 0 => {}                              // blocks (default)
-                1 => m.set_block_interp(false),      // line cache only
+                1 => m.set_block_interp(false),      // `step` over decoded lines
                 _ => m.set_reference_interp(true),   // seed interpreter
             }
             m.load(&image);
@@ -431,14 +439,15 @@ proptest! {
             (pristine, patched)
         };
         let blocks = run(0);
-        prop_assert_eq!(&blocks, &run(1), "blocks vs line cache");
+        prop_assert_eq!(&blocks, &run(1), "blocks vs step");
         prop_assert_eq!(&blocks, &run(2), "blocks vs reference");
     }
 
     /// The hooked-block oracle: with an inspector that hooks every
     /// interface, pins one pc as a fault trigger and perturbs three of its
-    /// interfaces there, the block interpreter, the line cache and the
-    /// reference interpreter agree on the outcome, the retired count, the
+    /// interfaces there, the block interpreter, `step` over the decoded
+    /// lines and the reference interpreter agree on the outcome, the
+    /// retired count, the
     /// final registers, pc and lr, and the exact sequence of hook calls.
     /// The trigger's fetch is corrupted on the drawn arrivals, into a
     /// drawn instruction (data op, branch, syscall or halt) or by a raw
@@ -447,7 +456,9 @@ proptest! {
     /// the single-step path, reaching `on_fetch` once per arrival. Each
     /// case runs on one core and on two cores with a small quantum, with
     /// a loud log (every block hooked) and a quiet one (blocks hook-free
-    /// but for their fetch steps). Programs are encoded instructions
+    /// but for their fetch steps), under a drawn budget, so quantum and
+    /// budget tails end blocks at every step boundary. Programs are
+    /// encoded instructions
     /// rather than random words, so most words decode and blocks run
     /// several steps (fused `addi` pairs included) before a branch or a
     /// trap ends them.
@@ -460,6 +471,7 @@ proptest! {
         corrupt_to in arb_runnable_instr(),
         corrupt in any::<u64>(),
         quantum in 1u32..16,
+        budget in arb_budget(),
     ) {
         let len = code.len();
         let image = swifi_vm::Image {
@@ -477,7 +489,7 @@ proptest! {
         let case = proptest::current_case();
         for (cores, quantum) in [(1, 64), (2, quantum)] {
             let cfg = MachineConfig {
-                budget: 20_000,
+                budget,
                 num_cores: cores,
                 quantum,
                 ..MachineConfig::default()
@@ -487,7 +499,7 @@ proptest! {
                     let mut m = Machine::new(cfg.clone());
                     match tier {
                         0 => {}                              // blocks (default)
-                        1 => m.set_block_interp(false),      // line cache only
+                        1 => m.set_block_interp(false),      // `step` over decoded lines
                         _ => m.set_reference_interp(true),   // seed interpreter
                     }
                     m.load(&image);
@@ -502,7 +514,7 @@ proptest! {
                 let blocks = run(0);
                 prop_assert_eq!(
                     &blocks, &run(1),
-                    "blocks vs line cache, case {}, {} cores, quiet {}", case, cores, quiet
+                    "blocks vs step, case {}, {} cores, quiet {}", case, cores, quiet
                 );
                 prop_assert_eq!(
                     &blocks, &run(2),

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Perf smoke: non-gating sanity check that the predecoded translation
-# cache actually outruns the reference decode-every-fetch interpreter.
+# Perf smoke: non-gating sanity check that the block interpreter
+# actually outruns the reference decode-every-fetch interpreter.
 #
 # Runs the count_instr example in `compare` mode, which
 #   1. asserts both interpreters retire identical instruction counts on
 #      every probe program (a cheap correctness differential), and
-#   2. prints the per-program and total wall-clock speedup.
+#   2. prints the per-program and total wall-clock speedup, and per
+#      program the share of instructions run in blocks and the
+#      dispatches per run handed to `Machine::step` (exact counts).
 # Then runs the trigger_arrival example, which prints the cost of one
 # arrival at a pinned fault trigger per target kind (and asserts that
 # the injected and clean runs retire the same instructions).
@@ -17,8 +19,9 @@
 #
 # `perf_smoke.sh equivalence` runs the execution-strategy A/B checks
 # instead: campaign reports with the prefix-fork cache on vs off and
-# with block translation on vs off (--no-block-cache) must be identical
-# (timing and strategy-counter lines excluded). Those checks are
+# with block translation on vs off (--no-block-cache, which runs every
+# instruction through `Machine::step`) must be identical (timing and
+# strategy-counter lines excluded). Those checks are
 # deterministic, so tier1.sh runs them as a *gating* step; the
 # wall-clock speedup mode stays non-gating.
 #

@@ -150,8 +150,8 @@ proptest! {
     }
 
     /// Fetch-time corruption (`Target::InstrBus`) needs every fetch: the
-    /// armed trigger PC is pinned, so the line cache sends it down the
-    /// slow path and a translated block runs it as a fetch step, and
+    /// armed trigger PC is pinned, so `step` sends it down the slow path
+    /// and a translated block runs it as a fetch step, and
     /// `on_fetch` still sees — and may corrupt — the fetched word. The raw
     /// [`swifi_vm::machine::RunOutcome`], fired flag, and retired
     /// instruction count must all be bit-identical across interpreters.
@@ -356,8 +356,9 @@ fn placed(spec: FaultSpec, program: &Program) -> FaultSpec {
     placed
 }
 
-/// The tier-matrix oracle. Every fast path (warm reboot, line cache,
-/// blocks, golden passes and forks, resume, sharding) must give the
+/// The tier-matrix oracle. Every fast path (warm reboot, `step` over
+/// decoded lines, blocks, golden passes and forks, resume, sharding) must
+/// give the
 /// answer of the paper's one fault per freshly rebooted run. Each draw is
 /// checked twice: its tile's runs against [`execute_cold`], and its
 /// campaign against the all-off campaign run directly. The case loop is
